@@ -189,12 +189,14 @@ def _echo(cfg, filters) -> dict:
     return echo
 
 
-def _index_string(indices, dim: int, mode: str) -> str:
-    if mode == QUDIT:
-        digits = [m * dim + n for m, n in indices]
-    else:
-        digits = list(indices)
-    return "".join(_DIGITS[d] for d in digits)
+def _index_strings(digits: np.ndarray) -> np.ndarray:
+    """One string per table row: node k's digit as character k of _DIGITS."""
+    rows, n = digits.shape
+    if n == 0:
+        return np.full(rows, "")
+    codes = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8).astype(np.uint32)
+    # n UCS-4 code points per row read as one numpy U<n> string each
+    return codes[digits].view(f"U{n}").ravel()
 
 
 def _finite_or_none(x: float):
@@ -210,16 +212,13 @@ def _run_swap(cfg) -> tuple[dict, list[FilterOp]]:
         chain = SwapChain(tuple(filters), cfg["mode"])
         report = enumerate_outcomes(chain)
         cs = bond_concurrences(chain)
-    outcomes = [
-        {
-            "index": _index_string(rec.indices, cfg["dim"], cfg["mode"]),
-            "weight": rec.weight,
-            "prob": rec.prob,
-            "concurrence": rec.concurrence,
-            "prob_times_c": rec.prob * rec.concurrence,
-        }
-        for rec in report.records
-    ]
+    outcomes = {
+        "index": _index_strings(report.digits),
+        "weight": report.weight,
+        "prob": report.prob,
+        "concurrence": report.concurrence,
+        "prob_times_c": report.prob * report.concurrence,
+    }
     payload = {
         "dim": cfg["dim"],
         "mode": cfg["mode"],
@@ -278,20 +277,22 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp]]:
     counts = sample_outcomes(chain, cfg["samples"], cfg["seed"])
     report = enumerate_outcomes(chain)
     n = cfg["samples"]
-    outcomes = []
+    # a drawn record sits at row Σ_k (i_k − offset)·base^k of the table
+    base, offset = len(chain.outcome_indices), chain.outcome_indices.start
+    drawn = np.array(list(counts), dtype=np.int64).reshape(len(counts), chain.n_nodes)
+    count = np.zeros(len(report.prob), dtype=np.int64)
+    count[(drawn - offset) @ base ** np.arange(chain.n_nodes)] = list(counts.values())
+    freq = count / n
     tv = 0.0
-    for rec in report.records:
-        c = counts.get(rec.indices, 0)
-        freq = c / n
-        tv += abs(freq - rec.prob)
-        outcomes.append(
-            {
-                "index": _index_string(rec.indices, 2, cfg["mode"]),
-                "count": c,
-                "frequency": freq,
-                "prob": rec.prob,
-            }
-        )
+    # left to right in record order: sum(), np.sum and fsum round differently
+    for f, p in zip(freq.tolist(), report.prob.tolist()):
+        tv += abs(f - p)
+    outcomes = {
+        "index": _index_strings(report.digits),
+        "count": count,
+        "frequency": freq,
+        "prob": report.prob,
+    }
     payload = {
         "dim": 2,
         "mode": cfg["mode"],
@@ -353,7 +354,9 @@ _CSV_COLUMNS = {
     "scan": ("n", "constant", "log_constant"),
     "verify": ("n_bonds", "worst_weight_dev", "worst_fidelity", "passed"),
 }
-_CSV_ROW_KEY = {
+# rows rendered per block, so per-value strings exist for one block at a time
+_CHUNK_ROWS = 4096
+_ROW_KEY = {
     "swap": "outcomes",
     "sample": "outcomes",
     "scan": "rows",
@@ -371,9 +374,16 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _chunks(columns):
+    """Consecutive row blocks of equal-length columns, each column a list."""
+    n_rows = len(columns[0])
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        yield [col[start : start + _CHUNK_ROWS].tolist() for col in columns]
+
+
 def _render_csv(command: str, payload: dict) -> str:
     lines = []
-    rows_key = _CSV_ROW_KEY[command]
+    rows_key = _ROW_KEY[command]
     for key, value in payload.items():
         if key in (rows_key, "config_echo", "chains"):
             continue
@@ -382,13 +392,39 @@ def _render_csv(command: str, payload: dict) -> str:
         lines.append(f"# {key}={_csv_cell(value)}")
     cols = _CSV_COLUMNS[command]
     lines.append(",".join(cols))
-    for row in payload[rows_key]:
-        lines.append(",".join(_csv_cell(row[c]) for c in cols))
+    rows = payload[rows_key]
+    if isinstance(rows, dict):  # columns: name -> numpy array
+        # floats print as repr, ints and strings as str, as _csv_cell does
+        convs = [repr if rows[c].dtype.kind == "f" else str for c in cols]
+        for chunk in _chunks([rows[c] for c in cols]):
+            cells = [list(map(conv, col)) for conv, col in zip(convs, chunk)]
+            lines.extend(map(",".join, zip(*cells)))
+    else:
+        for row in rows:
+            lines.append(",".join(_csv_cell(row[c]) for c in cols))
     return "\n".join(lines) + "\n"
 
 
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _render_json(command: str, document: dict) -> str:
+    rows_key = _ROW_KEY[command]
+    columns = document[rows_key]
+    if not isinstance(columns, dict):
+        return json.dumps(document, indent=2) + "\n"
+    # Same bytes as json.dumps(document, indent=2), whose pure-Python encoder
+    # is slow on big tables.  The header keeps that encoder; the rows (always
+    # the last key) fill a fixed template with each column's tokens from the
+    # C encoder, which writes numbers, NaN and Infinity exactly as it does.
+    head = json.dumps(
+        {k: v for k, v in document.items() if k != rows_key}, indent=2
+    )
+    fields = ",\n".join(f"      {json.dumps(name)}: {{}}" for name in columns)
+    template = "    {{\n" + fields + "\n    }}"
+    blocks = []
+    for chunk in _chunks(list(columns.values())):
+        tokens = [json.dumps(col)[1:-1].split(", ") for col in chunk]
+        blocks.append(",\n".join(map(template.format, *tokens)))
+    rows = ",\n".join(blocks)
+    return f"{head[:-2]},\n  {json.dumps(rows_key)}: [\n{rows}\n  ]\n}}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,13 +494,17 @@ def main(argv=None) -> int:
     }
     document.update(payload)
     text = (
-        _render_json(document)
+        _render_json(cfg["command"], document)
         if cfg["format"] == "json"
         else _render_csv(cfg["command"], document)
     )
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["out"], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"bondswap: error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

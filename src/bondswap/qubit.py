@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,16 @@ for _p in PAULI:
 
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
-#: Largest outcome table enumerate_outcomes will materialize.
-ENUMERATION_BUDGET = 3 ** 16
+#: Largest outcome table enumerate_outcomes will materialize, in rows.  It
+#: admits vbs N <= 13 and plain N <= 10; a CLI swap of those peaks at about
+#: 0.8 GB and 0.5 GB of resident memory.
+ENUMERATION_BUDGET = 3 ** 13
+
+# Peak resident bytes per row of a CLI swap writing JSON, an upper fit to runs
+# at vbs N = 12, 13, plain N = 9, 10 and qudit D = 3, 4, 6, 8: the rendering
+# plus the 16-byte complex entries of each row's D×D operator.
+_ROW_BYTES = 500
+_ROW_BYTES_PER_OP_ENTRY = 16
 
 
 def pauli(i: int) -> np.ndarray:
@@ -112,12 +121,115 @@ class OutcomeRecord:
 
 @dataclass(frozen=True, eq=False)
 class TradeoffReport:
-    """Full outcome table plus the outcome-independent product prob × C."""
+    """Outcome table held as columns, plus the outcome-independent prob × C.
+
+    Row b of every column belongs to the outcome whose per-node digits are
+    ``digits[b]`` (little-endian, node 1 first; the digit the CLI prints).
+    ``labels`` maps a digit to that node's record index.  ``records`` is the
+    per-row view, built from the columns on first access.
+    """
 
     constant: float
     p_sum: float
-    records: list[OutcomeRecord]
     max_residual: float
+    digits: np.ndarray
+    weight: np.ndarray
+    prob: np.ndarray
+    concurrence: np.ndarray
+    final_ops: np.ndarray
+    labels: tuple
+
+    @cached_property
+    def records(self) -> list[OutcomeRecord]:
+        label = self.labels.__getitem__
+        return [
+            OutcomeRecord(
+                indices=tuple(map(label, row)),
+                weight=w,
+                prob=p,
+                final_op=op,
+                concurrence=c,
+            )
+            for row, w, p, op, c in zip(
+                self.digits.tolist(),
+                self.weight.tolist(),
+                self.prob.tolist(),
+                self.final_ops,
+                self.concurrence.tolist(),
+            )
+        ]
+
+
+def digit_table(base: int, n: int, offset: int = 0) -> np.ndarray:
+    """(base^n, n) little-endian digits of 0..base^n − 1, each plus ``offset``."""
+    b = np.arange(base ** n)
+    digits = np.empty((b.size, n), dtype=np.min_scalar_type(base - 1 + offset))
+    for k in range(n):
+        b, digits[:, k] = np.divmod(b, base)
+    digits += offset
+    return digits
+
+
+def _approx(log10_x: float) -> str:
+    """10**log10_x to three significant digits, also beyond the float range."""
+    if log10_x < 300:
+        return f"{10 ** log10_x:.3g}"
+    exp = math.floor(log10_x)
+    return f"{10 ** (log10_x - exp):.2f}e+{exp}"
+
+
+def check_budget(base: int, n: int, dim: int, budget: int, hint: str = "") -> None:
+    """Refuse a base^n-row table of D×D operators above ``budget`` rows.
+
+    Runs before anything is allocated; the error gives the row count and the
+    estimated peak memory of rendering the table.
+    """
+    if base ** n <= budget:
+        return
+    log10_rows = n * math.log10(base)
+    row_bytes = _ROW_BYTES + _ROW_BYTES_PER_OP_ENTRY * dim * dim
+    log10_gb = log10_rows + math.log10(row_bytes) - 9
+    raise EnumerationBudgetError(
+        f"{base}^{n} = {_approx(log10_rows)} outcome rows (about "
+        f"{_approx(log10_gb)} GB at {row_bytes} B/row) exceed the enumeration "
+        f"budget of {budget} rows{hint}"
+    )
+
+
+def tabulate(batch: np.ndarray, dim: int, digits: np.ndarray, labels: tuple,
+             bond_cs: list[float]) -> TradeoffReport:
+    """Weights, probabilities and concurrences of a batch of chain operators.
+
+    weight = Tr(M M†)/dim, prob = weight / P_sum, and the report constant
+    Π_j C_j / P_sum equals prob × concurrence on every non-zero-weight row;
+    max_residual is the worst deviation.
+    """
+    hs_sq = np.abs(batch) ** 2
+    hs_sq = hs_sq.sum(axis=(1, 2))
+    weights = hs_sq / dim
+    # correctly-rounded sum: independent of the record enumeration order
+    p_sum = math.fsum(weights.tolist())
+    probs = weights / p_sum
+    abs_dets = np.abs(batched_determinant(batch))
+    conc = np.zeros(len(batch))
+    nz = hs_sq > 0.0
+    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], dim))
+    constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
+    if nz.any():
+        max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant)))
+    else:
+        max_residual = 0.0
+    return TradeoffReport(
+        constant=constant,
+        p_sum=p_sum,
+        max_residual=max_residual,
+        digits=digits,
+        weight=weights,
+        prob=probs,
+        concurrence=conc,
+        final_ops=batch,
+        labels=labels,
+    )
 
 
 def chain_operator(chain: SwapChain, indices) -> np.ndarray:
@@ -147,15 +259,6 @@ def bond_concurrences(chain: SwapChain) -> list[float]:
     return [bond_concurrence(Bond(f, chain.mode)) for f in chain.filters]
 
 
-def _decode(index: int, base: int, n: int, offset: int) -> tuple[int, ...]:
-    # little-endian digits: node 1 is the least significant
-    out = []
-    for _ in range(n):
-        out.append(index % base + offset)
-        index //= base
-    return tuple(out)
-
-
 def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     """Exact table of every Bell outcome of the chain.
 
@@ -167,12 +270,9 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     n = chain.n_nodes
     base = len(chain.outcome_indices)
     offset = chain.outcome_indices.start
-    count = base ** n
-    if count > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{base}^{n} outcomes exceed the enumeration budget {ENUMERATION_BUDGET}; "
-            "use sample_outcomes or p_sum_transfer instead"
-        )
+    check_budget(
+        base, n, 2, ENUMERATION_BUDGET, "; use sample_outcomes or p_sum_transfer instead"
+    )
     layers = [
         [f.matrix @ PAULI[i] for i in chain.outcome_indices]
         for f in chain.filters[1:]
@@ -180,35 +280,8 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     batch = batched_products(chain.filters[0].matrix, layers)
     if chain.mode == VBS:
         batch = np.matmul(PAULI[3], batch)
-    hs_sq = np.abs(batch) ** 2
-    hs_sq = hs_sq.sum(axis=(1, 2))
-    weights = 0.5 * hs_sq
-    # correctly-rounded sum: independent of the record enumeration order
-    p_sum = math.fsum(weights.tolist())
-    probs = weights / p_sum
-    abs_dets = np.abs(batched_determinant(batch))
-    conc = np.zeros(count)
-    nz = hs_sq > 0.0
-    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], 2))
-    cs = bond_concurrences(chain)
-    constant = 0.0 if any(c == 0.0 for c in cs) else math.prod(cs) / p_sum
-    if nz.any():
-        max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant)))
-    else:
-        max_residual = 0.0
-    records = [
-        OutcomeRecord(
-            indices=_decode(b, base, n, offset),
-            weight=float(weights[b]),
-            prob=float(probs[b]),
-            final_op=batch[b],
-            concurrence=float(conc[b]),
-        )
-        for b in range(count)
-    ]
-    return TradeoffReport(
-        constant=constant, p_sum=p_sum, records=records, max_residual=max_residual
-    )
+    digits = digit_table(base, n, offset)
+    return tabulate(batch, 2, digits, tuple(range(4)), bond_concurrences(chain))
 
 
 def final_state(chain: SwapChain, indices) -> StateVector:
@@ -344,7 +417,7 @@ def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
         suffix[k - 1] = g / g.sum()
 
     v = np.tile(np.array([float(mags[0][0]), float(mags[0][1])]), (n_samples, 1))
-    draws = np.empty((n_samples, n), dtype=np.int64)
+    draws = np.empty((n_samples, n), dtype=np.uint8)
     for k in range(1, n + 1):
         a, b = float(mags[k][0]), float(mags[k][1])
         g0, g1 = suffix[k]
@@ -373,8 +446,8 @@ def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
         v = np.stack([v0, v1], axis=1)
         v /= v.sum(axis=1, keepdims=True)
 
-    counts: dict[tuple[int, ...], int] = {}
-    uniq, cnt = np.unique(draws, axis=0, return_counts=True)
-    for row, c in zip(uniq, cnt):
-        counts[tuple(int(x) for x in row)] = int(c)
-    return counts
+    # one n-byte string per draw: np.unique sorts these bytewise, which is the
+    # row order np.unique(draws, axis=0) gives, at a fraction of its cost
+    uniq, cnt = np.unique(draws.view(f"V{n}").ravel(), return_counts=True)
+    rows = uniq.view(np.uint8).reshape(-1, n).tolist()
+    return dict(zip(map(tuple, rows), cnt.tolist()))

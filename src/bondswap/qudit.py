@@ -9,26 +9,25 @@ sum to exactly D^(2N).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filters import PLAIN, Bond, FilterOp, bond_concurrence
 from .linalg import (
-    EnumerationBudgetError,
     StateVector,
     as_matrix,
-    batched_determinant,
     batched_products,
     det_concurrence,
     determinant,
     state_from_operator,
 )
-from .qubit import OutcomeRecord, TradeoffReport
+from .qubit import TradeoffReport, check_budget, digit_table, tabulate
 
-#: Largest qudit outcome table enumerate_qudit_outcomes will materialize.
-QUDIT_ENUMERATION_BUDGET = 10 ** 7
+#: Largest qudit outcome table enumerate_qudit_outcomes will materialize, in
+#: rows.  Its largest table, D = 6 with N = 4, peaks at about 1.5 GB in a CLI
+#: swap; up to D = 8 (the CLI's digit alphabet) none it admits needs more.
+QUDIT_ENUMERATION_BUDGET = 36 ** 4
 
 
 def omega_power(dim: int, k: int) -> complex:
@@ -143,48 +142,10 @@ def enumerate_qudit_outcomes(chain: QuditChain) -> TradeoffReport:
     d = chain.dim
     n = chain.n_nodes
     base = d * d
-    count = base ** n
-    if count > QUDIT_ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{base}^{n} outcomes exceed the qudit enumeration budget "
-            f"{QUDIT_ENUMERATION_BUDGET}"
-        )
+    check_budget(base, n, d, QUDIT_ENUMERATION_BUDGET)
     unitaries = [gen_pauli(d, digit // d, digit % d).matrix for digit in range(base)]
     layers = [[f.matrix @ u for u in unitaries] for f in chain.filters[1:]]
     batch = batched_products(chain.filters[0].matrix, layers)
-    hs_sq = np.abs(batch) ** 2
-    hs_sq = hs_sq.sum(axis=(1, 2))
-    weights = hs_sq / d
-    # correctly-rounded sum: independent of the record enumeration order
-    p_sum = math.fsum(weights.tolist())
-    probs = weights / p_sum
-    abs_dets = np.abs(batched_determinant(batch))
-    conc = np.zeros(count)
-    nz = hs_sq > 0.0
-    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], d))
+    labels = tuple(divmod(digit, d) for digit in range(base))
     cs = [bond_concurrence(Bond(f, PLAIN)) for f in chain.filters]
-    constant = 0.0 if any(c == 0.0 for c in cs) else math.prod(cs) / p_sum
-    if nz.any():
-        max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant)))
-    else:
-        max_residual = 0.0
-    records = []
-    for b in range(count):
-        digits = []
-        idx = b
-        for _ in range(n):
-            digit = idx % base
-            digits.append((digit // d, digit % d))
-            idx //= base
-        records.append(
-            OutcomeRecord(
-                indices=tuple(digits),
-                weight=float(weights[b]),
-                prob=float(probs[b]),
-                final_op=batch[b],
-                concurrence=float(conc[b]),
-            )
-        )
-    return TradeoffReport(
-        constant=constant, p_sum=p_sum, records=records, max_residual=max_residual
-    )
+    return tabulate(batch, d, digit_table(base, n), labels, cs)

@@ -5,9 +5,16 @@ import math
 
 import pytest
 
+from bondswap import __version__, cli, qubit, qudit
 from bondswap.cli import main
-from bondswap.filters import make_filter
-from bondswap.qubit import SwapChain, enumerate_outcomes
+from bondswap.filters import PLAIN, Bond, bond_concurrence, make_filter
+from bondswap.qubit import (
+    SwapChain,
+    bond_concurrences,
+    enumerate_outcomes,
+    sample_outcomes,
+)
+from bondswap.qudit import QuditChain, enumerate_qudit_outcomes
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +30,102 @@ def run_json(capsys, *argv):
 
 
 WORKED = ("--identical", "2,1", "--bonds", "2")
+
+
+def reference_document(*argv) -> str:
+    """The document as the row-dict renderer wrote it: one dict per record,
+    then json.dumps(indent=2) or one _csv_cell per value."""
+    cfg = cli._resolve_config(cli.build_parser().parse_args(list(argv)))
+    filters = cli._build_filters(cfg)
+    if cfg["mode"] == "qudit":
+        report = enumerate_qudit_outcomes(QuditChain(cfg["dim"], tuple(filters)))
+        cs = [bond_concurrence(Bond(f, PLAIN)) for f in filters]
+    else:
+        chain = SwapChain(tuple(filters), cfg["mode"])
+        report = enumerate_outcomes(chain)
+        cs = bond_concurrences(chain)
+
+    def index(indices):
+        if cfg["mode"] == "qudit":
+            indices = [m * cfg["dim"] + n for m, n in indices]
+        return "".join(cli._DIGITS[d] for d in indices)
+
+    if cfg["command"] == "swap":
+        outcomes = [
+            {
+                "index": index(rec.indices),
+                "weight": rec.weight,
+                "prob": rec.prob,
+                "concurrence": rec.concurrence,
+                "prob_times_c": rec.prob * rec.concurrence,
+            }
+            for rec in report.records
+        ]
+        payload = {
+            "dim": cfg["dim"],
+            "mode": cfg["mode"],
+            "n_bonds": len(filters),
+            "p_sum": report.p_sum,
+            "bond_concurrences": cs,
+            "tradeoff_constant": report.constant,
+            "max_residual": report.max_residual,
+            "outcomes": outcomes,
+        }
+    else:
+        counts = sample_outcomes(chain, cfg["samples"], cfg["seed"])
+        n = cfg["samples"]
+        outcomes = []
+        tv = 0.0
+        for rec in report.records:
+            c = counts.get(rec.indices, 0)
+            tv += abs(c / n - rec.prob)
+            outcomes.append(
+                {"index": index(rec.indices), "count": c, "frequency": c / n,
+                 "prob": rec.prob}
+            )
+        payload = {
+            "dim": 2,
+            "mode": cfg["mode"],
+            "n_bonds": len(filters),
+            "n_samples": n,
+            "tv_distance": 0.5 * tv,
+            "outcomes": outcomes,
+        }
+    document = {"version": __version__, "seed": cfg["seed"],
+                "config_echo": cli._echo(cfg, filters)}
+    document.update(payload)
+    if cfg["format"] == "json":
+        return json.dumps(document, indent=2) + "\n"
+    lines = []
+    for key, value in document.items():
+        if key in ("outcomes", "config_echo"):
+            continue
+        if isinstance(value, list):
+            value = ";".join(cli._csv_cell(v) for v in value)
+        lines.append(f"# {key}={cli._csv_cell(value)}")
+    cols = cli._CSV_COLUMNS[cfg["command"]]
+    lines.append(",".join(cols))
+    for row in outcomes:
+        lines.append(",".join(cli._csv_cell(row[c]) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+MIXED = "--filters=0.6+0.8j,1;0.9,-0.4;1,0.3+0.2j;0.5,1"
+TABLE_CASES = [
+    ("swap", MIXED),
+    ("swap", "--mode", "plain", MIXED),
+    ("swap", "--mode", "qudit", "--dim", "3", "--filters=1,2,0.5;1j,1,1;0.3,1,2"),
+    ("swap", "--identical", "2,1", "--bonds", "9"),  # 6561 rows: several blocks
+    ("sample", MIXED, "--samples", "3000", "--seed", "9"),
+    ("sample", "--mode", "plain", MIXED, "--samples", "3000"),
+    ("sample", "--identical", "2,1", "--bonds", "9"),
+    ("swap", "--identical", "2,1", "--bonds", "1"),  # no internal node
+    ("swap", "--mode", "qudit", "--dim", "3", "--identical", "1,2,3", "--bonds", "1"),
+    ("sample", "--identical", "2,1", "--bonds", "1", "--samples", "10"),
+    ("swap", "--filters=1,0;0,1;1,1"),  # singular: zero weights and constant
+    ("swap", "--mode", "plain", "--filters=1,0;0,1;1,1"),
+    ("sample", "--filters=1,0;0,1;1,1", "--samples", "20"),
+]
 
 
 class TestSwapCommand:
@@ -104,12 +207,30 @@ class TestSwapCommand:
         echo = doc["config_echo"]
         assert echo["mode"] == "vbs"
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.json"
+        code, out, err = run_cli(capsys, "swap", *WORKED, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"bondswap: error: cannot write {target}")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"
         code, out, _ = run_cli(capsys, "swap", *WORKED, "--out", str(target))
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["n_bonds"] == 2
+
+
+class TestColumnarRendering:
+    """Tables render from columns to the very bytes of the row-dict path."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", TABLE_CASES, ids=" ".join)
+    def test_bytes_match_row_dict_reference(self, capsys, argv, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0, err
+        assert out == reference_document(*argv, "--format", fmt)
 
 
 class TestScanCommand:
@@ -210,6 +331,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "swap", "--identical", "1,1", "--bonds", "19")
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "module, budget, argv, rows",
+        [
+            (qubit, "ENUMERATION_BUDGET", ("swap", "--identical", "1,1", "--bonds", "4"),
+             "3^3 = 27 outcome rows"),
+            (qubit, "ENUMERATION_BUDGET", ("sample", "--mode", "plain",
+                                           "--identical", "1,1", "--bonds", "4"),
+             "4^3 = 64 outcome rows"),
+            (qudit, "QUDIT_ENUMERATION_BUDGET", ("swap", "--mode", "qudit", "--dim", "3",
+                                                 "--identical", "1,1,1", "--bonds", "3"),
+             "9^2 = 81 outcome rows"),
+        ],
+    )
+    def test_budget_reports_rows_and_memory(self, capsys, monkeypatch, module,
+                                            budget, argv, rows):
+        monkeypatch.setattr(module, budget, 26)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert rows in err
+        assert " GB at " in err and "budget of 26 rows" in err
 
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "swap", *WORKED)

@@ -425,6 +425,20 @@ class TestSampling:
             assert len(combo) == 2
             assert all(i in (1, 2, 3) for i in combo)
 
+    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    @pytest.mark.parametrize("n_nodes", [1, 9, 50])
+    def test_counts_match_row_unique_reference(self, rng, mode, n_nodes):
+        filters = tuple(random_filter(rng) for _ in range(n_nodes + 1))
+        counts = sample_outcomes(SwapChain(filters, mode), 10_000, seed=5)
+        # the same draws, shuffled, through np.unique(axis=0) as before
+        keys = np.array(list(counts), dtype=np.int64).reshape(len(counts), n_nodes)
+        draws = rng.permutation(np.repeat(keys, list(counts.values()), axis=0))
+        uniq, cnt = np.unique(draws, axis=0, return_counts=True)
+        ref = {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}
+        assert list(counts.items()) == list(ref.items())
+        assert all(type(i) is int for key in counts for i in key)
+        assert all(type(c) is int for c in counts.values())
+
     def test_sample_size_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_outcomes(worked_chain(), 0)
