@@ -56,9 +56,9 @@ from .qudit import (
 )
 from .vbs import (
     CrossCheckReport,
-    SiteLayout,
     build_vbs_state,
     cross_check,
+    measure_all_outcomes,
     measure_internal_sites,
     symmetric_projector,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "FilterOp",
     "OutcomeRecord",
     "QuditChain",
-    "SiteLayout",
     "StateVector",
     "SwapChain",
     "TradeoffReport",
@@ -95,6 +94,7 @@ __all__ = [
     "log_p_sum_transfer",
     "log_tradeoff_constant",
     "make_filter",
+    "measure_all_outcomes",
     "measure_internal_sites",
     "outcome_weight",
     "p_sum_transfer",

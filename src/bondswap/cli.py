@@ -34,6 +34,7 @@ MODES = (PLAIN, VBS, QUDIT)
 # per-node outcome digits rendered in a base-64-style alphabet so one
 # character always suffices (digits reach D²−1 = 63 at D = 8)
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+/"
+MAX_QUDIT_DIM = math.isqrt(len(_DIGITS))
 
 
 class UsageError(ValueError):
@@ -131,6 +132,11 @@ def _resolve_config(args) -> dict:
         raise UsageError(f"unknown mode {cfg['mode']!r}")
     if cfg["mode"] in (PLAIN, VBS) and cfg["dim"] != 2:
         raise UsageError(f"mode {cfg['mode']!r} is qubit-only; got --dim {cfg['dim']}")
+    if cfg["dim"] > MAX_QUDIT_DIM:
+        raise UsageError(
+            f"--dim is at most {MAX_QUDIT_DIM} (outcome digits m*D+n print as one "
+            f"of {len(_DIGITS)} symbols); got --dim {cfg['dim']}"
+        )
     if cfg["format"] not in ("json", "csv"):
         raise UsageError(f"unknown format {cfg['format']!r}")
     return cfg

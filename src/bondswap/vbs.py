@@ -9,7 +9,8 @@ each internal site k (k = 1..N) owns the virtual pair (2k−1, 2k) and is
 projected onto its symmetric (spin-1) subspace.  Measuring every internal
 pair in the symmetric Bell basis then reproduces — by construction rather
 than by operator algebra — the per-outcome probabilities and end-pair states
-of the swap chain, which is exactly what cross_check compares.
+of the swap chain, which is exactly what cross_check compares.  All 3^N
+joint outcomes come out of one contraction pass over the state.
 """
 
 from __future__ import annotations
@@ -19,45 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import VBS, FilterOp
-from .linalg import StateVector, fidelity_up_to_phase, state_from_operator
-from .qubit import SwapChain, bell_state, chain_operator, enumerate_outcomes
+from .linalg import StateVector
+from .qubit import SwapChain, bell_state, enumerate_outcomes
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 #: Largest oracle chain: 2·8+2 = 18 qubits, 262144 amplitudes.
 MAX_ORACLE_NODES = 8
 
-# negative-control permutation of the Bell indices (hidden debug hook)
-_CORRUPT_MAP = {1: 2, 2: 3, 3: 1}
+# ⟨φ_i| of the symmetric Bell outcomes i = 1, 2, 3, one row each
+_BELL_BRAS = np.array([bell_state(VBS, i).amplitudes for i in (1, 2, 3)]).conj()
+_BELL_BRAS.flags.writeable = False
 
-
-@dataclass(frozen=True)
-class SiteLayout:
-    """Qubit bookkeeping for a chain of n_bonds bonds."""
-
-    n_bonds: int
-
-    def __post_init__(self):
-        if self.n_bonds < 2:
-            raise ValueError("a measurable chain needs at least two bonds")
-
-    @property
-    def n_internal(self) -> int:
-        return self.n_bonds - 1
-
-    @property
-    def n_qubits(self) -> int:
-        return 2 * self.n_bonds
-
-    def virtual_pair(self, k: int) -> tuple[int, int]:
-        """Qubit indices of internal site k (1-based)."""
-        if not 1 <= k <= self.n_internal:
-            raise ValueError(f"internal site index must be 1..{self.n_internal}")
-        return (2 * k - 1, 2 * k)
-
-    @property
-    def end_qubits(self) -> tuple[int, int]:
-        return (0, self.n_qubits - 1)
+# negative-control relabelling i -> _CORRUPT_MAP[i] of the Bell indices
+# (hidden debug hook; entry 0 is unused)
+_CORRUPT_MAP = np.array([0, 2, 3, 1])
 
 
 def symmetric_projector() -> np.ndarray:
@@ -97,6 +74,50 @@ def build_vbs_state(filters) -> StateVector:
     return StateVector((2,) * (2 * n_internal + 2), psi / norm)
 
 
+def _internal_count(state: StateVector) -> int:
+    """N of a normalized 2N+2 qubit chain state; raises on anything else."""
+    n_qubits = len(state.dims)
+    if any(d != 2 for d in state.dims) or n_qubits < 4 or n_qubits % 2:
+        raise ValueError(f"expected a 2N+2 qubit chain state, got dims {state.dims}")
+    if not state.is_normalized(1e-9):
+        raise ValueError("the oracle expects a normalized chain state")
+    return (n_qubits - 2) // 2
+
+
+def _peel_pairs(amps: np.ndarray, bras) -> np.ndarray:
+    """End-pair amplitudes left after projecting out internal pairs 1..N.
+
+    ``bras[k-1]`` is an (r_k, 4) stack of conjugated basis rows for pair k.
+    Each step contracts the leftmost remaining pair against all its rows and
+    puts the new row index in front, so the result has shape (Π r_k, 2, 2)
+    with pair 1 the least significant digit, as in enumerate_outcomes.
+    """
+    batch = amps.reshape(1, -1)
+    for bra in bras:
+        # (outcomes so far, qubit 0, pair k, pairs k+1.. and qubit 2N+1)
+        block = batch.reshape(len(batch), 2, 4, -1)
+        batch = np.tensordot(bra, block, axes=([1], [2])).reshape(-1, 2 * block.shape[3])
+    return batch.reshape(-1, 2, 2)
+
+
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    # re² + im² rounds less than abs(z)**2, which goes through hypot
+    return z.real ** 2 + z.imag ** 2
+
+
+def measure_all_outcomes(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Born weights and end-pair amplitudes of every joint outcome at once.
+
+    Row b belongs to the outcome whose indices are the little-endian base-3
+    digits of b plus one (node 1 least significant), the row order of
+    enumerate_outcomes.  ``ends[b]`` holds the unnormalized amplitudes of
+    qubits (0, 2N+1) and ``weights[b]`` their squared norm.
+    """
+    n_internal = _internal_count(state)
+    ends = _peel_pairs(state.amplitudes, (_BELL_BRAS,) * n_internal)
+    return _abs_sq(ends).sum(axis=(1, 2)), ends
+
+
 def measure_internal_sites(state: StateVector, indices) -> tuple[float, StateVector | None]:
     """Project every internal pair onto its symmetric Bell outcome.
 
@@ -104,28 +125,17 @@ def measure_internal_sites(state: StateVector, indices) -> tuple[float, StateVec
     probability of the joint outcome and the normalized end-pair state
     (qubit 0 first), or None for a zero-weight outcome.
     """
-    n_qubits = len(state.dims)
-    if any(d != 2 for d in state.dims) or n_qubits < 4 or n_qubits % 2:
-        raise ValueError(f"expected a 2N+2 qubit chain state, got dims {state.dims}")
-    n_internal = (n_qubits - 2) // 2
+    n_internal = _internal_count(state)
     idx = tuple(int(i) for i in indices)
     if len(idx) != n_internal:
         raise ValueError(f"expected {n_internal} outcome indices, got {len(idx)}")
     if any(i not in (1, 2, 3) for i in idx):
         raise ValueError("vbs outcome indices must lie in {1, 2, 3}")
-    if not state.is_normalized(1e-9):
-        raise ValueError("measure_internal_sites expects a normalized state")
-    basis = {i: bell_state(VBS, i).amplitudes for i in (1, 2, 3)}
-    amp = state.amplitudes
-    # contract the leftmost remaining internal pair at each step: the current
-    # layout is always (qubit 0, pair k, pairs k+1.., qubit 2N+1)
-    for i in idx:
-        amp = np.tensordot(basis[i].conj(), amp.reshape(2, 4, -1), axes=([0], [1]))
-    amp = amp.reshape(-1)
-    weight = float(np.linalg.norm(amp) ** 2)
+    ends = _peel_pairs(state.amplitudes, [_BELL_BRAS[i - 1 : i] for i in idx])
+    weight = float(_abs_sq(ends).sum())
     if weight == 0.0:
         return 0.0, None
-    return weight, StateVector((2, 2), amp / np.linalg.norm(amp))
+    return weight, StateVector((2, 2), ends[0] / np.sqrt(weight))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,51 +165,49 @@ def cross_check(filters, tolerance: float = 1e-9,
     """Compare every outcome of the state-vector oracle with the swap chain.
 
     The oracle's Born probabilities are matched against enumerate_outcomes
-    probs, and each end-pair state against the normalized chain-operator
-    state.  Mismatches are reported, never raised.  ``corrupt_bell_order``
-    deliberately permutes the chain side's Bell indices — a negative control
-    that must produce visible failures.
+    probs, and each end-pair state against the chain-operator state
+    (I ⊗ M)|Φ+⟩, both normalized.  The chain side is read only for this
+    comparison.  Mismatches are reported, never raised.
+    ``corrupt_bell_order`` deliberately permutes the chain side's Bell
+    indices — a negative control that must produce visible failures.
     """
     filts = tuple(filters)
-    n_internal = len(filts) - 1
-    if not 1 <= n_internal <= 5:
-        raise ValueError("cross_check supports chains of 2..6 bonds")
-    chain = SwapChain(filts, VBS)
-    report = enumerate_outcomes(chain)
-    state = build_vbs_state(filts)
-    comparisons = []
-    for rec in report.records:
-        if corrupt_bell_order:
-            chain_idx = tuple(_CORRUPT_MAP[i] for i in rec.indices)
-            m = chain_operator(chain, chain_idx)
-            prob = 0.5 * float(np.sum(np.abs(m) ** 2)) / report.p_sum
-        else:
-            prob = rec.prob
-            m = rec.final_op
-        oracle_w, end = measure_internal_sites(state, rec.indices)
-        if end is None and prob == 0.0:
-            fid = 1.0
-        elif end is None or prob == 0.0:
-            fid = 0.0
-        else:
-            predicted = state_from_operator(m, 2).normalized()
-            fid = fidelity_up_to_phase(end, predicted)
-        comparisons.append(
-            OutcomeComparison(
-                indices=rec.indices,
-                oracle_weight=oracle_w,
-                chain_prob=prob,
-                weight_dev=abs(oracle_w - prob),
-                fidelity=fid,
-            )
+    weights, ends = measure_all_outcomes(build_vbs_state(filts))
+    report = enumerate_outcomes(SwapChain(filts, VBS))
+    rows = slice(None)
+    if corrupt_bell_order:
+        # chain row of each outcome with its indices relabelled
+        rows = (_CORRUPT_MAP[report.digits] - 1) @ 3 ** np.arange(report.digits.shape[1])
+    prob = report.prob[rows]
+    # amplitude on |j⟩⊗|k⟩ is M[k, j], as in state_from_operator
+    pred = report.final_ops[rows].transpose(0, 2, 1).reshape(-1, 4)
+    oracle_zero = weights == 0.0
+    chain_zero = prob == 0.0
+    fid = (oracle_zero & chain_zero).astype(float)
+    live = ~(oracle_zero | chain_zero)
+    # |⟨end|pred⟩|² / (‖end‖²‖pred‖²), with end normalized first so that
+    # tiny weights cannot underflow the product of the two norms
+    unit_end = ends.reshape(-1, 4)[live] / np.sqrt(weights[live])[:, None]
+    pred = pred[live]
+    overlap = _abs_sq(np.sum(unit_end.conj() * pred, axis=1))
+    fid[live] = np.clip(overlap / _abs_sq(pred).sum(axis=1), 0.0, 1.0)
+    dev = np.abs(weights - prob)
+    comparisons = [
+        OutcomeComparison(
+            indices=tuple(idx), oracle_weight=w, chain_prob=p, weight_dev=d, fidelity=f
         )
-    worst_dev = max(c.weight_dev for c in comparisons)
-    worst_fid = min(c.fidelity for c in comparisons)
-    passed = worst_dev <= tolerance and worst_fid >= 1.0 - tolerance
+        for idx, w, p, d, f in zip(
+            report.digits.tolist(), weights.tolist(), prob.tolist(),
+            dev.tolist(), fid.tolist(),
+        )
+    ]
+    worst_dev = float(dev.max())
+    worst_fid = float(fid.min())
+    tol = float(tolerance)
     return CrossCheckReport(
         comparisons=comparisons,
         worst_weight_dev=worst_dev,
         worst_fidelity=worst_fid,
-        tolerance=float(tolerance),
-        passed=passed,
+        tolerance=tol,
+        passed=worst_dev <= tol and worst_fid >= 1.0 - tol,
     )

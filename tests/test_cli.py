@@ -302,6 +302,15 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_oracle_size_limit(self, capsys):
+        # 9 bonds = MAX_ORACLE_NODES internal nodes, the largest oracle chain
+        doc = run_json(capsys, "verify", "--identical", "2,1", "--bonds", "9")
+        assert doc["passed"] is True
+        code, out, err = run_cli(capsys, "verify", "--identical", "2,1", "--bonds", "10")
+        assert code == 2
+        assert out == ""
+        assert "2..9 bonds" in err
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):
@@ -319,6 +328,16 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("bondswap: error"), argv
+
+    def test_qudit_dim_above_the_digit_alphabet(self, capsys):
+        code, out, err = run_cli(capsys, "swap", "--mode", "qudit", "--dim", "9",
+                                 "--identical", ",".join("1" * 9), "--bonds", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bondswap: error") and "at most 8" in err
+        doc = run_json(capsys, "swap", "--mode", "qudit", "--dim", "8",
+                       "--identical", ",".join("1" * 8), "--bonds", "2")
+        assert len(doc["outcomes"]) == 64
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from bondswap.filters import VBS, Bond, make_filter, random_filter
-from bondswap.linalg import fidelity_up_to_phase, state_from_operator
+from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
 from bondswap.qubit import SwapChain, bell_state, chain_operator, enumerate_outcomes
 from bondswap.vbs import (
     MAX_ORACLE_NODES,
-    SiteLayout,
     build_vbs_state,
     cross_check,
+    measure_all_outcomes,
     measure_internal_sites,
     symmetric_projector,
 )
@@ -45,27 +45,6 @@ class TestSymmetricProjector:
         for i in (1, 2, 3):
             phi = bell_state(VBS, i).amplitudes
             assert np.allclose(s @ phi, phi, atol=1e-12)
-
-
-class TestSiteLayout:
-    def test_counts(self):
-        layout = SiteLayout(3)
-        assert layout.n_qubits == 6
-        assert layout.n_internal == 2
-        assert layout.end_qubits == (0, 5)
-
-    def test_virtual_pairs(self):
-        layout = SiteLayout(3)
-        assert layout.virtual_pair(1) == (1, 2)
-        assert layout.virtual_pair(2) == (3, 4)
-        with pytest.raises(ValueError):
-            layout.virtual_pair(0)
-        with pytest.raises(ValueError):
-            layout.virtual_pair(3)
-
-    def test_needs_two_bonds(self):
-        with pytest.raises(ValueError):
-            SiteLayout(1)
 
 
 class TestBuildState:
@@ -165,6 +144,95 @@ class TestMeasurement:
             measure_internal_sites(psi, (0, 1))  # label out of range
 
 
+def bell_ket_product(indices):
+    """Kron of the symmetric Bell kets of internal pairs 1..N (pair 1 leftmost)."""
+    ket = np.ones(1, dtype=complex)
+    for i in indices:
+        ket = np.kron(ket, bell_state(VBS, i).amplitudes)
+    return ket
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("n_internal", [1, 2, 3, 4, 5])
+    def test_matches_per_outcome_measurement(self, rng, n_internal):
+        filters = tuple(random_filter(rng) for _ in range(n_internal + 1))
+        psi = build_vbs_state(filters)
+        weights, ends = measure_all_outcomes(psi)
+        assert weights.shape == (3 ** n_internal,)
+        assert ends.shape == (3 ** n_internal, 2, 2)
+        digits = enumerate_outcomes(SwapChain(filters, VBS)).digits.tolist()
+        for b, idx in enumerate(digits):
+            # little-endian base-3 rows, node 1 least significant
+            assert idx == [(b // 3 ** k) % 3 + 1 for k in range(n_internal)]
+            w_ref, end_ref = measure_internal_sites(psi, idx)
+            assert abs(weights[b] - w_ref) <= 1e-15
+            end = StateVector((2, 2), ends[b]).normalized()
+            assert fidelity_up_to_phase(end, end_ref) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("n_internal", [1, 2, 3])
+    def test_matches_explicit_bell_projection(self, rng, n_internal):
+        # an independent route: the whole N-pair bra at once, no peeling
+        filters = tuple(random_filter(rng) for _ in range(n_internal + 1))
+        psi = build_vbs_state(filters)
+        weights, ends = measure_all_outcomes(psi)
+        middle = psi.amplitudes.reshape(2, 4 ** n_internal, 2)
+        combos = itertools.product((1, 2, 3), repeat=n_internal)
+        for b, rev in enumerate(combos):
+            idx = rev[::-1]  # product() varies its last entry fastest
+            ref = np.einsum("m,amb->ab", bell_ket_product(idx).conj(), middle)
+            assert np.allclose(ends[b], ref, atol=1e-15)
+            assert abs(weights[b] - np.sum(np.abs(ref) ** 2)) <= 1e-15
+
+    def test_singular_filter_zero_weight_outcomes(self, rng):
+        # a dead level at both ends forbids every outcome with a net flip
+        dead = make_filter([1, 0])
+        filters = (dead, random_filter(rng), dead)
+        psi = build_vbs_state(filters)
+        weights, ends = measure_all_outcomes(psi)
+        zero = np.flatnonzero(weights == 0.0)
+        assert 0 < zero.size < weights.size
+        for b in range(weights.size):
+            idx = [(b // 3 ** k) % 3 + 1 for k in range(2)]
+            w_ref, end_ref = measure_internal_sites(psi, idx)
+            assert abs(weights[b] - w_ref) <= 1e-15
+            assert (end_ref is None) == (b in zero)
+        report = cross_check(filters)
+        assert report.passed
+        assert all(c.oracle_weight == 0.0 and c.fidelity == 1.0
+                   for c in report.comparisons if c.chain_prob == 0.0)
+
+    def test_report_holds_python_scalars(self, rng):
+        filters = tuple(random_filter(rng) for _ in range(3))
+        report = cross_check(filters)
+        for c in report.comparisons:
+            assert type(c.indices) is tuple
+            assert all(type(i) is int for i in c.indices)
+            for val in (c.oracle_weight, c.chain_prob, c.weight_dev, c.fidelity):
+                assert type(val) is float
+        for val in (report.worst_weight_dev, report.worst_fidelity, report.tolerance):
+            assert type(val) is float
+        assert type(report.passed) is bool
+
+    def test_negative_control_on_longer_chain(self, rng):
+        filters = tuple(random_filter(rng) for _ in range(4))
+        honest = cross_check(filters)
+        assert honest.passed
+        report = cross_check(filters, corrupt_bell_order=True)
+        assert not report.passed
+        assert report.worst_fidelity < 1.0 - 1e-9
+        # the oracle side is untouched; only the chain side was relabelled
+        assert [c.oracle_weight for c in report.comparisons] == [
+            c.oracle_weight for c in honest.comparisons
+        ]
+
+    def test_cross_check_at_the_size_limit(self, rng):
+        # N = 8 internal nodes, 18 qubits, 6561 outcomes
+        filters = tuple(random_filter(rng) for _ in range(9))
+        report = cross_check(filters)
+        assert report.passed, (report.worst_weight_dev, report.worst_fidelity)
+        assert len(report.comparisons) == 3 ** 8 == 3 ** MAX_ORACLE_NODES
+
+
 class TestAgainstOperatorRoute:
     def test_single_swap_probabilities_and_states(self, rng):
         filters = tuple(random_filter(rng) for _ in range(2))
@@ -208,3 +276,6 @@ class TestAgainstOperatorRoute:
         f = make_filter([1, 1])
         with pytest.raises(ValueError):
             cross_check((f,) * (MAX_ORACLE_NODES + 3))
+        # one node past the limit; the message names the limit
+        with pytest.raises(ValueError, match=f"2..{MAX_ORACLE_NODES + 1} bonds"):
+            cross_check((f,) * (MAX_ORACLE_NODES + 2))
