@@ -21,6 +21,7 @@ from .linalg import EnumerationBudgetError
 from .qubit import (
     SwapChain,
     bond_concurrences,
+    check_table_budget,
     enumerate_outcomes,
     sample_outcomes,
     scan_log_constants,
@@ -50,35 +51,38 @@ def _parse_complex(text) -> complex:
         raise UsageError(f"cannot parse {text!r} as a complex number") from exc
 
 
-def _parse_diag(raw) -> list[complex]:
+def _split(raw, sep: str, key: str) -> list:
+    """A flag string split at ``sep``, or the items of a config-file list."""
     if isinstance(raw, str):
-        parts = [p for p in raw.split(",") if p.strip()]
-    else:
-        parts = list(raw)
+        return [p for p in raw.split(sep) if p.strip()]
+    if isinstance(raw, (list, tuple)):
+        return list(raw)
+    raise UsageError(f"{key} must be a string or a list, got {json.dumps(raw)}")
+
+
+def _parse_diag(raw, key: str = "identical") -> list[complex]:
+    parts = _split(raw, ",", key)
     if not parts:
         raise UsageError("empty filter diagonal")
     return [_parse_complex(p) for p in parts]
 
 
 def _parse_filter_list(raw) -> list[list[complex]]:
-    if isinstance(raw, str):
-        groups = [g for g in raw.split(";") if g.strip()]
-    else:
-        groups = list(raw)
+    groups = _split(raw, ";", "filters")
     if not groups:
         raise UsageError("empty filter list")
-    return [_parse_diag(g) for g in groups]
+    return [_parse_diag(g, "filters") for g in groups]
 
 
 def _parse_n_range(raw) -> tuple[int, int]:
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        lo, hi = int(raw[0]), int(raw[1])
-    else:
-        try:
+    try:
+        if isinstance(raw, (list, tuple)) and len(raw) == 2:
+            lo, hi = int(raw[0]), int(raw[1])
+        else:
             lo_s, hi_s = str(raw).split(":")
             lo, hi = int(lo_s), int(hi_s)
-        except ValueError as exc:
-            raise UsageError(f"bad N range {raw!r}, expected LO:HI") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad n_range {raw!r}, expected LO:HI") from exc
     if lo < 1 or hi < lo:
         raise UsageError(f"bad N range {lo}:{hi}")
     return lo, hi
@@ -98,6 +102,15 @@ _DEFAULTS = {
     "n_range": "1:8",
     "corrupt_bell_order": False,
 }
+
+
+def _number(key: str, value, kind):
+    """``value`` as an int or a float; a config value of another type is a usage error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"{key} must be {what}, got {json.dumps(value)}") from None
 
 
 def _resolve_config(args) -> dict:
@@ -120,12 +133,13 @@ def _resolve_config(args) -> dict:
         if val is not None and val is not False:
             cfg[key] = val
     cfg["command"] = args.command
-    cfg["dim"] = int(cfg["dim"])
-    cfg["seed"] = int(cfg["seed"])
-    cfg["samples"] = int(cfg["samples"])
-    cfg["tolerance"] = float(cfg["tolerance"])
+    for key, kind in (("dim", int), ("seed", int), ("samples", int),
+                      ("tolerance", float)):
+        cfg[key] = _number(key, cfg[key], kind)
     if cfg["bonds"] is not None:
-        cfg["bonds"] = int(cfg["bonds"])
+        cfg["bonds"] = _number("bonds", cfg["bonds"], int)
+    if not isinstance(cfg["out"], (str, type(None))):
+        raise UsageError(f"out must be a file name, got {json.dumps(cfg['out'])}")
     if cfg["mode"] is None:
         cfg["mode"] = VBS if cfg["dim"] == 2 else QUDIT
     if cfg["mode"] not in MODES:
@@ -280,6 +294,7 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp]]:
         raise UsageError("--samples must be >= 1")
     filters = _build_filters(cfg)
     chain = SwapChain(tuple(filters), cfg["mode"])
+    check_table_budget(chain)  # before drawing: the TV distance needs the table
     counts = sample_outcomes(chain, cfg["samples"], cfg["seed"])
     report = enumerate_outcomes(chain)
     n = cfg["samples"]

@@ -16,8 +16,6 @@ import numpy as np
 # Absolute tolerance for identities that hold exactly in real arithmetic
 # (norms, traces, projector algebra).
 ATOL_EXACT = 1e-12
-# Looser tolerance for quantities composed of many floating-point products.
-ATOL_COMPOSED = 1e-10
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -51,6 +51,33 @@ _ROW_BYTES = 500
 _ROW_BYTES_PER_OP_ENTRY = 16
 
 
+@dataclass(frozen=True)
+class _Mode:
+    """A qubit mode as data: its outcome digits in record order and, for each
+    outcome, whether its Pauli swaps |0⟩, |1⟩ (σx, σ3) or keeps them (I, σz)."""
+
+    digits: range
+    swaps: tuple[bool, ...]
+
+    def counts(self, stop: int | None = None) -> tuple[int, int]:
+        """(k, s): how many of the first ``stop`` outcomes keep and swap.  Over
+        all outcomes Σ_i σ_i diag(p, r) σ_i = diag(k·p + s·r, s·p + k·r)."""
+        head = self.swaps[:stop]
+        return head.count(False), head.count(True)
+
+
+_MODES = {
+    VBS: _Mode(range(1, 4), (True, False, True)),
+    PLAIN: _Mode(range(0, 4), (False, True, False, True)),
+}
+
+
+def _mode(name: str) -> _Mode:
+    if name not in _MODES:
+        raise ValueError(f"unknown mode {name!r}")
+    return _MODES[name]
+
+
 def pauli(i: int) -> np.ndarray:
     """σ_i in the ordering (I, σx, σz, σx·σz)."""
     if i not in (0, 1, 2, 3):
@@ -66,18 +93,10 @@ def bell_state(mode: str, i: int) -> StateVector:
            two-qubit subspace; i = 0 would give the singlet, which the
            on-site projection removes).
     """
-    if mode == PLAIN:
-        if i not in (0, 1, 2, 3):
-            raise ValueError(f"plain-mode Bell index must be 0..3, got {i}")
-        amps = np.kron(_ID, PAULI[i]) @ _PHI_PLUS
-    elif mode == VBS:
-        if i not in (1, 2, 3):
-            raise ValueError(
-                f"vbs-mode Bell index must be 1..3 (0 is projected out), got {i}"
-            )
-        amps = np.kron(PAULI[3], PAULI[i]) @ _PHI_PLUS
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    digits = _mode(mode).digits
+    if i not in digits:
+        raise ValueError(f"{mode}-mode Bell index must be in {list(digits)}, got {i}")
+    amps = np.kron(PAULI[3] if mode == VBS else _ID, PAULI[i]) @ _PHI_PLUS
     return StateVector((2, 2), amps)
 
 
@@ -94,8 +113,7 @@ class SwapChain:
             raise ValueError("a chain needs at least one bond")
         if any(not isinstance(f, FilterOp) or f.dim != 2 for f in filts):
             raise ValueError("all chain filters must be qubit (dim 2) FilterOps")
-        if self.mode not in (PLAIN, VBS):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _mode(self.mode)
         object.__setattr__(self, "filters", filts)
 
     @property
@@ -105,7 +123,7 @@ class SwapChain:
 
     @property
     def outcome_indices(self) -> range:
-        return range(1, 4) if self.mode == VBS else range(0, 4)
+        return _MODES[self.mode].digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +277,12 @@ def bond_concurrences(chain: SwapChain) -> list[float]:
     return [bond_concurrence(Bond(f, chain.mode)) for f in chain.filters]
 
 
+def check_table_budget(chain: SwapChain) -> None:
+    """Refuse a chain whose outcome table exceeds ENUMERATION_BUDGET rows."""
+    check_budget(len(chain.outcome_indices), chain.n_nodes, 2, ENUMERATION_BUDGET,
+                 "; use sample_outcomes or p_sum_transfer instead")
+
+
 def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     """Exact table of every Bell outcome of the chain.
 
@@ -267,12 +291,7 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     one; the report constant Π_j C_j / P_sum equals prob × concurrence on
     every non-zero-weight record, and max_residual is the worst deviation.
     """
-    n = chain.n_nodes
-    base = len(chain.outcome_indices)
-    offset = chain.outcome_indices.start
-    check_budget(
-        base, n, 2, ENUMERATION_BUDGET, "; use sample_outcomes or p_sum_transfer instead"
-    )
+    check_table_budget(chain)
     layers = [
         [f.matrix @ PAULI[i] for i in chain.outcome_indices]
         for f in chain.filters[1:]
@@ -280,7 +299,8 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     batch = batched_products(chain.filters[0].matrix, layers)
     if chain.mode == VBS:
         batch = np.matmul(PAULI[3], batch)
-    digits = digit_table(base, n, offset)
+    digits = digit_table(len(chain.outcome_indices), chain.n_nodes,
+                         chain.outcome_indices.start)
     return tabulate(batch, 2, digits, tuple(range(4)), bond_concurrences(chain))
 
 
@@ -289,30 +309,40 @@ def final_state(chain: SwapChain, indices) -> StateVector:
     return state_from_operator(chain_operator(chain, indices), 2).normalized()
 
 
-def _transfer_diag(chain: SwapChain) -> tuple[float, float, float]:
-    """Run the transfer map in the diagonal sector.
+def _abs2(chain: SwapChain) -> np.ndarray:
+    """(N+1, 2) array of |λ_0|², |λ_1|² for every bond, bond 0 first."""
+    return np.abs(np.array([f.diag for f in chain.filters])) ** 2
+
+
+def _transfer(mode: _Mode, mags):
+    """Run the transfer map in the diagonal sector, one bond at a time.
 
     Diagonal filters keep ρ diagonal under ρ → Σ_i T σ_i ρ σ_i† T†, so only
-    the two diagonal entries (p, r) evolve.  Returns (p, r, log_shift) where
-    the true entries are (p, r)·exp(log_shift); the shift stays 0 until the
-    entries threaten to leave the float range.
+    the two diagonal entries (p, r) evolve.  ``mags`` holds (|λ_0|², |λ_1|²)
+    per bond.  Yields (p, r, log_shift) after bond 0 and after every later
+    bond, where the true entries are (p, r)·exp(log_shift); the shift stays
+    0 until the entries threaten to leave the float range.
     """
-    mags = [np.abs(f.diag) ** 2 for f in chain.filters]
-    p, r = float(mags[0][0]), float(mags[0][1])
+    k, s = map(float, mode.counts())
+    bonds = iter(mags)
+    p, r = next(bonds)
     shift = 0.0
-    vbs = chain.mode == VBS
-    for a, b in ((float(m[0]), float(m[1])) for m in mags[1:]):
-        if vbs:
-            p, r = a * (p + 2.0 * r), b * (2.0 * p + r)
-        else:
-            s = 2.0 * (p + r)
-            p, r = a * s, b * s
+    yield p, r, shift
+    for a, b in bonds:
+        p, r = a * (k * p + s * r), b * (s * p + k * r)
         tot = p + r
         if tot > 1e280 or (0.0 < tot < 1e-280):
             p /= tot
             r /= tot
             shift += math.log(tot)
-    return p, r, shift
+        yield p, r, shift
+
+
+def _transfer_diag(chain: SwapChain) -> tuple[float, float, float]:
+    """(p, r, log_shift) of the transfer map over the whole chain."""
+    for state in _transfer(_MODES[chain.mode], _abs2(chain).tolist()):
+        pass
+    return state
 
 
 def p_sum_transfer(chain: SwapChain) -> float:
@@ -361,29 +391,13 @@ def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarra
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if mode not in (PLAIN, VBS):
-        raise ValueError(f"unknown mode {mode!r}")
+    steps = _transfer(_mode(mode), [(np.abs(filt.diag) ** 2).tolist()] * (n_max + 1))
     c = bond_concurrence(Bond(filt, mode))
     if c == 0.0:
         return np.full(n_max, -math.inf)
-    log_c = math.log(c)
-    a, b = (float(x) for x in np.abs(filt.diag) ** 2)
-    p, r = a, b
-    shift = 0.0
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        if mode == VBS:
-            p, r = a * (p + 2.0 * r), b * (2.0 * p + r)
-        else:
-            s = 2.0 * (p + r)
-            p, r = a * s, b * s
-        tot = p + r
-        if tot > 1e280 or (0.0 < tot < 1e-280):
-            p /= tot
-            r /= tot
-            shift += math.log(tot)
-        out[n - 1] = (n + 1) * log_c - (shift + math.log(0.5 * (p + r)))
-    return out
+    next(steps)  # the lone first bond, N = 0
+    log_p_sums = [shift + math.log(0.5 * (p + r)) for p, r, shift in steps]
+    return np.arange(2, n_max + 2) * math.log(c) - np.array(log_p_sums)
 
 
 def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
@@ -400,51 +414,36 @@ def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
     n = chain.n_nodes
     if n == 0:
         return {(): int(n_samples)}
-    mags = [np.abs(f.diag) ** 2 for f in chain.filters]
-    vbs = chain.mode == VBS
+    mode = _MODES[chain.mode]
+    k, s = mode.counts()
+    mags = _abs2(chain).tolist()
 
-    # suffix[k] = diagonal of the adjoint map applied to I over nodes k+1..N,
+    # suffix[j] = diagonal of the adjoint map applied to I over nodes j+1..N,
     # normalized per step (only ratios matter for the conditionals)
-    suffix = [np.array([1.0, 1.0]) for _ in range(n + 1)]
-    for k in range(n, 0, -1):
-        a, b = float(mags[k][0]), float(mags[k][1])
-        g0, g1 = suffix[k]
+    suffix = [(1.0, 1.0)] * (n + 1)
+    for j in range(n, 0, -1):
+        (a, b), (g0, g1) = mags[j], suffix[j]
         h0, h1 = a * g0, b * g1
-        if vbs:
-            g = np.array([h0 + 2.0 * h1, 2.0 * h0 + h1])
-        else:
-            g = np.array([2.0 * (h0 + h1), 2.0 * (h0 + h1)])
-        suffix[k - 1] = g / g.sum()
+        g0, g1 = k * h0 + s * h1, s * h0 + k * h1
+        suffix[j - 1] = (g0 / (g0 + g1), g1 / (g0 + g1))
 
-    v = np.tile(np.array([float(mags[0][0]), float(mags[0][1])]), (n_samples, 1))
+    # outcome c is drawn when t passes the weight n_keep·w_keep + n_swap·w_swap
+    # of the outcomes before it, with the counts as exact integers
+    swaps = np.array(mode.swaps)
+    before = [mode.counts(c) for c in range(1, len(swaps))]
+    v = np.tile(np.array(mags[0])[:, None], n_samples)   # (2, n_samples)
     draws = np.empty((n_samples, n), dtype=np.uint8)
-    for k in range(1, n + 1):
-        a, b = float(mags[k][0]), float(mags[k][1])
-        g0, g1 = suffix[k]
-        w_keep = a * v[:, 0] * g0 + b * v[:, 1] * g1   # σ_0 / σ_z branch
-        w_swap = a * v[:, 1] * g0 + b * v[:, 0] * g1   # σ_x / σ_3 branch
-        u = rng.random(n_samples)
-        if vbs:
-            # outcome order 1 (swap), 2 (keep), 3 (swap)
-            total = 2.0 * w_swap + w_keep
-            t = u * total
-            idx = np.where(t < w_swap, 1, np.where(t < w_swap + w_keep, 2, 3))
-            swapped = idx != 2
-        else:
-            # outcome order 0 (keep), 1 (swap), 2 (keep), 3 (swap)
-            total = 2.0 * (w_keep + w_swap)
-            t = u * total
-            idx = (
-                (t >= w_keep).astype(np.int64)
-                + (t >= w_keep + w_swap)
-                + (t >= 2.0 * w_keep + w_swap)
-            )
-            swapped = (idx % 2) == 1
-        draws[:, k - 1] = idx
-        v0 = np.where(swapped, v[:, 1], v[:, 0]) * a
-        v1 = np.where(swapped, v[:, 0], v[:, 1]) * b
-        v = np.stack([v0, v1], axis=1)
-        v /= v.sum(axis=1, keepdims=True)
+    for j in range(1, n + 1):
+        (a, b), (g0, g1) = mags[j], suffix[j]
+        w_keep = a * v[0] * g0 + b * v[1] * g1   # I / σz outcomes
+        w_swap = a * v[1] * g0 + b * v[0] * g1   # σx / σ3 outcomes
+        t = rng.random(n_samples) * (k * w_keep + s * w_swap)
+        c = sum(t >= nk * w_keep + ns * w_swap for nk, ns in before)
+        draws[:, j - 1] = mode.digits.start + c
+        v = np.where(swaps[c], v[::-1], v)
+        v[0] *= a
+        v[1] *= b
+        v /= v[0] + v[1]
 
     # one n-byte string per draw: np.unique sorts these bytewise, which is the
     # row order np.unique(draws, axis=0) gives, at a fraction of its cost

@@ -351,6 +351,41 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_sample_checks_the_budget_before_drawing(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sample_outcomes ran before the budget check")
+
+        monkeypatch.setattr(cli, "sample_outcomes", no_draws)
+        code, out, err = run_cli(capsys, "sample", "--identical", "2,1", "--bonds", "15",
+                                 "--samples", "3000000")
+        assert code == 3
+        assert out == ""
+        assert "3^14" in err and "budget" in err
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("swap", {"identical": 5, "bonds": 2}, "identical"),
+            ("swap", {"filters": 3}, "filters"),
+            ("swap", {"filters": ["1,1", None]}, "filters"),
+            ("swap", {"identical": "1,1", "bonds": 2, "dim": None}, "dim"),
+            ("sample", {"identical": "1,1", "bonds": 2, "samples": []}, "samples"),
+            ("verify", {"tolerance": None}, "tolerance"),
+            ("swap", {"identical": "1,1", "bonds": [2]}, "bonds"),
+            ("sample", {"identical": "1,1", "bonds": 2, "seed": "x"}, "seed"),
+            ("swap", {"identical": "1,1", "bonds": 2, "out": 5}, "out"),
+            ("scan", {"identical": "1,1", "n_range": [1, None]}, "n_range"),
+        ],
+    )
+    def test_wrongly_typed_config_value(self, capsys, tmp_path, command, config, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bondswap: error: ")
+        assert key in err
+
     @pytest.mark.parametrize(
         "module, budget, argv, rows",
         [

@@ -3,9 +3,12 @@
 The reference values in this file were frozen from two independent routes:
 a hand calculation for the diag(2,1) worked instance and a brute-force
 matrix-product oracle (local Pauli constants, plain ``@`` loops) that is
-re-run inside the tests themselves.
+re-run inside the tests themselves.  The long-chain outputs pinned in
+TestPinnedOutputs were recorded from an earlier version of the code and
+must be reproduced bit for bit.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -64,6 +67,236 @@ def oracle_table(filters, mode):
 def worked_chain(mode=VBS):
     f = make_filter([2.0, 1.0])
     return SwapChain((f, f), mode)
+
+
+# Long-chain outputs recorded from the code before the transfer map, the scan
+# and the sampler shared one recursion; every later version must reproduce
+# them bit for bit (draws, float.hex of transfer sums and scan entries).
+PINNED_DIAGS = {
+    "one-zero": [[1, 0]],
+    "zero-one": [[0, 1]],
+    "tiny": [[1e-150, 1]],
+    "near-ideal": [[1, 0.99 + 0.1j]],
+    "complex": [[0.6 + 0.8j, 0.3 - 0.1j], [0.2j, 1.1], [1, -0.45 + 0.05j],
+                [0.7, 0.7 - 0.2j]],
+}
+
+
+def pinned_chain(name, mode, n_bonds):
+    """``n_bonds`` bonds cycling through the diagonals of PINNED_DIAGS[name]."""
+    filts = [make_filter(d) for d in PINNED_DIAGS[name]]
+    return SwapChain(tuple(filts[k % len(filts)] for k in range(n_bonds)), mode)
+
+
+def compact_counts(counts):
+    """'digits:count' per drawn record, in the dict's order."""
+    return " ".join(
+        "".join(map(str, key)) + ":" + str(c) for key, c in counts.items()
+    )
+
+
+# sample_outcomes(pinned_chain(name, mode, 4), 300, seed=2009)
+PINNED_SAMPLES = {
+    (VBS, 'one-zero'): (
+        '222:300'
+    ),
+    (VBS, 'zero-one'): (
+        '222:300'
+    ),
+    (VBS, 'tiny'): (
+        '222:300'
+    ),
+    (VBS, 'near-ideal'): (
+        '111:15 112:6 113:8 121:11 122:9 123:16 131:11 132:16 133:9 '
+        '211:16 212:9 213:9 221:11 222:13 223:8 231:15 232:9 233:15 '
+        '311:12 312:13 313:4 321:12 322:10 323:12 331:10 332:14 333:7'
+    ),
+    (VBS, 'complex'): (
+        '111:30 112:9 113:20 121:2 122:3 123:8 131:25 132:27 133:19 '
+        '211:4 212:3 213:3 222:4 231:3 232:4 233:5 311:24 312:19 313:15 '
+        '321:6 322:3 323:7 331:20 332:23 333:14'
+    ),
+    (PLAIN, 'one-zero'): (
+        '000:36 002:35 020:41 022:43 200:40 202:31 220:39 222:35'
+    ),
+    (PLAIN, 'zero-one'): (
+        '000:36 002:35 020:41 022:43 200:40 202:31 220:39 222:35'
+    ),
+    (PLAIN, 'tiny'): (
+        '000:36 002:35 020:41 022:43 200:40 202:31 220:39 222:35'
+    ),
+    (PLAIN, 'near-ideal'): (
+        '000:6 001:3 002:4 003:3 010:5 011:3 012:4 013:8 020:5 021:7 '
+        '022:6 023:1 030:5 031:5 032:8 033:6 100:5 101:3 102:5 103:3 '
+        '110:8 111:3 112:6 113:2 120:3 121:3 122:7 123:5 130:8 131:5 '
+        '132:5 133:5 200:8 201:6 202:6 203:3 210:3 211:5 212:4 213:4 '
+        '220:6 221:6 222:5 223:3 230:2 231:4 232:6 233:4 300:4 301:6 '
+        '302:6 310:4 311:4 312:1 313:7 320:8 321:3 322:4 323:2 330:2 '
+        '331:8 332:6 333:5'
+    ),
+    (PLAIN, 'complex'): (
+        '001:1 010:1 011:2 012:1 013:1 020:1 021:3 030:2 031:3 032:3 '
+        '033:1 100:5 101:2 102:2 103:1 110:18 111:7 112:16 113:14 120:1 '
+        '122:4 123:4 130:17 131:14 132:18 133:13 200:2 201:1 203:1 211:2 '
+        '212:3 221:1 222:2 230:1 232:3 233:1 300:4 301:3 302:6 303:1 '
+        '310:12 311:16 312:8 313:12 320:3 321:5 322:2 323:3 330:13 '
+        '331:16 332:14 333:10'
+    ),
+}
+# p_sum_transfer and log_p_sum_transfer at 4 bonds, log_p_sum_transfer at
+# 3001 bonds, tradeoff_constant at 4 and at 501 bonds
+PINNED_TRANSFER = {
+    (VBS, 'one-zero'): (
+        '0x1.ffffffffffff8p+2',
+        '0x1.0a2b23f3bab71p+1',
+        '0x1.03ee211c0456dp+11',
+        '0x0.0p+0',
+        '0x0.0p+0',
+    ),
+    (VBS, 'zero-one'): (
+        '0x1.ffffffffffff8p+2',
+        '0x1.0a2b23f3bab71p+1',
+        '0x1.03ee211c0456dp+11',
+        '0x0.0p+0',
+        '0x0.0p+0',
+    ),
+    (VBS, 'tiny'): (
+        '0x1.ffffffffffff8p+2',
+        '0x1.0a2b23f3bab71p+1',
+        '0x1.03ee211c0456dp+11',
+        '0x0.0p+0',
+        '0x0.0p+0',
+    ),
+    (VBS, 'near-ideal'): (
+        '0x1.affdc51fc43cap+4',
+        '0x1.a5dd5259c9c6dp+1',
+        '0x1.9bfa2f8c2e5cdp+11',
+        '0x1.2f6604a837666p-5',
+        '0x1.6da342bd50343p-793',
+    ),
+    (VBS, 'complex'): (
+        '0x1.4c082d6de4cdbp+5',
+        '0x1.dce6acc175a58p+1',
+        '0x1.cc883be008f63p+11',
+        '0x1.dff04961cb1f6p-9',
+        '0x0.0p+0',
+    ),
+    (PLAIN, 'one-zero'): (
+        '0x1.ffffffffffff8p+5',
+        '0x1.0a2b23f3bab72p+2',
+        '0x1.03ee211c0456dp+12',
+        '0x0.0p+0',
+        '0x0.0p+0',
+    ),
+    (PLAIN, 'zero-one'): (
+        '0x1.ffffffffffff8p+5',
+        '0x1.0a2b23f3bab72p+2',
+        '0x1.03ee211c0456dp+12',
+        '0x0.0p+0',
+        '0x0.0p+0',
+    ),
+    (PLAIN, 'tiny'): (
+        '0x1.ffffffffffff8p+5',
+        '0x1.0a2b23f3bab72p+2',
+        '0x1.03ee211c0456dp+12',
+        '0x0.0p+0',
+        '0x0.0p+0',
+    ),
+    (PLAIN, 'near-ideal'): (
+        '0x1.ffffffffffff4p+5',
+        '0x1.0a2b23f3bab72p+2',
+        '0x1.03ee211c0456dp+12',
+        '0x1.fff98348f706ep-7',
+        '0x1.fcd5f9b6ff2bcp-1001',
+    ),
+    (PLAIN, 'complex'): (
+        '0x1.0000000000002p+6',
+        '0x1.0a2b23f3bab74p+2',
+        '0x1.03ee211c04570p+12',
+        '0x1.373d79ec30d1fp-9',
+        '0x0.0p+0',
+    ),
+}
+# scan_log_constants(first filter, 3000, mode) at N = 1, 2, 10, 300, 3000
+PINNED_SCANS = {
+    (VBS, 'one-zero'): (
+        '-inf',
+        '-inf',
+        '-inf',
+        '-inf',
+        '-inf',
+    ),
+    (VBS, 'zero-one'): (
+        '-inf',
+        '-inf',
+        '-inf',
+        '-inf',
+        '-inf',
+    ),
+    (VBS, 'tiny'): (
+        '-0x1.590a8b738c126p+9',
+        '-0x1.02de16d9a8080p+10',
+        '-0x1.dad24fec5bff5p+11',
+        '-0x1.96190617daeabp+16',
+        '-0x1.fa1b7f911d232p+19',
+    ),
+    (VBS, 'near-ideal'): (
+        '-0x1.193fbc7608130p+0',
+        '-0x1.193f6bbab702dp+1',
+        '-0x1.5f8eea097750ep+3',
+        '-0x1.4995e6d5236b5p+8',
+        '-0x1.9bfb5fbe12560p+11',
+    ),
+    (VBS, 'complex'): (
+        '-0x1.f3f99e2e71d58p+0',
+        '-0x1.b23e8dee25f69p+1',
+        '-0x1.db8a23af544b8p+3',
+        '-0x1.ae9c0800e2791p+8',
+        '-0x1.0cd5ffe348cd0p+12',
+    ),
+    (PLAIN, 'one-zero'): (
+        '-inf',
+        '-inf',
+        '-inf',
+        '-inf',
+        '-inf',
+    ),
+    (PLAIN, 'zero-one'): (
+        '-inf',
+        '-inf',
+        '-inf',
+        '-inf',
+        '-inf',
+    ),
+    (PLAIN, 'tiny'): (
+        '-0x1.5963447f87fb5p+9',
+        '-0x1.0336cfe5a3f0fp+10',
+        '-0x1.dbb01e8a51c59p+11',
+        '-0x1.96e8f7cbf1549p+16',
+        '-0x1.fb1f6db239278p+19',
+    ),
+    (PLAIN, 'near-ideal'): (
+        '-0x1.62e5cf2007385p+0',
+        '-0x1.62e56753ee520p+1',
+        '-0x1.bb9e595cd1002p+3',
+        '-0x1.9fe45c42c64bfp+8',
+        '-0x1.03eeb934f6537p+12',
+    ),
+    (PLAIN, 'complex'): (
+        '-0x1.3f215b3491984p+1',
+        '-0x1.1bb58a6561a61p+2',
+        '-0x1.3f371c2f8a1d6p+4',
+        '-0x1.233d3d1da09eap+9',
+        '-0x1.6bbcd9cf369a8p+12',
+    ),
+}
+PINNED_KEYS = list(PINNED_SAMPLES)
+# sha256 of compact_counts(sample_outcomes(pinned_chain("complex", mode, 1001),
+# 500, seed=2009)): 1000 nodes, long enough for the suffix normalization to matter
+PINNED_LONG_SAMPLES = {
+    VBS: "ca6fd72020dbb6f4e68bd4ca3a9c7ea812ffbd0a4ec5ba75527903989ae960b6",
+    PLAIN: "7440014a3359241df5af85436ad3256d0e3932324ce138eac6352505ae0ef34e",
+}
 
 
 class TestPauliConventions:
@@ -444,6 +677,39 @@ class TestSampling:
             sample_outcomes(worked_chain(), 0)
 
 
+class TestPinnedOutputs:
+    """Long-chain outputs stay bit-identical to the recorded ones."""
+
+    @pytest.mark.parametrize("mode, name", PINNED_KEYS)
+    def test_sample_counts(self, mode, name):
+        counts = sample_outcomes(pinned_chain(name, mode, 4), 300, seed=2009)
+        assert compact_counts(counts) == PINNED_SAMPLES[mode, name]
+
+    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    def test_long_chain_sample_digest(self, mode):
+        counts = sample_outcomes(pinned_chain("complex", mode, 1001), 500, seed=2009)
+        digest = hashlib.sha256(compact_counts(counts).encode()).hexdigest()
+        assert digest == PINNED_LONG_SAMPLES[mode]
+
+    @pytest.mark.parametrize("mode, name", PINNED_KEYS)
+    def test_transfer_values(self, mode, name):
+        short = pinned_chain(name, mode, 4)
+        got = (
+            p_sum_transfer(short),
+            log_p_sum_transfer(short),
+            log_p_sum_transfer(pinned_chain(name, mode, 3001)),
+            tradeoff_constant(short),
+            tradeoff_constant(pinned_chain(name, mode, 501)),
+        )
+        assert tuple(map(float.hex, got)) == PINNED_TRANSFER[mode, name]
+
+    @pytest.mark.parametrize("mode, name", PINNED_KEYS)
+    def test_scan_entries(self, mode, name):
+        scan = scan_log_constants(make_filter(PINNED_DIAGS[name][0]), 3000, mode)
+        got = tuple(float.hex(float(scan[i])) for i in (0, 1, 9, 299, 2999))
+        assert got == PINNED_SCANS[mode, name]
+
+
 class TestChainValidation:
     def test_needs_at_least_one_bond(self):
         with pytest.raises(ValueError):
@@ -457,6 +723,10 @@ class TestChainValidation:
         f = make_filter([1, 1])
         with pytest.raises(ValueError):
             SwapChain((f, f), "diagonal")
+
+    def test_scan_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'diagonal'"):
+            scan_log_constants(make_filter([1, 1]), 3, "diagonal")
 
     def test_bond_concurrences_order(self):
         chain = SwapChain((make_filter([2, 1]), make_filter([1, 1])), VBS)
