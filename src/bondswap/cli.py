@@ -12,11 +12,12 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 
 import numpy as np
 
 from . import __version__
-from .filters import PLAIN, VBS, Bond, FilterOp, bond_concurrence, make_filter, random_filter
+from .filters import PLAIN, VBS, FilterOp, make_filter, random_filter
 from .linalg import EnumerationBudgetError
 from .qubit import (
     SwapChain,
@@ -88,29 +89,59 @@ def _parse_n_range(raw) -> tuple[int, int]:
     return lo, hi
 
 
-_DEFAULTS = {
-    "dim": 2,
-    "mode": None,
-    "identical": None,
-    "filters": None,
-    "bonds": None,
-    "seed": 42,
-    "samples": 10000,
-    "tolerance": 1e-9,
-    "format": "json",
-    "out": None,
-    "n_range": "1:8",
-    "corrupt_bell_order": False,
+def _number(kind):
+    """Checker for an int or a finite float given as a number or a numeric
+    string; a bool, and for int a fractional part, are usage errors."""
+    def check(key: str, value):
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            try:
+                x = float(value)
+                if math.isfinite(x) and (kind is float or x.is_integer()):
+                    return kind(value)
+            except (OverflowError, ValueError):
+                pass
+        what = "an integer" if kind is int else "a finite number"
+        raise UsageError(f"{key} must be {what}, got {json.dumps(value)}")
+    return check
+
+
+def _choice(key: str, value):
+    if value not in _OPTIONS[key].flag["choices"]:
+        raise UsageError(f"unknown {key} {value!r}")
+    return value
+
+
+def _file_name(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{key} must be a file name, got {json.dumps(value)}")
+    return value
+
+
+# Every config key and its --flag (the key with "-" for "_"), in --help order:
+# its default, the checker each value passes unless it and the default are
+# both None, and the argparse keywords of the flag.
+_Option = namedtuple("_Option", "default check flag")
+_OPTIONS = {
+    "dim": _Option(2, _number(int), {"help": "local dimension (default 2)"}),
+    "mode": _Option(None, _choice, {
+        "choices": MODES, "help": "vbs (symmetric-subspace), plain, or qudit"}),
+    "identical": _Option(None, None, {
+        "metavar": "a,b[,c...]", "help": "one diagonal reused for every bond"}),
+    "filters": _Option(None, None, {
+        "metavar": "a0,b0;a1,b1;...", "help": "explicit per-bond diagonals, ';'-separated"}),
+    "bonds": _Option(None, _number(int), {"help": "number of bonds (internal nodes + 1)"}),
+    "seed": _Option(42, _number(int), {"help": "RNG seed (default 42)"}),
+    "samples": _Option(10000, _number(int), {"help": "sample count for the sample command"}),
+    "tolerance": _Option(1e-9, _number(float), {"help": "verification tolerance (default 1e-9)"}),
+    "n_range": _Option("1:8", None, {
+        "metavar": "LO:HI", "help": "scan range of internal-node counts (default 1:8)"}),
+    "format": _Option("json", _choice, {"choices": ("json", "csv")}),
+    "out": _Option(None, _file_name, {
+        "metavar": "FILE", "help": "write output here instead of stdout"}),
+    "corrupt_bell_order": _Option(False, None, {
+        "action": "store_true", "help": argparse.SUPPRESS}),
 }
-
-
-def _number(key: str, value, kind):
-    """``value`` as an int or a float; a config value of another type is a usage error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise UsageError(f"{key} must be {what}, got {json.dumps(value)}") from None
+_DEFAULTS = {key: opt.default for key, opt in _OPTIONS.items()}
 
 
 def _resolve_config(args) -> dict:
@@ -128,22 +159,15 @@ def _resolve_config(args) -> dict:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            cfg[key] = val
     cfg["command"] = args.command
-    for key, kind in (("dim", int), ("seed", int), ("samples", int),
-                      ("tolerance", float)):
-        cfg[key] = _number(key, cfg[key], kind)
-    if cfg["bonds"] is not None:
-        cfg["bonds"] = _number("bonds", cfg["bonds"], int)
-    if not isinstance(cfg["out"], (str, type(None))):
-        raise UsageError(f"out must be a file name, got {json.dumps(cfg['out'])}")
+    for key, opt in _OPTIONS.items():
+        flag = getattr(args, key)
+        if flag is not None and flag is not False:
+            cfg[key] = flag
+        if opt.check is not None and (cfg[key] is not None or opt.default is not None):
+            cfg[key] = opt.check(key, cfg[key])
     if cfg["mode"] is None:
         cfg["mode"] = VBS if cfg["dim"] == 2 else QUDIT
-    if cfg["mode"] not in MODES:
-        raise UsageError(f"unknown mode {cfg['mode']!r}")
     if cfg["mode"] in (PLAIN, VBS) and cfg["dim"] != 2:
         raise UsageError(f"mode {cfg['mode']!r} is qubit-only; got --dim {cfg['dim']}")
     if cfg["dim"] > MAX_QUDIT_DIM:
@@ -151,8 +175,6 @@ def _resolve_config(args) -> dict:
             f"--dim is at most {MAX_QUDIT_DIM} (outcome digits m*D+n print as one "
             f"of {len(_DIGITS)} symbols); got --dim {cfg['dim']}"
         )
-    if cfg["format"] not in ("json", "csv"):
-        raise UsageError(f"unknown format {cfg['format']!r}")
     return cfg
 
 
@@ -187,8 +209,9 @@ def _build_filters(cfg) -> list[FilterOp]:
     raise UsageError("no filters given: use --identical with --bonds, or --filters")
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _normalized(filters) -> list:
+    """Each filter's diagonal as [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in f.diag] for f in filters]
 
 
 def _echo(cfg, filters) -> dict:
@@ -197,7 +220,7 @@ def _echo(cfg, filters) -> dict:
         "dim": cfg["dim"],
         "mode": cfg["mode"],
         "format": cfg["format"],
-        "filters_normalized": [[_complex_pair(z) for z in f.diag] for f in filters],
+        "filters_normalized": _normalized(filters),
         "filter_scales": [f.scale for f in filters],
     }
     if cfg["command"] == "scan":
@@ -223,15 +246,14 @@ def _finite_or_none(x: float):
     return float(x) if math.isfinite(x) else None
 
 
-def _run_swap(cfg) -> tuple[dict, list[FilterOp]]:
+def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
     filters = _build_filters(cfg)
     if cfg["mode"] == QUDIT:
-        report = enumerate_qudit_outcomes(QuditChain(cfg["dim"], tuple(filters)))
-        cs = [bond_concurrence(Bond(f, PLAIN)) for f in filters]
+        chain = QuditChain(cfg["dim"], tuple(filters))
+        report = enumerate_qudit_outcomes(chain)
     else:
         chain = SwapChain(tuple(filters), cfg["mode"])
         report = enumerate_outcomes(chain)
-        cs = bond_concurrences(chain)
     outcomes = {
         "index": _index_strings(report.digits),
         "weight": report.weight,
@@ -244,15 +266,15 @@ def _run_swap(cfg) -> tuple[dict, list[FilterOp]]:
         "mode": cfg["mode"],
         "n_bonds": len(filters),
         "p_sum": report.p_sum,
-        "bond_concurrences": cs,
+        "bond_concurrences": bond_concurrences(chain),
         "tradeoff_constant": report.constant,
         "max_residual": report.max_residual,
         "outcomes": outcomes,
     }
-    return payload, filters
+    return payload, filters, 0
 
 
-def _run_scan(cfg) -> tuple[dict, list[FilterOp]]:
+def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
     if cfg["mode"] == QUDIT:
         raise UsageError("scan supports the qubit modes (plain, vbs) only")
     if cfg["identical"] is None:
@@ -284,10 +306,10 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp]]:
         "fitted_slope": slope,
         "rows": rows,
     }
-    return payload, [filt]
+    return payload, [filt], 0
 
 
-def _run_sample(cfg) -> tuple[dict, list[FilterOp]]:
+def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
     if cfg["mode"] == QUDIT:
         raise UsageError("sample supports the qubit modes (plain, vbs) only")
     if cfg["samples"] < 1:
@@ -322,15 +344,12 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp]]:
         "tv_distance": 0.5 * tv,
         "outcomes": outcomes,
     }
-    return payload, filters
+    return payload, filters, 0
 
 
 def _default_verify_suite(seed: int) -> list[list[FilterOp]]:
     rng = np.random.default_rng(seed)
-    suite = []
-    for n_internal in (1, 1, 2, 2, 3, 3):
-        suite.append([random_filter(rng, 2) for _ in range(n_internal + 1)])
-    return suite
+    return [[random_filter(rng, 2) for _ in range(n + 1)] for n in (1, 1, 2, 2, 3, 3)]
 
 
 def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
@@ -343,23 +362,16 @@ def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
     rows = []
     all_passed = True
     for filters in chains:
-        rep = cross_check(
-            filters,
-            tolerance=cfg["tolerance"],
-            corrupt_bell_order=cfg["corrupt_bell_order"],
-        )
+        rep = cross_check(filters, tolerance=cfg["tolerance"],
+                          corrupt_bell_order=cfg["corrupt_bell_order"])
         all_passed &= rep.passed
-        rows.append(
-            {
-                "n_bonds": len(filters),
-                "filters_normalized": [
-                    [_complex_pair(z) for z in f.diag] for f in filters
-                ],
-                "worst_weight_dev": rep.worst_weight_dev,
-                "worst_fidelity": rep.worst_fidelity,
-                "passed": rep.passed,
-            }
-        )
+        rows.append({
+            "n_bonds": len(filters),
+            "filters_normalized": _normalized(filters),
+            "worst_weight_dev": rep.worst_weight_dev,
+            "worst_fidelity": rep.worst_fidelity,
+            "passed": rep.passed,
+        })
     payload = {
         "tolerance": cfg["tolerance"],
         "n_chains": len(rows),
@@ -369,6 +381,17 @@ def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
     return payload, chains[0], 0 if all_passed else 1
 
 
+# Every subcommand: its runner, cfg -> (payload, filters, exit code), the
+# payload key of its table rows, and its --help line.
+_Command = namedtuple("_Command", "run rows help")
+_COMMANDS = {
+    "swap": _Command(_run_swap, "outcomes", "enumerate every Bell outcome of one chain"),
+    "scan": _Command(_run_scan, "rows",
+                     "trade-off constant vs chain length for identical filters"),
+    "sample": _Command(_run_sample, "outcomes", "draw Bell outcomes from the exact distribution"),
+    "verify": _Command(_run_verify, "chains",
+                       "cross-check chains against the state-vector oracle"),
+}
 _CSV_COLUMNS = {
     "swap": ("index", "weight", "prob", "concurrence", "prob_times_c"),
     "sample": ("index", "count", "frequency", "prob"),
@@ -377,12 +400,6 @@ _CSV_COLUMNS = {
 }
 # rows rendered per block, so per-value strings exist for one block at a time
 _CHUNK_ROWS = 4096
-_ROW_KEY = {
-    "swap": "outcomes",
-    "sample": "outcomes",
-    "scan": "rows",
-    "verify": "chains",
-}
 
 
 def _csv_cell(value) -> str:
@@ -404,9 +421,9 @@ def _chunks(columns):
 
 def _render_csv(command: str, payload: dict) -> str:
     lines = []
-    rows_key = _ROW_KEY[command]
+    rows_key = _COMMANDS[command].rows
     for key, value in payload.items():
-        if key in (rows_key, "config_echo", "chains"):
+        if key in (rows_key, "config_echo"):
             continue
         if isinstance(value, list):
             value = ";".join(_csv_cell(v) for v in value)
@@ -427,7 +444,7 @@ def _render_csv(command: str, payload: dict) -> str:
 
 
 def _render_json(command: str, document: dict) -> str:
-    rows_key = _ROW_KEY[command]
+    rows_key = _COMMANDS[command].rows
     columns = document[rows_key]
     if not isinstance(columns, dict):
         return json.dumps(document, indent=2) + "\n"
@@ -454,37 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement swapping on chains of filtered bonds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "swap": "enumerate every Bell outcome of one chain",
-        "scan": "trade-off constant vs chain length for identical filters",
-        "sample": "draw Bell outcomes from the exact distribution",
-        "verify": "cross-check chains against the state-vector oracle",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dim", type=int, default=None, help="local dimension (default 2)")
-        p.add_argument("--mode", default=None, choices=MODES,
-                       help="vbs (symmetric-subspace), plain, or qudit")
-        p.add_argument("--identical", default=None, metavar="a,b[,c...]",
-                       help="one diagonal reused for every bond")
-        p.add_argument("--filters", default=None, metavar="a0,b0;a1,b1;...",
-                       help="explicit per-bond diagonals, ';'-separated")
-        p.add_argument("--bonds", type=int, default=None,
-                       help="number of bonds (internal nodes + 1)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="sample count for the sample command")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="verification tolerance (default 1e-9)")
-        p.add_argument("--n-range", dest="n_range", default=None, metavar="LO:HI",
-                       help="scan range of internal-node counts (default 1:8)")
-        p.add_argument("--format", default=None, choices=("json", "csv"))
-        p.add_argument("--config", default=None, metavar="FILE",
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, opt in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **opt.flag)
+        p.add_argument("--config", metavar="FILE",
                        help="JSON config file; explicit flags override it")
-        p.add_argument("--out", default=None, metavar="FILE",
-                       help="write output here instead of stdout")
-        p.add_argument("--corrupt-bell-order", dest="corrupt_bell_order",
-                       action="store_true", default=False, help=argparse.SUPPRESS)
     return parser
 
 
@@ -493,14 +485,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if cfg["command"] == "swap":
-            (payload, filters), code = _run_swap(cfg), 0
-        elif cfg["command"] == "scan":
-            (payload, filters), code = _run_scan(cfg), 0
-        elif cfg["command"] == "sample":
-            (payload, filters), code = _run_sample(cfg), 0
-        else:
-            payload, filters, code = _run_verify(cfg)
+        payload, filters, code = _COMMANDS[cfg["command"]].run(cfg)
     except EnumerationBudgetError as exc:
         print(f"bondswap: budget exceeded: {exc}", file=sys.stderr)
         return 3

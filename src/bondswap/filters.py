@@ -8,6 +8,8 @@ the stored diagonal is √2·(α, β) with |α|² + |β|² = 1.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,18 +64,30 @@ def make_filter(diag) -> FilterOp:
     """Build a FilterOp from any diagonal, rescaling so Σ|λ_j|² = dim.
 
     Off-diagonal input is not representable here by construction; an
-    all-zero diagonal is rejected because it admits no bond state.
+    all-zero diagonal is rejected because it admits no bond state.  When
+    Σ|λ_j|² leaves the normal float range (zero, subnormal or inf) the
+    entries are first divided by their largest real or imaginary part, whose
+    magnitude then joins ``scale``.
     """
     entries = np.asarray(list(diag), dtype=complex).reshape(-1)
     if entries.size < 2:
         raise ValueError("a filter needs at least two diagonal entries")
     if not np.isfinite(entries).all():
         raise ValueError("filter diagonal must be finite")
-    ssq = float(np.sum(np.abs(entries) ** 2))
-    if ssq == 0.0:
-        raise ValueError("all-zero filter diagonal has no bond state")
+    with np.errstate(over="ignore"):
+        ssq = float(np.sum(np.abs(entries) ** 2))
+    peak = 1.0
+    if not sys.float_info.min <= ssq < math.inf:
+        # parts, not moduli: |λ| can overflow, and so can complex division
+        # by a subnormal
+        parts = entries.view(float)
+        peak = float(np.max(np.abs(parts)))
+        if peak == 0.0:
+            raise ValueError("all-zero filter diagonal has no bond state")
+        entries = (parts / peak).view(complex)
+        ssq = float(np.sum(np.abs(entries) ** 2))
     scale = float(np.sqrt(ssq / entries.size))
-    return FilterOp(dim=entries.size, diag=entries / scale, scale=scale)
+    return FilterOp(dim=entries.size, diag=entries / scale, scale=peak * scale)
 
 
 def random_filter(rng, dim: int = 2, lo: float = 0.35, hi: float = 1.0,
@@ -85,6 +99,26 @@ def random_filter(rng, dim: int = 2, lo: float = 0.35, hi: float = 1.0,
     if complex_phases:
         mags = mags * np.exp(2j * np.pi * rng.random(dim))
     return make_filter(mags)
+
+
+class _Chain:
+    """Checks and storage shared by the qubit and qudit chains: N+1 bonds in
+    a row, every one a FilterOp of the chain's dim, measured at N nodes."""
+
+    def _store(self, dim: int) -> None:
+        filts = tuple(self.filters)
+        if dim < 2:
+            raise ValueError("dim must be >= 2")
+        if not filts:
+            raise ValueError("a chain needs at least one bond")
+        if any(not isinstance(f, FilterOp) or f.dim != dim for f in filts):
+            raise ValueError(f"all chain filters must be FilterOps of dim {dim}")
+        object.__setattr__(self, "filters", filts)
+
+    @property
+    def n_nodes(self) -> int:
+        """Number of measured internal nodes (bonds minus one)."""
+        return len(self.filters) - 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .filters import PLAIN, VBS, Bond, FilterOp, bond_concurrence
+from .filters import PLAIN, VBS, Bond, FilterOp, _Chain, bond_concurrence
 from .linalg import (
     EnumerationBudgetError,
     StateVector,
@@ -51,13 +51,22 @@ _ROW_BYTES = 500
 _ROW_BYTES_PER_OP_ENTRY = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Mode:
-    """A qubit mode as data: its outcome digits in record order and, for each
-    outcome, whether its Pauli swaps |0⟩, |1⟩ (σx, σ3) or keeps them (I, σz)."""
+    """A measurement mode as data: node outcome ``digits[j]`` applies the
+    node operator ``ops[j]`` and is recorded as ``labels[digits[j]]``; ``end``
+    (σ3 for vbs, else None) multiplies every chain operator from the left."""
 
+    dim: int
     digits: range
-    swaps: tuple[bool, ...]
+    ops: tuple[np.ndarray, ...]
+    labels: tuple
+    end: np.ndarray | None = None
+
+    @cached_property
+    def swaps(self) -> tuple[bool, ...]:
+        """Per outcome, whether its Pauli swaps |0⟩, |1⟩ (σx, σ3) or keeps them."""
+        return tuple(bool(u[0, 0] == 0) for u in self.ops)
 
     def counts(self, stop: int | None = None) -> tuple[int, int]:
         """(k, s): how many of the first ``stop`` outcomes keep and swap.  Over
@@ -67,8 +76,8 @@ class _Mode:
 
 
 _MODES = {
-    VBS: _Mode(range(1, 4), (True, False, True)),
-    PLAIN: _Mode(range(0, 4), (False, True, False, True)),
+    VBS: _Mode(2, range(1, 4), PAULI[1:], tuple(range(4)), PAULI[3]),
+    PLAIN: _Mode(2, range(0, 4), PAULI, tuple(range(4))),
 }
 
 
@@ -93,33 +102,23 @@ def bell_state(mode: str, i: int) -> StateVector:
            two-qubit subspace; i = 0 would give the singlet, which the
            on-site projection removes).
     """
-    digits = _mode(mode).digits
-    if i not in digits:
-        raise ValueError(f"{mode}-mode Bell index must be in {list(digits)}, got {i}")
-    amps = np.kron(PAULI[3] if mode == VBS else _ID, PAULI[i]) @ _PHI_PLUS
+    m = _mode(mode)
+    if i not in m.digits:
+        raise ValueError(f"{mode}-mode Bell index must be in {list(m.digits)}, got {i}")
+    amps = np.kron(_ID if m.end is None else m.end, PAULI[i]) @ _PHI_PLUS
     return StateVector((2, 2), amps)
 
 
 @dataclass(frozen=True, eq=False)
-class SwapChain:
-    """N+1 filtered bonds in a row, measured at the N internal nodes."""
+class SwapChain(_Chain):
+    """N+1 filtered qubit bonds in a row, measured at the N internal nodes."""
 
     filters: tuple[FilterOp, ...]
     mode: str = VBS
 
     def __post_init__(self):
-        filts = tuple(self.filters)
-        if not filts:
-            raise ValueError("a chain needs at least one bond")
-        if any(not isinstance(f, FilterOp) or f.dim != 2 for f in filts):
-            raise ValueError("all chain filters must be qubit (dim 2) FilterOps")
+        self._store(2)
         _mode(self.mode)
-        object.__setattr__(self, "filters", filts)
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of measured internal nodes (bonds minus one)."""
-        return len(self.filters) - 1
 
     @property
     def outcome_indices(self) -> range:
@@ -161,13 +160,7 @@ class TradeoffReport:
     def records(self) -> list[OutcomeRecord]:
         label = self.labels.__getitem__
         return [
-            OutcomeRecord(
-                indices=tuple(map(label, row)),
-                weight=w,
-                prob=p,
-                final_op=op,
-                concurrence=c,
-            )
+            OutcomeRecord(tuple(map(label, row)), w, p, op, c)
             for row, w, p, op, c in zip(
                 self.digits.tolist(),
                 self.weight.tolist(),
@@ -233,10 +226,7 @@ def tabulate(batch: np.ndarray, dim: int, digits: np.ndarray, labels: tuple,
     nz = hs_sq > 0.0
     conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], dim))
     constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
-    if nz.any():
-        max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant)))
-    else:
-        max_residual = 0.0
+    max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
     return TradeoffReport(
         constant=constant,
         p_sum=p_sum,
@@ -250,20 +240,25 @@ def tabulate(batch: np.ndarray, dim: int, digits: np.ndarray, labels: tuple,
     )
 
 
+def _ordered_product(chain: _Chain, ops, end=None) -> np.ndarray:
+    """[end·]T_N U_N ··· U_1 T_0 for the node operators ``ops`` = U_1, ..., U_N."""
+    if len(ops) != chain.n_nodes:
+        raise ValueError(f"expected {chain.n_nodes} outcome labels, got {len(ops)}")
+    m = chain.filters[0].matrix
+    for f, u in zip(chain.filters[1:], ops):
+        m = f.matrix @ (u @ m)
+    return m if end is None else end @ m
+
+
 def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     """Ordered operator for one outcome: [σ3·]T_N σ_{i_N} ··· σ_{i_1} T_0."""
-    idx = tuple(int(i) for i in indices)
-    if len(idx) != chain.n_nodes:
-        raise ValueError(f"expected {chain.n_nodes} outcome indices, got {len(idx)}")
-    valid = chain.outcome_indices
-    m = chain.filters[0].matrix
-    for k, i in enumerate(idx, start=1):
-        if i not in valid:
+    mode = _MODES[chain.mode]
+    idx = [int(i) for i in indices]
+    for i in idx:
+        if i not in mode.digits:
             raise ValueError(f"outcome index {i} invalid for mode {chain.mode!r}")
-        m = chain.filters[k].matrix @ (PAULI[i] @ m)
-    if chain.mode == VBS:
-        m = PAULI[3] @ m
-    return m
+    ops = [mode.ops[i - mode.digits.start] for i in idx]
+    return _ordered_product(chain, ops, mode.end)
 
 
 def outcome_weight(chain: SwapChain, indices) -> float:
@@ -272,15 +267,26 @@ def outcome_weight(chain: SwapChain, indices) -> float:
     return 0.5 * float(np.sum(np.abs(m) ** 2))
 
 
-def bond_concurrences(chain: SwapChain) -> list[float]:
-    """Per-bond concurrence C_j of every bond in the chain."""
-    return [bond_concurrence(Bond(f, chain.mode)) for f in chain.filters]
+def bond_concurrences(chain: _Chain) -> list[float]:
+    """Per-bond concurrence C_j of every bond of a qubit or qudit chain."""
+    return [bond_concurrence(Bond(f)) for f in chain.filters]
 
 
 def check_table_budget(chain: SwapChain) -> None:
     """Refuse a chain whose outcome table exceeds ENUMERATION_BUDGET rows."""
     check_budget(len(chain.outcome_indices), chain.n_nodes, 2, ENUMERATION_BUDGET,
                  "; use sample_outcomes or p_sum_transfer instead")
+
+
+def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
+    """Every outcome of ``chain`` measured in ``mode``, in digit-table order:
+    the ordered products over all digit strings, then the end factor."""
+    layers = [[f.matrix @ u for u in mode.ops] for f in chain.filters[1:]]
+    batch = batched_products(chain.filters[0].matrix, layers)
+    if mode.end is not None:
+        batch = np.matmul(mode.end, batch)
+    digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
+    return tabulate(batch, mode.dim, digits, mode.labels, bond_concurrences(chain))
 
 
 def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
@@ -292,16 +298,7 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     every non-zero-weight record, and max_residual is the worst deviation.
     """
     check_table_budget(chain)
-    layers = [
-        [f.matrix @ PAULI[i] for i in chain.outcome_indices]
-        for f in chain.filters[1:]
-    ]
-    batch = batched_products(chain.filters[0].matrix, layers)
-    if chain.mode == VBS:
-        batch = np.matmul(PAULI[3], batch)
-    digits = digit_table(len(chain.outcome_indices), chain.n_nodes,
-                         chain.outcome_indices.start)
-    return tabulate(batch, 2, digits, tuple(range(4)), bond_concurrences(chain))
+    return _table(chain, _MODES[chain.mode])
 
 
 def final_state(chain: SwapChain, indices) -> StateVector:
@@ -349,13 +346,16 @@ def p_sum_transfer(chain: SwapChain) -> float:
     """Σ of all outcome weights via the transfer map, without enumeration.
 
     Equals the enumerated P_sum (iterating ρ → Σ_i T_k σ_i ρ σ_i† T_k† from
-    ρ = T_0 T_0† and taking Tr/2); may overflow to inf for very long chains —
+    ρ = T_0 T_0† and taking Tr/2); inf once P_sum leaves the float range —
     use log_p_sum_transfer there.
     """
     p, r, shift = _transfer_diag(chain)
     if shift == 0.0:
         return 0.5 * (p + r)
-    return math.exp(shift + math.log(0.5 * (p + r)))
+    try:
+        return math.exp(shift + math.log(0.5 * (p + r)))
+    except OverflowError:
+        return math.inf
 
 
 def log_p_sum_transfer(chain: SwapChain) -> float:

@@ -10,19 +10,13 @@ sum to exactly D^(2N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .filters import PLAIN, Bond, FilterOp, bond_concurrence
-from .linalg import (
-    StateVector,
-    as_matrix,
-    batched_products,
-    det_concurrence,
-    determinant,
-    state_from_operator,
-)
-from .qubit import TradeoffReport, check_budget, digit_table, tabulate
+from .filters import FilterOp, _Chain
+from .linalg import StateVector, as_matrix, det_concurrence, determinant, state_from_operator
+from .qubit import TradeoffReport, _Mode, _ordered_product, _table, check_budget
 
 #: Largest qudit outcome table enumerate_qudit_outcomes will materialize, in
 #: rows.  Its largest table, D = 6 with N = 4, peaks at about 1.5 GB in a CLI
@@ -72,44 +66,35 @@ def qudit_bell(dim: int, m: int, n: int) -> StateVector:
     return state_from_operator(gen_pauli(dim, m, n).matrix, dim)
 
 
+@cache
+def _weyl_mode(dim: int) -> _Mode:
+    """The D² Weyl-Bell outcomes: digit m·D + n applies U_mn, labelled (m, n)."""
+    labels = tuple(divmod(digit, dim) for digit in range(dim * dim))
+    ops = tuple(gen_pauli(dim, m, n).matrix for m, n in labels)
+    return _Mode(dim, range(dim * dim), ops, labels)
+
+
 @dataclass(frozen=True, eq=False)
-class QuditChain:
+class QuditChain(_Chain):
     """N+1 D-dimensional filtered bonds with N measured internal nodes."""
 
     dim: int
     filters: tuple[FilterOp, ...]
 
     def __post_init__(self):
-        d = int(self.dim)
-        filts = tuple(self.filters)
-        if d < 2:
-            raise ValueError("dim must be >= 2")
-        if not filts:
-            raise ValueError("a chain needs at least one bond")
-        if any(not isinstance(f, FilterOp) or f.dim != d for f in filts):
-            raise ValueError(f"all chain filters must be FilterOps of dim {d}")
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "filters", filts)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.filters) - 1
+        object.__setattr__(self, "dim", int(self.dim))
+        self._store(self.dim)
 
 
 def qudit_chain_operator(chain: QuditChain, outcome) -> np.ndarray:
     """Ordered product T_N U_(m_N n_N) ··· U_(m_1 n_1) T_0 for one outcome.
 
-    ``outcome`` is a sequence of (m, n) pairs, one per internal node.  The
-    product's |det| equals Π_k |det T_k| because every U_mn is unitary.
+    ``outcome`` is a sequence of (m, n) pairs, one per internal node; only
+    their N operators are built, never all D² of the mode.  The product's
+    |det| equals Π_k |det T_k| because every U_mn is unitary.
     """
-    pairs = [(int(m), int(n)) for m, n in outcome]
-    if len(pairs) != chain.n_nodes:
-        raise ValueError(f"expected {chain.n_nodes} outcome pairs, got {len(pairs)}")
-    m_op = chain.filters[0].matrix
-    for k, (m, n) in enumerate(pairs, start=1):
-        u = gen_pauli(chain.dim, m, n).matrix
-        m_op = chain.filters[k].matrix @ (u @ m_op)
-    return m_op
+    ops = [gen_pauli(chain.dim, int(m), int(n)).matrix for m, n in outcome]
+    return _ordered_product(chain, ops)
 
 
 def gen_concurrence(m, dim: int) -> float:
@@ -139,13 +124,5 @@ def enumerate_qudit_outcomes(chain: QuditChain) -> TradeoffReport:
     prob × gen_concurrence equals Π_k C_k / P_sum on every non-singular
     record (the trade-off constant of the report).
     """
-    d = chain.dim
-    n = chain.n_nodes
-    base = d * d
-    check_budget(base, n, d, QUDIT_ENUMERATION_BUDGET)
-    unitaries = [gen_pauli(d, digit // d, digit % d).matrix for digit in range(base)]
-    layers = [[f.matrix @ u for u in unitaries] for f in chain.filters[1:]]
-    batch = batched_products(chain.filters[0].matrix, layers)
-    labels = tuple(divmod(digit, d) for digit in range(base))
-    cs = [bond_concurrence(Bond(f, PLAIN)) for f in chain.filters]
-    return tabulate(batch, d, digit_table(base, n), labels, cs)
+    check_budget(chain.dim ** 2, chain.n_nodes, chain.dim, QUDIT_ENUMERATION_BUDGET)
+    return _table(chain, _weyl_mode(chain.dim))

@@ -323,6 +323,9 @@ class TestExitCodes:
             ("swap", "--identical", "not-a-number", "--bonds", "2"),
             ("scan", "--identical", "1,1", "--n-range", "5:2"),
             ("sample", *WORKED, "--samples", "0"),
+            ("swap", "--identical", "2,1", "--bonds", "2.5"),
+            ("verify", "--tolerance", "nan"),
+            ("verify", "--tolerance", "inf"),
         ]
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
@@ -375,6 +378,14 @@ class TestExitCodes:
             ("sample", {"identical": "1,1", "bonds": 2, "seed": "x"}, "seed"),
             ("swap", {"identical": "1,1", "bonds": 2, "out": 5}, "out"),
             ("scan", {"identical": "1,1", "n_range": [1, None]}, "n_range"),
+            ("swap", {"identical": "2,1", "bonds": 2.9}, "bonds"),
+            ("swap", {"identical": "2,1", "bonds": True}, "bonds"),
+            ("swap", {"identical": "2,1", "bonds": 2, "dim": False}, "dim"),
+            ("swap", {"identical": "2,1", "bonds": 2, "seed": 1.5}, "seed"),
+            ("sample", {"identical": "2,1", "bonds": 2, "samples": True}, "samples"),
+            ("verify", {"tolerance": "nan"}, "tolerance"),
+            ("verify", {"tolerance": math.inf}, "tolerance"),
+            ("verify", {"tolerance": True}, "tolerance"),
         ],
     )
     def test_wrongly_typed_config_value(self, capsys, tmp_path, command, config, key):
@@ -411,3 +422,21 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "swap", *WORKED)
         assert code == 0
+
+    def test_integral_and_numeric_string_config_values(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"identical": "2,1", "bonds": 3.0, "seed": "7",
+                                    "samples": "100"}))
+        _, from_file, _ = run_cli(capsys, "sample", "--config", str(path))
+        _, from_flags, _ = run_cli(capsys, "sample", "--identical", "2,1", "--bonds", "3",
+                                   "--seed", "7", "--samples", "100")
+        assert json.loads(from_file)["n_bonds"] == 3
+        assert from_file == from_flags
+        path.write_text(json.dumps({"tolerance": "1e-6"}))
+        assert run_json(capsys, "verify", "--config", str(path))["tolerance"] == 1e-6
+
+    def test_filters_beyond_the_normal_float_range(self, capsys):
+        tiny = run_json(capsys, "swap", "--identical", "1e-200,1e-200", "--bonds", "2")
+        unit = run_json(capsys, "swap", "--identical", "1,1", "--bonds", "2")
+        assert tiny["outcomes"] == unit["outcomes"]
+        assert tiny["config_echo"]["filter_scales"] == [1e-200, 1e-200]

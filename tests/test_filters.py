@@ -48,8 +48,36 @@ class TestMakeFilter:
             make_filter([1.0])
         with pytest.raises(ValueError):
             make_filter([0.0, 0.0])
+        with pytest.raises(ValueError, match="all-zero"):
+            make_filter([0.0, -0.0, 0j])
         with pytest.raises(ValueError):
             make_filter([1.0, np.nan])
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[1e-200, 1e-200], [1e-170, 1e-170], [1e200, 1e200], [1e160, 1], [1e-160, 0]],
+    )
+    def test_sum_of_squares_outside_the_normal_range(self, raw):
+        # Σ|λ|² underflows to 0, is subnormal or overflows to inf for these
+        f = make_filter(raw)
+        FilterOp(f.dim, f.diag, f.scale)  # the second check accepts it
+        back = f.scale * f.diag
+        for got, want in zip(back, raw):
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("raw, like", [([1e-320, 0], [1, 0]), ([5e-324, 5e-324], [1, 1])])
+    def test_subnormal_entries(self, raw, like):
+        assert np.array_equal(make_filter(raw).diag, make_filter(like).diag)
+
+    def test_entry_whose_modulus_overflows(self):
+        # both parts are finite, |λ| = 2.1e308 is not
+        f = make_filter([1.5e308 + 1.5e308j, 1])
+        assert f.diag[0] == 1 + 1j and f.scale == 1.5e308
+
+    def test_tiny_balanced_filter_is_the_identity_filter(self):
+        f = make_filter([1e-200, 1e-200])
+        assert np.array_equal(f.diag, make_filter([1, 1]).diag)
+        assert f.scale == 1e-200
 
     def test_filterop_requires_normalized_diag(self):
         with pytest.raises(ValueError):

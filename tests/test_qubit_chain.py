@@ -569,6 +569,12 @@ class TestTransferSums:
             math.log(p_sum_transfer(chain)), abs=1e-12
         )
 
+    def test_overflow_returns_inf(self):
+        # P_sum = 2^3000 leaves the float range; the log stays finite
+        chain = SwapChain((make_filter([1, 0]),) * 3001, VBS)
+        assert p_sum_transfer(chain) == math.inf
+        assert log_p_sum_transfer(chain) == pytest.approx(3000 * math.log(2.0), rel=1e-12)
+
     def test_maximal_chain_scales_like_three_to_the_n(self):
         f = make_filter([1, 1])
         n = 100_000

@@ -142,6 +142,11 @@ class TestQuditChainOperator:
             qudit_chain_operator(chain, ((3, 0),))
         with pytest.raises(ValueError):
             qudit_chain_operator(chain, ((0, -1),))
+        # m·D + n is a valid digit (4 and 2), the labels are not
+        with pytest.raises(ValueError):
+            qudit_chain_operator(chain, ((0, 4),))
+        with pytest.raises(ValueError):
+            qudit_chain_operator(chain, ((1, -1),))
 
 
 class TestGenConcurrence:
