@@ -1,4 +1,4 @@
-"""Command-line front end: swap, scan, sample and verify subcommands.
+"""Command-line front end: the swap, scan, sample and verify commands.
 
 Every run emits a single JSON object (or CSV table) carrying the package
 version, the resolved config echo and the seed, so outputs are reproducible
@@ -43,50 +43,35 @@ class UsageError(ValueError):
     """Bad flags or config; maps to exit code 2."""
 
 
-def _parse_complex(text) -> complex:
-    if isinstance(text, (int, float)):
-        return complex(text)
-    try:
-        return complex(str(text).strip().replace(" ", ""))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse {text!r} as a complex number") from exc
+def _parse_complex(key: str, value) -> complex:
+    """A filter entry: a number or a string such as "0.6+0.8j", never a bool."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return complex(value.replace(" ", "") if isinstance(value, str) else value)
+        except (OverflowError, ValueError):
+            pass
+    raise UsageError(f"{key}: cannot parse {json.dumps(value)} as a complex number")
 
 
-def _split(raw, sep: str, key: str) -> list:
-    """A flag string split at ``sep``, or the items of a config-file list."""
+def _split(key: str, raw, sep: str) -> list:
+    """A flag string split at ``sep``, or a config-file list; never empty."""
     if isinstance(raw, str):
-        return [p for p in raw.split(sep) if p.strip()]
-    if isinstance(raw, (list, tuple)):
-        return list(raw)
-    raise UsageError(f"{key} must be a string or a list, got {json.dumps(raw)}")
-
-
-def _parse_diag(raw, key: str = "identical") -> list[complex]:
-    parts = _split(raw, ",", key)
+        parts = [p for p in raw.split(sep) if p.strip()]
+    elif isinstance(raw, list):
+        parts = raw
+    else:
+        raise UsageError(f"{key} must be a string or a list, got {json.dumps(raw)}")
     if not parts:
-        raise UsageError("empty filter diagonal")
-    return [_parse_complex(p) for p in parts]
+        raise UsageError(f"{key} is empty")
+    return parts
 
 
-def _parse_filter_list(raw) -> list[list[complex]]:
-    groups = _split(raw, ";", "filters")
-    if not groups:
-        raise UsageError("empty filter list")
-    return [_parse_diag(g, "filters") for g in groups]
+def _parse_diag(key: str, raw) -> list[complex]:
+    return [_parse_complex(key, part) for part in _split(key, raw, ",")]
 
 
-def _parse_n_range(raw) -> tuple[int, int]:
-    try:
-        if isinstance(raw, (list, tuple)) and len(raw) == 2:
-            lo, hi = int(raw[0]), int(raw[1])
-        else:
-            lo_s, hi_s = str(raw).split(":")
-            lo, hi = int(lo_s), int(hi_s)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad n_range {raw!r}, expected LO:HI") from exc
-    if lo < 1 or hi < lo:
-        raise UsageError(f"bad N range {lo}:{hi}")
-    return lo, hi
+def _parse_filter_list(key: str, raw) -> list[list[complex]]:
+    return [_parse_diag(key, group) for group in _split(key, raw, ";")]
 
 
 def _number(kind):
@@ -105,6 +90,16 @@ def _number(kind):
     return check
 
 
+def _parse_n_range(key: str, raw) -> tuple[int, int]:
+    parts = raw.split(":") if isinstance(raw, str) else raw
+    if not isinstance(parts, list) or len(parts) != 2:
+        raise UsageError(f"{key} must be LO:HI or a pair of integers, got {json.dumps(raw)}")
+    lo, hi = (_number(int)(key, part) for part in parts)
+    if lo < 1 or hi < lo:
+        raise UsageError(f"bad N range {lo}:{hi}")
+    return lo, hi
+
+
 def _choice(key: str, value):
     if value not in _OPTIONS[key].flag["choices"]:
         raise UsageError(f"unknown {key} {value!r}")
@@ -117,23 +112,29 @@ def _file_name(key: str, value) -> str:
     return value
 
 
+# Rows admitted by scan, one per N up to HI: a JSON scan of 600000 rows peaks at
+# about 0.7 GB, below the largest qubit swap table.  The bytes per row are the
+# slope of the peak resident memory between JSON scans of 1e5 and 3e5 rows.
+_SCAN_BUDGET = 600_000
+_SCAN_ROW_BYTES = 1170
+
 # Every config key and its --flag (the key with "-" for "_"), in --help order:
-# its default, the checker each value passes unless it and the default are
-# both None, and the argparse keywords of the flag.
+# its default, the checker each value passes unless it and the default are both
+# None (it returns the value parsed), and the argparse keywords of the flag.
 _Option = namedtuple("_Option", "default check flag")
 _OPTIONS = {
     "dim": _Option(2, _number(int), {"help": "local dimension (default 2)"}),
     "mode": _Option(None, _choice, {
         "choices": MODES, "help": "vbs (symmetric-subspace), plain, or qudit"}),
-    "identical": _Option(None, None, {
+    "identical": _Option(None, _parse_diag, {
         "metavar": "a,b[,c...]", "help": "one diagonal reused for every bond"}),
-    "filters": _Option(None, None, {
+    "filters": _Option(None, _parse_filter_list, {
         "metavar": "a0,b0;a1,b1;...", "help": "explicit per-bond diagonals, ';'-separated"}),
     "bonds": _Option(None, _number(int), {"help": "number of bonds (internal nodes + 1)"}),
     "seed": _Option(42, _number(int), {"help": "RNG seed (default 42)"}),
     "samples": _Option(10000, _number(int), {"help": "sample count for the sample command"}),
     "tolerance": _Option(1e-9, _number(float), {"help": "verification tolerance (default 1e-9)"}),
-    "n_range": _Option("1:8", None, {
+    "n_range": _Option("1:8", _parse_n_range, {
         "metavar": "LO:HI", "help": "scan range of internal-node counts (default 1:8)"}),
     "format": _Option("json", _choice, {"choices": ("json", "csv")}),
     "out": _Option(None, _file_name, {
@@ -175,11 +176,14 @@ def _resolve_config(args) -> dict:
             f"--dim is at most {MAX_QUDIT_DIM} (outcome digits m*D+n print as one "
             f"of {len(_DIGITS)} symbols); got --dim {cfg['dim']}"
         )
+    modes = _COMMANDS[args.command].modes
+    if cfg["mode"] not in modes:
+        raise UsageError(f"{args.command} supports --mode {' or '.join(modes)} only, "
+                         f"got {cfg['mode']}")
     return cfg
 
 
 def _build_filters(cfg) -> list[FilterOp]:
-    dim = cfg["dim"]
     if cfg["identical"] is not None and cfg["filters"] is not None:
         raise UsageError("give either --identical or --filters, not both")
     if cfg["identical"] is not None:
@@ -187,26 +191,22 @@ def _build_filters(cfg) -> list[FilterOp]:
             raise UsageError("--identical needs --bonds (number of bonds, N+1)")
         if cfg["bonds"] < 1:
             raise UsageError("--bonds must be >= 1")
-        diag = _parse_diag(cfg["identical"])
-        if len(diag) != dim:
-            raise UsageError(
-                f"--identical has {len(diag)} entries but --dim is {dim}"
-            )
-        filt = make_filter(diag)
-        return [filt] * cfg["bonds"]
-    if cfg["filters"] is not None:
-        diags = _parse_filter_list(cfg["filters"])
+        diags = [cfg["identical"]]
+    elif cfg["filters"] is not None:
+        diags = cfg["filters"]
         if cfg["bonds"] is not None and cfg["bonds"] != len(diags):
             raise UsageError(
                 f"--bonds {cfg['bonds']} contradicts {len(diags)} --filters entries"
             )
-        for diag in diags:
-            if len(diag) != dim:
-                raise UsageError(
-                    f"filter {diag} has {len(diag)} entries but --dim is {dim}"
-                )
-        return [make_filter(d) for d in diags]
-    raise UsageError("no filters given: use --identical with --bonds, or --filters")
+    else:
+        raise UsageError("no filters given: use --identical with --bonds, or --filters")
+    for diag in diags:
+        if len(diag) != cfg["dim"]:
+            raise UsageError(
+                f"filter {diag} has {len(diag)} entries but --dim is {cfg['dim']}"
+            )
+    filters = [make_filter(d) for d in diags]
+    return filters if cfg["filters"] is not None else filters * cfg["bonds"]
 
 
 def _normalized(filters) -> list:
@@ -224,7 +224,7 @@ def _echo(cfg, filters) -> dict:
         "filter_scales": [f.scale for f in filters],
     }
     if cfg["command"] == "scan":
-        echo["n_range"] = "%d:%d" % _parse_n_range(cfg["n_range"])
+        echo["n_range"] = "%d:%d" % cfg["n_range"]
     if cfg["command"] == "sample":
         echo["samples"] = cfg["samples"]
     if cfg["command"] == "verify":
@@ -275,16 +275,16 @@ def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
 
 
 def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
-    if cfg["mode"] == QUDIT:
-        raise UsageError("scan supports the qubit modes (plain, vbs) only")
     if cfg["identical"] is None:
         raise UsageError("scan needs --identical (one diagonal reused for all bonds)")
-    diag = _parse_diag(cfg["identical"])
-    if len(diag) != 2:
-        raise UsageError("scan filters are qubit diagonals (two entries)")
-    filt = make_filter(diag)
-    lo, hi = _parse_n_range(cfg["n_range"])
-    logs = scan_log_constants(filt, hi, cfg["mode"])[lo - 1 :]
+    filters = _build_filters({**cfg, "bonds": 1})  # one filter serves every N
+    lo, hi = cfg["n_range"]
+    if hi > _SCAN_BUDGET:
+        raise EnumerationBudgetError(
+            f"N = 1..{hi} is {hi} scan rows (about {hi / 1e9 * _SCAN_ROW_BYTES:.3g} GB "
+            f"at {_SCAN_ROW_BYTES} B/row) over the scan budget of {_SCAN_BUDGET} rows"
+        )
+    logs = scan_log_constants(filters[0], hi, cfg["mode"])[lo - 1 :]
     ns = np.arange(lo, hi + 1)
     rows = [
         {
@@ -306,12 +306,10 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
         "fitted_slope": slope,
         "rows": rows,
     }
-    return payload, [filt], 0
+    return payload, filters, 0
 
 
 def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
-    if cfg["mode"] == QUDIT:
-        raise UsageError("sample supports the qubit modes (plain, vbs) only")
     if cfg["samples"] < 1:
         raise UsageError("--samples must be >= 1")
     filters = _build_filters(cfg)
@@ -353,8 +351,6 @@ def _default_verify_suite(seed: int) -> list[list[FilterOp]]:
 
 
 def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
-    if cfg["mode"] != VBS or cfg["dim"] != 2:
-        raise UsageError("verify drives the vbs oracle: qubit chains, vbs mode only")
     if cfg["identical"] is not None or cfg["filters"] is not None:
         chains = [_build_filters(cfg)]
     else:
@@ -381,16 +377,18 @@ def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
     return payload, chains[0], 0 if all_passed else 1
 
 
-# Every subcommand: its runner, cfg -> (payload, filters, exit code), the
-# payload key of its table rows, and its --help line.
-_Command = namedtuple("_Command", "run rows help")
+# Every command: its runner, cfg -> (payload, filters, exit code), the payload
+# key of its table rows, its --help line and the modes it accepts.
+_Command = namedtuple("_Command", "run rows help modes")
 _COMMANDS = {
-    "swap": _Command(_run_swap, "outcomes", "enumerate every Bell outcome of one chain"),
+    "swap": _Command(_run_swap, "outcomes", "enumerate every Bell outcome of one chain",
+                     MODES),
     "scan": _Command(_run_scan, "rows",
-                     "trade-off constant vs chain length for identical filters"),
-    "sample": _Command(_run_sample, "outcomes", "draw Bell outcomes from the exact distribution"),
+                     "trade-off constant vs chain length for identical filters", (PLAIN, VBS)),
+    "sample": _Command(_run_sample, "outcomes", "draw Bell outcomes from the exact distribution",
+                       (PLAIN, VBS)),
     "verify": _Command(_run_verify, "chains",
-                       "cross-check chains against the state-vector oracle"),
+                       "cross-check chains against the state-vector oracle", (VBS,)),
 }
 _CSV_COLUMNS = {
     "swap": ("index", "weight", "prob", "concurrence", "prob_times_c"),
@@ -469,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bondswap",
         description="Entanglement swapping on chains of filtered bonds.",
+        formatter_class=argparse.RawTextHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for key, opt in _OPTIONS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **opt.flag)
-        p.add_argument("--config", metavar="FILE",
-                       help="JSON config file; explicit flags override it")
+    parser.add_argument("command", choices=_COMMANDS, help="\n".join(
+        f"{name:<8}{command.help}" for name, command in _COMMANDS.items()))
+    for key, opt in _OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, **opt.flag)
+    parser.add_argument("--config", metavar="FILE",
+                        help="JSON config file; explicit flags override it")
     return parser
 
 

@@ -1,9 +1,12 @@
 """Command-line interface: schemas, round-trips, exit codes, determinism."""
 
+import argparse
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bondswap import __version__, cli, qubit, qudit
 from bondswap.cli import main
@@ -326,6 +329,8 @@ class TestExitCodes:
             ("swap", "--identical", "2,1", "--bonds", "2.5"),
             ("verify", "--tolerance", "nan"),
             ("verify", "--tolerance", "inf"),
+            ("scan", "--identical", "2,1", "--filters", "1,1;1,1"),
+            ("swap", *WORKED, "--n-range", "9:1"),
         ]
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
@@ -386,6 +391,10 @@ class TestExitCodes:
             ("verify", {"tolerance": "nan"}, "tolerance"),
             ("verify", {"tolerance": math.inf}, "tolerance"),
             ("verify", {"tolerance": True}, "tolerance"),
+            ("swap", {"identical": [True, 1], "bonds": 2}, "identical"),
+            ("swap", {"filters": [[1, False], [1, 1]]}, "filters"),
+            ("scan", {"identical": "2,1", "n_range": [1.5, 3]}, "n_range"),
+            ("scan", {"identical": "2,1", "n_range": [True, 3]}, "n_range"),
         ],
     )
     def test_wrongly_typed_config_value(self, capsys, tmp_path, command, config, key):
@@ -408,6 +417,8 @@ class TestExitCodes:
             (qudit, "QUDIT_ENUMERATION_BUDGET", ("swap", "--mode", "qudit", "--dim", "3",
                                                  "--identical", "1,1,1", "--bonds", "3"),
              "9^2 = 81 outcome rows"),
+            (cli, "_SCAN_BUDGET", ("scan", "--identical", "1,1", "--n-range", "1:30"),
+             "30 scan rows"),
         ],
     )
     def test_budget_reports_rows_and_memory(self, capsys, monkeypatch, module,
@@ -418,6 +429,18 @@ class TestExitCodes:
         assert out == ""
         assert rows in err
         assert " GB at " in err and "budget of 26 rows" in err
+
+    def test_scan_checks_the_budget_before_the_transfer(self, capsys, monkeypatch):
+        def no_transfer(*args):
+            raise AssertionError("scan_log_constants ran before the budget check")
+
+        monkeypatch.setattr(cli, "scan_log_constants", no_transfer)
+        hi = cli._SCAN_BUDGET + 1
+        code, out, err = run_cli(capsys, "scan", "--identical", "2,1",
+                                 "--n-range", f"{hi - 1}:{hi}")
+        assert code == 3
+        assert out == ""
+        assert f"{hi} scan rows" in err and "budget" in err
 
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "swap", *WORKED)
@@ -440,3 +463,85 @@ class TestExitCodes:
         unit = run_json(capsys, "swap", "--identical", "1,1", "--bonds", "2")
         assert tiny["outcomes"] == unit["outcomes"]
         assert tiny["config_echo"]["filter_scales"] == [1e-200, 1e-200]
+
+
+class TestParser:
+    def test_help_lists_every_command_and_flag(self, capsys):
+        pages = []
+        for argv in (["--help"], ["swap", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            pages.append(capsys.readouterr().out)
+        assert pages[0] == pages[1]
+        text = " ".join(pages[0].split())
+        for name, command in cli._COMMANDS.items():
+            assert f"{name} {command.help}" in text
+        for key, opt in cli._OPTIONS.items():
+            if opt.flag.get("help") == argparse.SUPPRESS:
+                continue
+            if "choices" in opt.flag:
+                arg = "{%s}" % ",".join(opt.flag["choices"])
+            else:
+                arg = opt.flag.get("metavar", key.upper())
+            listing = f"--{key.replace('_', '-')} {arg} {opt.flag.get('help', '')}"
+            assert listing.strip() in text, listing
+        assert "--config FILE JSON config file" in text
+
+    def test_flags_may_come_before_the_command(self, capsys):
+        after = run_cli(capsys, "swap", *WORKED)
+        assert after[0] == 0
+        assert run_cli(capsys, *WORKED, "swap") == after
+
+
+ENTRIES = st.sampled_from([0, 1, 2, 0.5, -0.25, "0.6+0.8j", "-1j"])
+
+
+@st.composite
+def options(draw):
+    """A command and config values of every kind the CLI reads; most draws
+    hold a value or a combination the CLI rejects, about one in five runs."""
+    cfg = {}
+    dim = draw(st.sampled_from([None, 2, 3]))
+    if dim is not None:
+        cfg["dim"] = dim
+    width = draw(st.sampled_from([dim or 2] * 3 + [5 - (dim or 2)]))
+    diag = st.lists(ENTRIES, min_size=width, max_size=width)
+    source = draw(st.sampled_from(["identical", "filters"] * 2 + ["both", "neither"]))
+    if source in ("identical", "both"):
+        cfg["identical"] = draw(diag)
+    if source in ("filters", "both"):
+        cfg["filters"] = draw(st.lists(diag, min_size=1, max_size=3))
+    choices = {
+        "mode": [None, "plain", "vbs", "qudit"], "bonds": [2, 3] * 2 + [None, 0],
+        "seed": [None, 0, 7], "samples": [None, 50, 50, 0],
+        "n_range": [None, [1, 3], [2, 4], [3, 1]], "format": [None, "json", "csv"],
+    }
+    for key, values in choices.items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            cfg[key] = value
+    return draw(st.sampled_from(list(cli._COMMANDS))), cfg
+
+
+def as_flag(key, value) -> str:
+    if key == "identical":
+        value = ",".join(map(str, value))
+    elif key == "filters":
+        value = ";".join(",".join(map(str, diag)) for diag in value)
+    elif key == "n_range":
+        value = "%d:%d" % tuple(value)
+    return f"--{key.replace('_', '-')}={value}"
+
+
+class TestFlagsAndConfigFileAgree:
+    @given(options())
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_exit_code_and_bytes(self, capsys, tmp_path, case):
+        command, cfg = case
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        from_file = run_cli(capsys, command, "--config", str(path))
+        from_flags = run_cli(capsys, command, *(as_flag(k, v) for k, v in cfg.items()))
+        assert from_file == from_flags
