@@ -24,7 +24,6 @@ from .linalg import (
     StateVector,
     determinant,
     fidelity_up_to_phase,
-    kron,
     partial_trace,
     state_from_operator,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "final_state",
     "gen_concurrence",
     "gen_pauli",
-    "kron",
     "log_p_sum_transfer",
     "log_tradeoff_constant",
     "make_filter",

@@ -113,10 +113,10 @@ def _file_name(key: str, value) -> str:
 
 
 # Rows admitted by scan, one per N up to HI: a JSON scan of 600000 rows peaks at
-# about 0.7 GB, below the largest qubit swap table.  The bytes per row are the
-# slope of the peak resident memory between JSON scans of 1e5 and 3e5 rows.
+# about 0.25 GB (405 B/row), far below the largest qubit swap table.  The bytes
+# per row are an upper fit to that peak.
 _SCAN_BUDGET = 600_000
-_SCAN_ROW_BYTES = 1170
+_SCAN_ROW_BYTES = 450
 
 # Every config key and its --flag (the key with "-" for "_"), in --help order:
 # its default, the checker each value passes unless it and the default are both
@@ -242,10 +242,6 @@ def _index_strings(digits: np.ndarray) -> np.ndarray:
     return codes[digits].view(f"U{n}").ravel()
 
 
-def _finite_or_none(x: float):
-    return float(x) if math.isfinite(x) else None
-
-
 def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
     filters = _build_filters(cfg)
     if cfg["mode"] == QUDIT:
@@ -286,15 +282,13 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
         )
     logs = scan_log_constants(filters[0], hi, cfg["mode"])[lo - 1 :]
     ns = np.arange(lo, hi + 1)
-    rows = [
-        {
-            "n": int(n),
-            "constant": math.exp(lv) if math.isfinite(lv) else 0.0,
-            "log_constant": _finite_or_none(lv),
-        }
-        for n, lv in zip(ns, logs)
-    ]
     finite = np.isfinite(logs)
+    # math.exp per row, as np.exp may round differently; a non-finite log
+    # gives 0.0 and prints as null, or as an empty CSV cell
+    constant = [math.exp(lv) for lv in np.where(finite, logs, -math.inf).tolist()]
+    log_constant = logs.astype(object)
+    log_constant[~finite] = None
+    rows = {"n": ns, "constant": np.array(constant), "log_constant": log_constant}
     slope = None
     if finite.all() and len(logs) >= 2:
         slope = float(np.polyfit(ns, logs, 1)[0])
@@ -430,8 +424,9 @@ def _render_csv(command: str, payload: dict) -> str:
     lines.append(",".join(cols))
     rows = payload[rows_key]
     if isinstance(rows, dict):  # columns: name -> numpy array
-        # floats print as repr, ints and strings as str, as _csv_cell does
-        convs = [repr if rows[c].dtype.kind == "f" else str for c in cols]
+        # floats print as repr, ints and strings as str, as _csv_cell does;
+        # an object column may hold None
+        convs = [{"f": repr, "O": _csv_cell}.get(rows[c].dtype.kind, str) for c in cols]
         for chunk in _chunks([rows[c] for c in cols]):
             cells = [list(map(conv, col)) for conv, col in zip(convs, chunk)]
             lines.extend(map(",".join, zip(*cells)))

@@ -8,6 +8,7 @@ the stored diagonal is √2·(α, β) with |α|² + |β|² = 1.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -69,15 +70,21 @@ def make_filter(diag) -> FilterOp:
     entries are first divided by their largest real or imaginary part, whose
     magnitude then joins ``scale``.
     """
-    entries = np.asarray(list(diag), dtype=complex).reshape(-1)
+    raw = diag if isinstance(diag, np.ndarray) else list(diag)
+    entries = np.asarray(raw, dtype=complex).reshape(-1)
     if entries.size < 2:
         raise ValueError("a filter needs at least two diagonal entries")
-    if not np.isfinite(entries).all():
-        raise ValueError("filter diagonal must be finite")
-    with np.errstate(over="ignore"):
-        ssq = float(np.sum(np.abs(entries) ** 2))
+    mags = np.abs(entries)  # inf, with no warning, where |λ| overflows
+    # an errstate costs a third of the call: only where a square can overflow
+    big = max(mags.tolist()) >= 1e150
+    with np.errstate(over="ignore") if big else contextlib.nullcontext():
+        ssq = float((mags * mags).sum())
     peak = 1.0
+    # a NaN or inf entry makes ssq NaN or inf, so a normal ssq proves every
+    # entry finite and the normalized diagonal needs no second check
     if not sys.float_info.min <= ssq < math.inf:
+        if not np.isfinite(entries).all():
+            raise ValueError("filter diagonal must be finite")
         # parts, not moduli: |λ| can overflow, and so can complex division
         # by a subnormal
         parts = entries.view(float)
@@ -86,8 +93,12 @@ def make_filter(diag) -> FilterOp:
             raise ValueError("all-zero filter diagonal has no bond state")
         entries = (parts / peak).view(complex)
         ssq = float(np.sum(np.abs(entries) ** 2))
-    scale = float(np.sqrt(ssq / entries.size))
-    return FilterOp(dim=entries.size, diag=entries / scale, scale=peak * scale)
+    scale = math.sqrt(ssq / entries.size)
+    normalized = entries / scale
+    normalized.flags.writeable = False
+    op = object.__new__(FilterOp)  # skips __post_init__: checked above
+    op.__dict__.update(dim=entries.size, diag=normalized, scale=peak * scale)
+    return op
 
 
 def random_filter(rng, dim: int = 2, lo: float = 0.35, hi: float = 1.0,
@@ -103,7 +114,8 @@ def random_filter(rng, dim: int = 2, lo: float = 0.35, hi: float = 1.0,
 
 class _Chain:
     """Checks and storage shared by the qubit and qudit chains: N+1 bonds in
-    a row, every one a FilterOp of the chain's dim, measured at N nodes."""
+    a row, every one a FilterOp of the chain's dim, measured at N nodes.
+    ``diags`` holds every bond's diagonal as one read-only (N+1, dim) array."""
 
     def _store(self, dim: int) -> None:
         filts = tuple(self.filters)
@@ -113,7 +125,10 @@ class _Chain:
             raise ValueError("a chain needs at least one bond")
         if any(not isinstance(f, FilterOp) or f.dim != dim for f in filts):
             raise ValueError(f"all chain filters must be FilterOps of dim {dim}")
+        diags = np.array([f.diag for f in filts])
+        diags.flags.writeable = False
         object.__setattr__(self, "filters", filts)
+        object.__setattr__(self, "diags", diags)
 
     @property
     def n_nodes(self) -> int:

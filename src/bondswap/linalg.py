@@ -32,11 +32,6 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices, row-major convention."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state on an ordered tuple of qudit subsystems.

@@ -40,14 +40,14 @@ for _p in PAULI:
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 #: Largest outcome table enumerate_outcomes will materialize, in rows.  It
-#: admits vbs N <= 13 and plain N <= 10; a CLI swap of those peaks at about
-#: 0.8 GB and 0.5 GB of resident memory.
+#: admits vbs N <= 13 and plain N <= 10; a JSON CLI swap of those peaks at
+#: about 1.1 GB and 0.7 GB of resident memory.
 ENUMERATION_BUDGET = 3 ** 13
 
-# Peak resident bytes per row of a CLI swap writing JSON, an upper fit to runs
-# at vbs N = 12, 13, plain N = 9, 10 and qudit D = 3, 4, 6, 8: the rendering
-# plus the 16-byte complex entries of each row's D×D operator.
-_ROW_BYTES = 500
+# Peak resident bytes per row of a JSON CLI swap (the rendering plus the 16-byte
+# entries of each row's D×D operator), an upper fit to the largest admitted
+# tables: 709, 655 B/row at vbs N = 13, plain N = 10; 720-1684 at qudit D = 3-8.
+_ROW_BYTES = 700
 _ROW_BYTES_PER_OP_ENTRY = 16
 
 
@@ -268,8 +268,15 @@ def outcome_weight(chain: SwapChain, indices) -> float:
 
 
 def bond_concurrences(chain: _Chain) -> list[float]:
-    """Per-bond concurrence C_j of every bond of a qubit or qudit chain."""
-    return [bond_concurrence(Bond(f)) for f in chain.filters]
+    """Per-bond concurrence C_j of every bond of a qubit or qudit chain, bit for
+    bit bond_concurrence: |det| and Σ|λ|² in one pass over the diagonals, then
+    Python's ``**`` per bond (np.power can round differently)."""
+    mags = np.abs(chain.diags)
+    dim = mags.shape[1]
+    return [
+        0.0 if a == 0.0 else min(1.0, det_concurrence(a, s, dim))
+        for a, s in zip(np.prod(mags, axis=1).tolist(), np.sum(mags ** 2, axis=1).tolist())
+    ]
 
 
 def check_table_budget(chain: SwapChain) -> None:
@@ -306,11 +313,6 @@ def final_state(chain: SwapChain, indices) -> StateVector:
     return state_from_operator(chain_operator(chain, indices), 2).normalized()
 
 
-def _abs2(chain: SwapChain) -> np.ndarray:
-    """(N+1, 2) array of |λ_0|², |λ_1|² for every bond, bond 0 first."""
-    return np.abs(np.array([f.diag for f in chain.filters])) ** 2
-
-
 def _transfer(mode: _Mode, mags):
     """Run the transfer map in the diagonal sector, one bond at a time.
 
@@ -337,7 +339,7 @@ def _transfer(mode: _Mode, mags):
 
 def _transfer_diag(chain: SwapChain) -> tuple[float, float, float]:
     """(p, r, log_shift) of the transfer map over the whole chain."""
-    for state in _transfer(_MODES[chain.mode], _abs2(chain).tolist()):
+    for state in _transfer(_MODES[chain.mode], (np.abs(chain.diags) ** 2).tolist()):
         pass
     return state
 
@@ -416,7 +418,7 @@ def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
         return {(): int(n_samples)}
     mode = _MODES[chain.mode]
     k, s = mode.counts()
-    mags = _abs2(chain).tolist()
+    mags = (np.abs(chain.diags) ** 2).tolist()
 
     # suffix[j] = diagonal of the adjoint map applied to I over nodes j+1..N,
     # normalized per step (only ratios matter for the conditionals)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bondswap.linalg import as_matrix
+
 
 @pytest.fixture
 def rng():
@@ -15,3 +17,8 @@ def random_complex_matrix(rng, d, scale=1.0):
 def random_unitary(rng, d):
     q, r = np.linalg.qr(random_complex_matrix(rng, d))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kron(a, b):
+    """Kronecker product of two finite matrices, row-major convention."""
+    return np.kron(as_matrix(a), as_matrix(b))

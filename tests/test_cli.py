@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from bondswap.qubit import (
     bond_concurrences,
     enumerate_outcomes,
     sample_outcomes,
+    scan_log_constants,
 )
 from bondswap.qudit import QuditChain, enumerate_qudit_outcomes
 
@@ -35,10 +37,35 @@ def run_json(capsys, *argv):
 WORKED = ("--identical", "2,1", "--bonds", "2")
 
 
+def scan_reference(cfg):
+    """Filters and payload of a scan as the row-dict path built them."""
+    filters = cli._build_filters({**cfg, "bonds": 1})
+    lo, hi = cfg["n_range"]
+    logs = scan_log_constants(filters[0], hi, cfg["mode"])[lo - 1 :]
+    ns = np.arange(lo, hi + 1)
+    rows = [
+        {
+            "n": int(n),
+            "constant": math.exp(lv) if math.isfinite(lv) else 0.0,
+            "log_constant": float(lv) if math.isfinite(lv) else None,
+        }
+        for n, lv in zip(ns, logs)
+    ]
+    slope = None
+    if np.isfinite(logs).all() and len(logs) >= 2:
+        slope = float(np.polyfit(ns, logs, 1)[0])
+    payload = {"dim": 2, "mode": cfg["mode"], "n_min": lo, "n_max": hi,
+               "fitted_slope": slope, "rows": rows}
+    return filters, payload
+
+
 def reference_document(*argv) -> str:
     """The document as the row-dict renderer wrote it: one dict per record,
     then json.dumps(indent=2) or one _csv_cell per value."""
     cfg = cli._resolve_config(cli.build_parser().parse_args(list(argv)))
+    if cfg["command"] == "scan":
+        filters, payload = scan_reference(cfg)
+        return render_reference(cfg, filters, payload)
     filters = cli._build_filters(cfg)
     if cfg["mode"] == "qudit":
         report = enumerate_qudit_outcomes(QuditChain(cfg["dim"], tuple(filters)))
@@ -94,21 +121,26 @@ def reference_document(*argv) -> str:
             "tv_distance": 0.5 * tv,
             "outcomes": outcomes,
         }
+    return render_reference(cfg, filters, payload)
+
+
+def render_reference(cfg, filters, payload) -> str:
     document = {"version": __version__, "seed": cfg["seed"],
                 "config_echo": cli._echo(cfg, filters)}
     document.update(payload)
     if cfg["format"] == "json":
         return json.dumps(document, indent=2) + "\n"
+    rows_key = cli._COMMANDS[cfg["command"]].rows
     lines = []
     for key, value in document.items():
-        if key in ("outcomes", "config_echo"):
+        if key in (rows_key, "config_echo"):
             continue
         if isinstance(value, list):
             value = ";".join(cli._csv_cell(v) for v in value)
         lines.append(f"# {key}={cli._csv_cell(value)}")
     cols = cli._CSV_COLUMNS[cfg["command"]]
     lines.append(",".join(cols))
-    for row in outcomes:
+    for row in document[rows_key]:
         lines.append(",".join(cli._csv_cell(row[c]) for c in cols))
     return "\n".join(lines) + "\n"
 
@@ -128,6 +160,11 @@ TABLE_CASES = [
     ("swap", "--filters=1,0;0,1;1,1"),  # singular: zero weights and constant
     ("swap", "--mode", "plain", "--filters=1,0;0,1;1,1"),
     ("sample", "--filters=1,0;0,1;1,1", "--samples", "20"),
+    ("scan", "--identical", "2,1", "--n-range", "1:8"),
+    ("scan", "--mode", "plain", "--identical", "0.6+0.8j,-0.3", "--n-range", "3:5000"),
+    ("scan", "--identical", "1e-200,1", "--n-range", "4:4"),
+    ("scan", "--identical", "1,0", "--n-range", "1:6"),  # null log_constant rows
+    ("scan", "--mode", "plain", "--identical", "1,0", "--n-range", "2:3"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Diagonal bond filters: normalization convention, bond states, concurrence."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -88,6 +90,76 @@ class TestMakeFilter:
         m = f.matrix
         assert np.allclose(np.diag(np.diag(m)), m)
         assert np.allclose(np.diag(m), f.diag)
+
+
+def two_check_make_filter(diag) -> FilterOp:
+    """make_filter as it was before it checked once: check and normalize,
+    then build the FilterOp through __post_init__, which checks again."""
+    entries = np.asarray(list(diag), dtype=complex).reshape(-1)
+    if entries.size < 2:
+        raise ValueError("a filter needs at least two diagonal entries")
+    if not np.isfinite(entries).all():
+        raise ValueError("filter diagonal must be finite")
+    with np.errstate(over="ignore"):
+        ssq = float(np.sum(np.abs(entries) ** 2))
+    peak = 1.0
+    if not sys.float_info.min <= ssq < math.inf:
+        parts = entries.view(float)
+        peak = float(np.max(np.abs(parts)))
+        if peak == 0.0:
+            raise ValueError("all-zero filter diagonal has no bond state")
+        entries = (parts / peak).view(complex)
+        ssq = float(np.sum(np.abs(entries) ** 2))
+    scale = float(np.sqrt(ssq / entries.size))
+    return FilterOp(dim=entries.size, diag=entries / scale, scale=peak * scale)
+
+
+def bit_identical(got: FilterOp, want: FilterOp) -> bool:
+    return (
+        got.dim == want.dim
+        and got.diag.dtype == want.diag.dtype
+        and got.diag.tobytes() == want.diag.tobytes()
+        and float.hex(got.scale) == float.hex(want.scale)
+        and not got.diag.flags.writeable
+    )
+
+
+OUT_OF_RANGE = [[1e-200, 1e-200], [1e-170, 1e-170], [1e200, 1e200], [1e160, 1], [1e-160, 0],
+                [1e-320, 0], [5e-324, 5e-324], [1.5e308 + 1.5e308j, 1], [1e-150, 1], [1e150, 1]]
+SIGNED_ZEROS = [[-0.0, 1], [1, -0.0j], [complex(-0.0, -0.0), 2], [0.0, -1], [1, 0]]
+
+
+class TestMakeFilterBits:
+    """make_filter checks once and still returns the bits of the two-check code."""
+
+    @pytest.mark.parametrize("raw", OUT_OF_RANGE + SIGNED_ZEROS, ids=repr)
+    @pytest.mark.parametrize("kind", [list, tuple, np.array, iter])
+    def test_edge_inputs(self, raw, kind):
+        assert bit_identical(make_filter(kind(raw)), two_check_make_filter(kind(raw)))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_inputs(self, rng, dim):
+        for _ in range(200):
+            raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            for entries in (raw, raw.real, raw.tolist(), tuple(raw.real.tolist())):
+                assert bit_identical(make_filter(entries), two_check_make_filter(entries))
+            gen = (z for z in raw)
+            assert bit_identical(make_filter(gen), two_check_make_filter(raw))
+
+    @pytest.mark.parametrize(
+        "raw", [[1.0], [], [0.0, -0.0], [1.0, np.nan], [np.inf, 1.0], [np.nan, np.inf]]
+    )
+    def test_same_errors(self, raw):
+        with pytest.raises(ValueError) as want:
+            two_check_make_filter(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            make_filter(raw)
+
+    def test_direct_filterop_keeps_its_check(self):
+        with pytest.raises(ValueError, match="not bond-normalized"):
+            FilterOp(2, np.array([1.0, 0.5], dtype=complex))
+        with pytest.raises(ValueError, match="finite"):
+            FilterOp(2, np.array([np.nan, 1.0], dtype=complex))
 
 
 class TestBondState:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex_matrix, random_unitary
+from conftest import kron, random_complex_matrix, random_unitary
 
 from bondswap.linalg import (
     StateVector,
@@ -14,7 +14,6 @@ from bondswap.linalg import (
     det_concurrence,
     determinant,
     fidelity_up_to_phase,
-    kron,
     partial_trace,
     state_from_operator,
 )

@@ -15,10 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import kron, random_unitary
 
 from bondswap.filters import PLAIN, VBS, Bond, bond_concurrence, make_filter, random_filter
-from bondswap.linalg import EnumerationBudgetError, kron, partial_trace
+from bondswap.linalg import EnumerationBudgetError, partial_trace
 from bondswap.qubit import (
     SwapChain,
     bell_state,
@@ -35,6 +35,7 @@ from bondswap.qubit import (
     scan_log_constants,
     tradeoff_constant,
 )
+from bondswap.qudit import QuditChain
 
 # local copies so the oracle below shares nothing with the implementation
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -739,3 +740,26 @@ class TestChainValidation:
         cs = bond_concurrences(chain)
         assert cs[0] == pytest.approx(0.8)
         assert cs[1] == pytest.approx(1.0)
+
+    def test_diagonals_held_as_one_read_only_array(self):
+        filters = (make_filter([2, 1]), make_filter([1, 1j]), make_filter([2, 1]))
+        chain = SwapChain(filters, VBS)
+        assert chain.diags.shape == (3, 2) and not chain.diags.flags.writeable
+        assert np.array_equal(chain.diags, [f.diag for f in filters])
+
+
+class TestBondConcurrencesBits:
+    """The one-pass bond_concurrences equals bond_concurrence per bond."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_per_bond_route(self, rng, dim):
+        filters = [random_filter(rng, dim, lo=0.01, complex_phases=i % 2 == 0)
+                   for i in range(300)]
+        filters[7] = make_filter([0] + [1] * (dim - 1))  # singular: C = 0
+        filters[8] = make_filter([1] * dim)  # maximal: C = 1
+        filts = tuple(filters)
+        chain = SwapChain(filts, PLAIN) if dim == 2 else QuditChain(dim, filts)
+        want = [bond_concurrence(Bond(f)) for f in filters]
+        got = bond_concurrences(chain)
+        assert want[7] == 0.0 and want[8] == 1.0
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
