@@ -112,11 +112,11 @@ def _file_name(key: str, value) -> str:
     return value
 
 
-# Rows admitted by scan, one per N up to HI: a JSON scan of 600000 rows peaks at
-# about 0.25 GB (405 B/row), far below the largest qubit swap table.  The bytes
-# per row are an upper fit to that peak.
+# Rows admitted by scan, one per N up to HI: a scan of 600000 rows peaks at
+# about 0.13 GB (217 B/row) in JSON and CSV, far below the largest qubit swap
+# table.  The bytes per row are an upper fit to that peak.
 _SCAN_BUDGET = 600_000
-_SCAN_ROW_BYTES = 450
+_SCAN_ROW_BYTES = 250
 
 # Every config key and its --flag (the key with "-" for "_"), in --help order:
 # its default, the checker each value passes unless it and the default are both
@@ -251,7 +251,7 @@ def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
         chain = SwapChain(tuple(filters), cfg["mode"])
         report = enumerate_outcomes(chain)
     outcomes = {
-        "index": _index_strings(report.digits),
+        "index": report.digits,
         "weight": report.weight,
         "prob": report.prob,
         "concurrence": report.concurrence,
@@ -323,7 +323,7 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
     for f, p in zip(freq.tolist(), report.prob.tolist()):
         tv += abs(f - p)
     outcomes = {
-        "index": _index_strings(report.digits),
+        "index": report.digits,
         "count": count,
         "frequency": freq,
         "prob": report.prob,
@@ -390,7 +390,7 @@ _CSV_COLUMNS = {
     "scan": ("n", "constant", "log_constant"),
     "verify": ("n_bonds", "worst_weight_dev", "worst_fidelity", "passed"),
 }
-# rows rendered per block, so per-value strings exist for one block at a time
+# rows rendered per block, so per-row strings exist for one block at a time
 _CHUNK_ROWS = 4096
 
 
@@ -404,58 +404,70 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _chunks(columns):
-    """Consecutive row blocks of equal-length columns, each column a list."""
-    n_rows = len(columns[0])
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        yield [col[start : start + _CHUNK_ROWS].tolist() for col in columns]
+def _json_tokens(col: np.ndarray) -> list[str]:
+    # the C encoder's tokens, as json.dumps(document, indent=2) writes them
+    return json.dumps(col.tolist())[1:-1].split(", ")
 
 
-def _render_csv(command: str, payload: dict) -> str:
-    lines = []
+def _csv_tokens(col: np.ndarray) -> list[str]:
+    # str is repr for a float; only an object column may hold None
+    return list(map(_csv_cell if col.dtype.kind == "O" else str, col.tolist()))
+
+
+def _column_tokens(col: np.ndarray, encode):
+    """A function from a slice of rows to the column's tokens there.  A float
+    column encodes each distinct bit pattern once (so -0.0 stays apart from
+    0.0) and gathers; a digit table becomes one index string per row."""
+    if col.dtype.kind == "f":
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        tokens = np.array(encode(bits.view(np.float64)), dtype=object)
+        return lambda rows: tokens[inverse[rows]].tolist()
+    if col.ndim == 2:
+        return lambda rows: encode(_index_strings(col[rows]))
+    return lambda rows: encode(col[rows])
+
+
+def _render(fmt: str, command: str, document: dict):
+    """The document as text pieces to write as they come: a header, blocks of
+    at most _CHUNK_ROWS table rows, a trailer.  The JSON pieces join to the
+    bytes of json.dumps(document, indent=2) + "\n"."""
     rows_key = _COMMANDS[command].rows
-    for key, value in payload.items():
-        if key in (rows_key, "config_echo"):
-            continue
-        if isinstance(value, list):
-            value = ";".join(_csv_cell(v) for v in value)
-        lines.append(f"# {key}={_csv_cell(value)}")
-    cols = _CSV_COLUMNS[command]
-    lines.append(",".join(cols))
-    rows = payload[rows_key]
-    if isinstance(rows, dict):  # columns: name -> numpy array
-        # floats print as repr, ints and strings as str, as _csv_cell does;
-        # an object column may hold None
-        convs = [{"f": repr, "O": _csv_cell}.get(rows[c].dtype.kind, str) for c in cols]
-        for chunk in _chunks([rows[c] for c in cols]):
-            cells = [list(map(conv, col)) for conv, col in zip(convs, chunk)]
-            lines.extend(map(",".join, zip(*cells)))
+    rows = document[rows_key]
+    if fmt == "json":
+        # the document with no rows, split where they go
+        gap = f"\n  {json.dumps(rows_key)}: ["
+        head, tail = json.dumps({**document, rows_key: []}, indent=2).split(gap + "]")
+        yield head + gap + "\n"
+        names = list(rows) if isinstance(rows, dict) else []
+        # the text before each field of a row, and after its last
+        opens = [f"{',' if j else '    {'}\n      {json.dumps(name)}: "
+                 for j, name in enumerate(names)]
+        close, sep, trailer, encode = "\n    }", ",\n", f"\n  ]{tail}\n", _json_tokens
+        one_row = lambda row: "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
     else:
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(command: str, document: dict) -> str:
-    rows_key = _COMMANDS[command].rows
-    columns = document[rows_key]
-    if not isinstance(columns, dict):
-        return json.dumps(document, indent=2) + "\n"
-    # Same bytes as json.dumps(document, indent=2), whose pure-Python encoder
-    # is slow on big tables.  The header keeps that encoder; the rows (always
-    # the last key) fill a fixed template with each column's tokens from the
-    # C encoder, which writes numbers, NaN and Infinity exactly as it does.
-    head = json.dumps(
-        {k: v for k, v in document.items() if k != rows_key}, indent=2
-    )
-    fields = ",\n".join(f"      {json.dumps(name)}: {{}}" for name in columns)
-    template = "    {{\n" + fields + "\n    }}"
-    blocks = []
-    for chunk in _chunks(list(columns.values())):
-        tokens = [json.dumps(col)[1:-1].split(", ") for col in chunk]
-        blocks.append(",\n".join(map(template.format, *tokens)))
-    rows = ",\n".join(blocks)
-    return f"{head[:-2]},\n  {json.dumps(rows_key)}: [\n{rows}\n  ]\n}}\n"
+        names = _CSV_COLUMNS[command]
+        cells = {k: ";".join(map(_csv_cell, v)) if isinstance(v, list) else _csv_cell(v)
+                 for k, v in document.items() if k not in (rows_key, "config_echo")}
+        yield "".join(f"# {k}={v}\n" for k, v in cells.items()) + ",".join(names) + "\n"
+        opens = [""] + [","] * (len(names) - 1)
+        close, sep, trailer, encode = "", "\n", "\n", _csv_tokens
+        one_row = lambda row: ",".join(_csv_cell(row[name]) for name in names)
+    if isinstance(rows, dict):  # columns: name -> numpy array
+        columns = [_column_tokens(rows[name], encode) for name in names]
+        glue = [close + sep + opens[0], *opens[1:]]
+        step = 2 * len(glue)
+        for start in range(0, len(rows[names[0]]), _CHUNK_ROWS):
+            # one str.join over glue and tokens interleaved row by row
+            tokens = [col(slice(start, start + _CHUNK_ROWS)) for col in columns]
+            pieces = [None] * (step * len(tokens[0]))
+            for j, (text, col) in enumerate(zip(glue, tokens)):
+                pieces[2 * j :: step] = [text] * len(col)
+                pieces[2 * j + 1 :: step] = col
+            pieces[0] = (sep if start else "") + opens[0]
+            yield "".join(pieces) + close
+    else:  # a few rows, whose values may be nested lists
+        yield sep.join(map(one_row, rows))
+    yield trailer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,20 +504,16 @@ def main(argv=None) -> int:
         "config_echo": _echo(cfg, filters),
     }
     document.update(payload)
-    text = (
-        _render_json(cfg["command"], document)
-        if cfg["format"] == "json"
-        else _render_csv(cfg["command"], document)
-    )
+    pieces = _render(cfg["format"], cfg["command"], document)
     if cfg["out"]:
         try:
             with open(cfg["out"], "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"bondswap: error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return code
 
 

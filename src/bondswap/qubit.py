@@ -41,14 +41,15 @@ _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 #: Largest outcome table enumerate_outcomes will materialize, in rows.  It
 #: admits vbs N <= 13 and plain N <= 10; a JSON CLI swap of those peaks at
-#: about 1.1 GB and 0.7 GB of resident memory.
+#: about 0.26 GB and 0.19 GB of resident memory, a CLI sample at 0.37 and 0.25.
 ENUMERATION_BUDGET = 3 ** 13
 
-# Peak resident bytes per row of a JSON CLI swap (the rendering plus the 16-byte
-# entries of each row's D×D operator), an upper fit to the largest admitted
-# tables: 709, 655 B/row at vbs N = 13, plain N = 10; 720-1684 at qudit D = 3-8.
-_ROW_BYTES = 700
-_ROW_BYTES_PER_OP_ENTRY = 16
+# Peak resident bytes per row of a CLI swap or sample, an upper fit to the
+# largest admitted tables (231, 239 B/row for sample vbs N = 13, plain N = 10;
+# 307-1686 for swap qudit D = 3-8).  The output streams, so building the table
+# sets the peak: each row's D×D complex operator and the arrays made from it.
+_ROW_BYTES = 150
+_ROW_BYTES_PER_OP_ENTRY = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +194,7 @@ def check_budget(base: int, n: int, dim: int, budget: int, hint: str = "") -> No
     """Refuse a base^n-row table of D×D operators above ``budget`` rows.
 
     Runs before anything is allocated; the error gives the row count and the
-    estimated peak memory of rendering the table.
+    estimated peak memory of a CLI run that renders the table.
     """
     if base ** n <= budget:
         return

@@ -1,8 +1,12 @@
 """Command-line interface: schemas, round-trips, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +69,9 @@ def reference_document(*argv) -> str:
     cfg = cli._resolve_config(cli.build_parser().parse_args(list(argv)))
     if cfg["command"] == "scan":
         filters, payload = scan_reference(cfg)
+        return render_reference(cfg, filters, payload)
+    if cfg["command"] == "verify":  # its rows are row dicts already
+        payload, filters, _ = cli._run_verify(cfg)
         return render_reference(cfg, filters, payload)
     filters = cli._build_filters(cfg)
     if cfg["mode"] == "qudit":
@@ -165,6 +172,8 @@ TABLE_CASES = [
     ("scan", "--identical", "1e-200,1", "--n-range", "4:4"),
     ("scan", "--identical", "1,0", "--n-range", "1:6"),  # null log_constant rows
     ("scan", "--mode", "plain", "--identical", "1,0", "--n-range", "2:3"),
+    ("verify",),  # keys follow the rows: "passed" comes after "chains"
+    ("verify", "--filters=1,0;0,1;0.6+0.8j,1"),
 ]
 
 
@@ -261,9 +270,62 @@ class TestSwapCommand:
         assert out == ""
         assert json.loads(target.read_text())["n_bonds"] == 2
 
+    def test_out_that_is_a_directory_fails_before_writing(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "swap", *WORKED, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"bondswap: error: cannot write {tmp_path}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failing_after_the_open_is_a_usage_error(self, capsys):
+        # /dev/full opens, then every write fails with ENOSPC mid-stream
+        code, out, err = run_cli(capsys, "swap", "--identical", "2,1", "--bonds", "9",
+                                 "--out", "/dev/full")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bondswap: error: cannot write /dev/full")
+
+    def test_budget_error_creates_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "table.json"
+        code, out, err = run_cli(capsys, "swap", "--identical", "1,1", "--bonds", "19",
+                                 "--out", str(target))
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+        assert not target.exists()
+
+
+# repeats, both zeros, NaNs of either sign, infinities and the float extremes
+FLOAT_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+              1.7976931348623157e308, 0.1, 1 / 3, -2.5e-300]
+
+
+@st.composite
+def swap_columns(draw):
+    """Digit rows and the four float columns of a swap table drawn from
+    FLOAT_POOL, so values repeat within and across blocks."""
+    n_rows, n_nodes = draw(st.integers(1, 12)), draw(st.integers(0, 3))
+    digits = draw(st.lists(st.lists(st.integers(1, 3), min_size=n_nodes, max_size=n_nodes),
+                           min_size=n_rows, max_size=n_rows))
+    column = st.lists(st.sampled_from(FLOAT_POOL), min_size=n_rows, max_size=n_rows)
+    names = ("weight", "prob", "concurrence", "prob_times_c")
+    return digits, {name: draw(column) for name in names}
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that counts the characters written to it and keeps none."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
 
 class TestColumnarRendering:
-    """Tables render from columns to the very bytes of the row-dict path."""
+    """Tables render from columns, and verify's chains from row dicts, to the
+    very bytes of the row-dict path."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", TABLE_CASES, ids=" ".join)
@@ -271,6 +333,45 @@ class TestColumnarRendering:
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0, err
         assert out == reference_document(*argv, "--format", fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @given(table=swap_columns())
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_repeated_and_special_floats(self, monkeypatch, fmt, table):
+        # blocks of 3 rows, so a distinct value's token serves several blocks
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+        digits, floats = table
+        cfg = cli._resolve_config(cli.build_parser().parse_args(
+            ["swap", *WORKED, "--format", fmt]))
+        filters = cli._build_filters(cfg)
+        head = {"dim": 2, "mode": "vbs", "n_bonds": 2, "p_sum": 1.0,
+                "bond_concurrences": [0.8, 0.8], "tradeoff_constant": 0.64,
+                "max_residual": 0.0}
+        rows = [{"index": "".join(cli._DIGITS[d] for d in row),
+                 **{name: col[i] for name, col in floats.items()}}
+                for i, row in enumerate(digits)]
+        columns = {"index": np.array(digits, dtype=np.uint8),
+                   **{name: np.array(col) for name, col in floats.items()}}
+        document = {"version": __version__, "seed": cfg["seed"],
+                    "config_echo": cli._echo(cfg, filters), **head, "outcomes": columns}
+        assert "".join(cli._render(fmt, "swap", document)) == render_reference(
+            cfg, filters, {**head, "outcomes": rows})
+
+    def test_rendering_streams_in_blocks(self):
+        # the whole document is never held: the peak of a 19683-row JSON swap
+        # written to a sink stays below twice the document's length
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["swap", "--identical", "2,1", "--bonds", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.chars > 3_000_000
+        assert peak < 2 * sink.chars
 
 
 class TestScanCommand:
