@@ -21,10 +21,10 @@ from .filters import PLAIN, VBS, FilterOp, make_filter, random_filter
 from .linalg import EnumerationBudgetError
 from .qubit import (
     SwapChain,
+    _draw,
     bond_concurrences,
-    check_table_budget,
     enumerate_outcomes,
-    sample_outcomes,
+    row_index,
     scan_log_constants,
 )
 from .qudit import QuditChain, enumerate_qudit_outcomes
@@ -112,11 +112,21 @@ def _file_name(key: str, value) -> str:
     return value
 
 
-# Rows admitted by scan, one per N up to HI: a scan of 600000 rows peaks at
-# about 0.13 GB (217 B/row) in JSON and CSV, far below the largest qubit swap
-# table.  The bytes per row are an upper fit to that peak.
+# Scan rows (one per N up to HI) and sample draws admitted, with upper fits to the
+# peak bytes each adds: 217 B/row in scan, 125 B/draw at vbs N = 13 in sample.
 _SCAN_BUDGET = 600_000
 _SCAN_ROW_BYTES = 250
+_DRAW_BUDGET = 10_000_000
+_DRAW_BYTES = 130
+
+
+def _check_budget(command: str, count: int, budget: int, unit: str, unit_bytes: int) -> None:
+    """Refuse more than ``budget`` units of ``command``, naming the memory they need."""
+    if count > budget:
+        raise EnumerationBudgetError(
+            f"{count} {command} {unit}s (about {count / 1e9 * unit_bytes:.3g} GB at "
+            f"{unit_bytes} B/{unit}) exceed the {command} budget of {budget} {unit}s")
+
 
 # Every config key and its --flag (the key with "-" for "_"), in --help order:
 # its default, the checker each value passes unless it and the default are both
@@ -275,11 +285,7 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
         raise UsageError("scan needs --identical (one diagonal reused for all bonds)")
     filters = _build_filters({**cfg, "bonds": 1})  # one filter serves every N
     lo, hi = cfg["n_range"]
-    if hi > _SCAN_BUDGET:
-        raise EnumerationBudgetError(
-            f"N = 1..{hi} is {hi} scan rows (about {hi / 1e9 * _SCAN_ROW_BYTES:.3g} GB "
-            f"at {_SCAN_ROW_BYTES} B/row) over the scan budget of {_SCAN_BUDGET} rows"
-        )
+    _check_budget("scan", hi, _SCAN_BUDGET, "row", _SCAN_ROW_BYTES)
     logs = scan_log_constants(filters[0], hi, cfg["mode"])[lo - 1 :]
     ns = np.arange(lo, hi + 1)
     finite = np.isfinite(logs)
@@ -304,30 +310,20 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
 
 
 def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
-    if cfg["samples"] < 1:
+    n = cfg["samples"]
+    if n < 1:
         raise UsageError("--samples must be >= 1")
+    _check_budget("sample", n, _DRAW_BUDGET, "draw", _DRAW_BYTES)
     filters = _build_filters(cfg)
     chain = SwapChain(tuple(filters), cfg["mode"])
-    check_table_budget(chain)  # before drawing: the TV distance needs the table
-    counts = sample_outcomes(chain, cfg["samples"], cfg["seed"])
-    report = enumerate_outcomes(chain)
-    n = cfg["samples"]
-    # a drawn record sits at row Σ_k (i_k − offset)·base^k of the table
+    report = enumerate_outcomes(chain)  # checks the table budget: before drawing
     base, offset = len(chain.outcome_indices), chain.outcome_indices.start
-    drawn = np.array(list(counts), dtype=np.int64).reshape(len(counts), chain.n_nodes)
-    count = np.zeros(len(report.prob), dtype=np.int64)
-    count[(drawn - offset) @ base ** np.arange(chain.n_nodes)] = list(counts.values())
+    rows = row_index(_draw(chain, n, cfg["seed"]), base, offset)
+    count = np.bincount(rows, minlength=len(report.prob))
     freq = count / n
-    tv = 0.0
-    # left to right in record order: sum(), np.sum and fsum round differently
-    for f, p in zip(freq.tolist(), report.prob.tolist()):
-        tv += abs(f - p)
-    outcomes = {
-        "index": report.digits,
-        "count": count,
-        "frequency": freq,
-        "prob": report.prob,
-    }
+    # left to right in record order, as cumsum adds: np.sum and fsum round differently
+    tv = float(np.cumsum(np.abs(freq - report.prob))[-1])
+    outcomes = {"index": report.digits, "count": count, "frequency": freq, "prob": report.prob}
     payload = {
         "dim": 2,
         "mode": cfg["mode"],

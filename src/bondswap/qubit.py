@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .filters import PLAIN, VBS, Bond, FilterOp, _Chain, bond_concurrence
+from .filters import PLAIN, VBS, FilterOp, _Chain
 from .linalg import (
     EnumerationBudgetError,
     StateVector,
@@ -40,14 +40,13 @@ for _p in PAULI:
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 #: Largest outcome table enumerate_outcomes will materialize, in rows.  It
-#: admits vbs N <= 13 and plain N <= 10; a JSON CLI swap of those peaks at
-#: about 0.26 GB and 0.19 GB of resident memory, a CLI sample at 0.37 and 0.25.
+#: admits vbs N <= 13 and plain N <= 10; a JSON CLI swap or sample of those
+#: peaks at about 0.27 GB and 0.19 GB of resident memory.
 ENUMERATION_BUDGET = 3 ** 13
 
 # Peak resident bytes per row of a CLI swap or sample, an upper fit to the
-# largest admitted tables (231, 239 B/row for sample vbs N = 13, plain N = 10;
-# 307-1686 for swap qudit D = 3-8).  The output streams, so building the table
-# sets the peak: each row's D×D complex operator and the arrays made from it.
+# largest admitted tables (163-178 B/row for qubits, 307-1686 for qudit D = 3-8),
+# where building the table sets the peak: each row's D×D operator and its arrays.
 _ROW_BYTES = 150
 _ROW_BYTES_PER_OP_ENTRY = 32
 
@@ -182,6 +181,11 @@ def digit_table(base: int, n: int, offset: int = 0) -> np.ndarray:
     return digits
 
 
+def row_index(digits: np.ndarray, base: int, offset: int = 0) -> np.ndarray:
+    """Row Σ_k (d_k − offset)·base^k of each digit string in digit_table."""
+    return (digits - offset) @ base ** np.arange(digits.shape[1])
+
+
 def _approx(log10_x: float) -> str:
     """10**log10_x to three significant digits, also beyond the float range."""
     if log10_x < 300:
@@ -280,12 +284,6 @@ def bond_concurrences(chain: _Chain) -> list[float]:
     ]
 
 
-def check_table_budget(chain: SwapChain) -> None:
-    """Refuse a chain whose outcome table exceeds ENUMERATION_BUDGET rows."""
-    check_budget(len(chain.outcome_indices), chain.n_nodes, 2, ENUMERATION_BUDGET,
-                 "; use sample_outcomes or p_sum_transfer instead")
-
-
 def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """Every outcome of ``chain`` measured in ``mode``, in digit-table order:
     the ordered products over all digit strings, then the end factor."""
@@ -305,7 +303,8 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     one; the report constant Π_j C_j / P_sum equals prob × concurrence on
     every non-zero-weight record, and max_residual is the worst deviation.
     """
-    check_table_budget(chain)
+    check_budget(len(chain.outcome_indices), chain.n_nodes, 2, ENUMERATION_BUDGET,
+                 "; use sample_outcomes or p_sum_transfer instead")
     return _table(chain, _MODES[chain.mode])
 
 
@@ -394,8 +393,9 @@ def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarra
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    steps = _transfer(_mode(mode), [(np.abs(filt.diag) ** 2).tolist()] * (n_max + 1))
-    c = bond_concurrence(Bond(filt, mode))
+    one = SwapChain((filt,), mode)  # checks the filter's dim and the mode
+    steps = _transfer(_MODES[mode], (np.abs(one.diags) ** 2).tolist() * (n_max + 1))
+    c = bond_concurrences(one)[0]
     if c == 0.0:
         return np.full(n_max, -math.inf)
     next(steps)  # the lone first bond, N = 0
@@ -403,20 +403,15 @@ def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarra
     return np.arange(2, n_max + 2) * math.log(c) - np.array(log_p_sums)
 
 
-def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
-    """Draw outcome index tuples from the exact distribution.
-
-    Sequential sampling: suffix transfer vectors are precomputed right to
-    left, then each node's index is drawn from its conditional given the
-    prefix, so no outcome table is ever materialized.  Returns a dict
-    mapping index tuples to counts; deterministic for a fixed seed.
-    """
+def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:
+    """(n_samples, N) uint8 outcome digits, a row per draw as in digit_table,
+    by sequential sampling: suffix transfer vectors are precomputed right to
+    left, then each node's digit is drawn from its conditional given the
+    prefix, so no outcome table is ever materialized.  Fixed seed, same draws."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = chain.n_nodes
-    if n == 0:
-        return {(): int(n_samples)}
     mode = _MODES[chain.mode]
     k, s = mode.counts()
     mags = (np.abs(chain.diags) ** 2).tolist()
@@ -447,7 +442,14 @@ def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
         v[0] *= a
         v[1] *= b
         v /= v[0] + v[1]
+    return draws
 
+
+def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
+    """Draw from the exact distribution (as _draw): each drawn index tuple and its count."""
+    draws, n = _draw(chain, n_samples, seed), chain.n_nodes
+    if n == 0:
+        return {(): int(n_samples)}
     # one n-byte string per draw: np.unique sorts these bytewise, which is the
     # row order np.unique(draws, axis=0) gives, at a fraction of its cost
     uniq, cnt = np.unique(draws.view(f"V{n}").ravel(), return_counts=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .filters import VBS, FilterOp
 from .linalg import StateVector
-from .qubit import SwapChain, bell_state, enumerate_outcomes
+from .qubit import SwapChain, bell_state, enumerate_outcomes, row_index
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -177,7 +177,7 @@ def cross_check(filters, tolerance: float = 1e-9,
     rows = slice(None)
     if corrupt_bell_order:
         # chain row of each outcome with its indices relabelled
-        rows = (_CORRUPT_MAP[report.digits] - 1) @ 3 ** np.arange(report.digits.shape[1])
+        rows = row_index(_CORRUPT_MAP[report.digits], 3, 1)
     prob = report.prob[rows]
     # amplitude on |j⟩⊗|k⟩ is M[k, j], as in state_from_operator
     pred = report.final_ops[rows].transpose(0, 2, 1).reshape(-1, 4)

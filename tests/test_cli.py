@@ -423,6 +423,21 @@ class TestSampleCommand:
         doc = run_json(capsys, "sample", *WORKED, "--samples", "100")
         assert doc["seed"] == 42
 
+    def test_counting_holds_no_per_row_objects(self):
+        # the draws are counted by table row in arrays: a 19683-row sample
+        # peaks at 160-180 B/row, where label tuples and whole-table lists of
+        # Python floats took 250-280
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["sample", "--identical", "2,1", "--bonds", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 215 * 3 ** 9
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
@@ -499,14 +514,28 @@ class TestExitCodes:
 
     def test_sample_checks_the_budget_before_drawing(self, capsys, monkeypatch):
         def no_draws(*args):
-            raise AssertionError("sample_outcomes ran before the budget check")
+            raise AssertionError("_draw ran before the budget check")
 
-        monkeypatch.setattr(cli, "sample_outcomes", no_draws)
+        monkeypatch.setattr(cli, "_draw", no_draws)
         code, out, err = run_cli(capsys, "sample", "--identical", "2,1", "--bonds", "15",
                                  "--samples", "3000000")
         assert code == 3
         assert out == ""
         assert "3^14" in err and "budget" in err
+
+    def test_sample_checks_the_draw_budget_before_drawing(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("_draw ran before the draw budget check")
+
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 26)
+        code, _, _ = run_cli(capsys, "sample", *WORKED, "--samples", "26")
+        assert code == 0
+        monkeypatch.setattr(cli, "_draw", no_draws)
+        code, out, err = run_cli(capsys, "sample", *WORKED, "--samples", "27")
+        assert code == 3
+        assert out == ""
+        assert "27 sample draws" in err
+        assert " GB at " in err and "budget of 26 draws" in err
 
     @pytest.mark.parametrize(
         "command, config, key",

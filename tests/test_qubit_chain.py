@@ -735,6 +735,10 @@ class TestChainValidation:
         with pytest.raises(ValueError, match="unknown mode 'diagonal'"):
             scan_log_constants(make_filter([1, 1]), 3, "diagonal")
 
+    def test_scan_rejects_qudit_filter(self):
+        with pytest.raises(ValueError, match="FilterOps of dim 2"):
+            scan_log_constants(make_filter([1, 1, 1]), 3, PLAIN)
+
     def test_bond_concurrences_order(self):
         chain = SwapChain((make_filter([2, 1]), make_filter([1, 1])), VBS)
         cs = bond_concurrences(chain)
