@@ -113,7 +113,7 @@ def _file_name(key: str, value) -> str:
 
 
 # Scan rows (one per N up to HI) and sample draws admitted, with upper fits to the
-# peak bytes each adds: 217 B/row in scan, 125 B/draw at vbs N = 13 in sample.
+# peak bytes each adds: 217 B/row in scan, 59-73 B/draw in sample (N = 13 to 1).
 _SCAN_BUDGET = 600_000
 _SCAN_ROW_BYTES = 250
 _DRAW_BUDGET = 10_000_000

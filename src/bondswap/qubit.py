@@ -15,6 +15,7 @@ chain operator; weight, probability and concurrence all come from M.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,44 +41,50 @@ for _p in PAULI:
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 #: Largest outcome table enumerate_outcomes will materialize, in rows.  It
-#: admits vbs N <= 13 and plain N <= 10; a JSON CLI swap or sample of those
-#: peaks at about 0.27 GB and 0.19 GB of resident memory.
+#: admits vbs N <= 13 and plain N <= 10; a JSON CLI swap of those peaks at
+#: about 0.21 GB and 0.15 GB of resident memory.
 ENUMERATION_BUDGET = 3 ** 13
 
 # Peak resident bytes per row of a CLI swap or sample, an upper fit to the
-# largest admitted tables (163-178 B/row for qubits, 307-1686 for qudit D = 3-8),
-# where building the table sets the peak: each row's D×D operator and its arrays.
+# largest admitted tables: 110-139 B/row for qubits, set by the columns and their
+# rendering, and 294-1686 for qudit D = 3-8, set by each row's D×D operator.
 _ROW_BYTES = 150
 _ROW_BYTES_PER_OP_ENTRY = 32
 
 
 @dataclass(frozen=True, eq=False)
 class _Mode:
-    """A measurement mode as data: node outcome ``digits[j]`` applies the
-    node operator ``ops[j]`` and is recorded as ``labels[digits[j]]``; ``end``
-    (σ3 for vbs, else None) multiplies every chain operator from the left."""
+    """A measurement mode as data: outcome ``digits[j]`` applies the node
+    operator ``ops[j]``, is recorded as ``labels[digits[j]]`` and lies in class
+    ``classes[j]``; ``end`` (σ3 for vbs, else None) multiplies every chain
+    operator from the left.  Products over one string of classes differ only
+    by signs, so they share weight, |det| and concurrence bit for bit.  Qubit
+    class 0 keeps |0⟩, |1⟩ (I, σz) and class 1 swaps them (σx, σ3)."""
 
     dim: int
     digits: range
     ops: tuple[np.ndarray, ...]
     labels: tuple
+    classes: tuple[int, ...]
     end: np.ndarray | None = None
 
     @cached_property
-    def swaps(self) -> tuple[bool, ...]:
-        """Per outcome, whether its Pauli swaps |0⟩, |1⟩ (σx, σ3) or keeps them."""
-        return tuple(bool(u[0, 0] == 0) for u in self.ops)
+    def class_sizes(self) -> tuple[int, ...]:
+        """Outcomes per class, each a power of two; for qubits (k, s), so that
+        Σ_i σ_i diag(p, r) σ_i = diag(k·p + s·r, s·p + k·r) over all outcomes."""
+        sizes = tuple(map(self.classes.count, range(max(self.classes) + 1)))
+        assert all(m & (m - 1) == 0 for m in sizes), f"class sizes {sizes}"
+        return sizes
 
-    def counts(self, stop: int | None = None) -> tuple[int, int]:
-        """(k, s): how many of the first ``stop`` outcomes keep and swap.  Over
-        all outcomes Σ_i σ_i diag(p, r) σ_i = diag(k·p + s·r, s·p + k·r)."""
-        head = self.swaps[:stop]
-        return head.count(False), head.count(True)
+    @cached_property
+    def class_ops(self) -> tuple[np.ndarray, ...]:
+        """One representative node operator per class: its first outcome's."""
+        return tuple(self.ops[self.classes.index(c)] for c in range(len(self.class_sizes)))
 
 
 _MODES = {
-    VBS: _Mode(2, range(1, 4), PAULI[1:], tuple(range(4)), PAULI[3]),
-    PLAIN: _Mode(2, range(0, 4), PAULI, tuple(range(4))),
+    VBS: _Mode(2, range(1, 4), PAULI[1:], tuple(range(4)), (1, 0, 1), PAULI[3]),
+    PLAIN: _Mode(2, range(0, 4), PAULI, tuple(range(4)), (0, 1, 0, 1)),
 }
 
 
@@ -142,8 +149,10 @@ class TradeoffReport:
 
     Row b of every column belongs to the outcome whose per-node digits are
     ``digits[b]`` (little-endian, node 1 first; the digit the CLI prints).
-    ``labels`` maps a digit to that node's record index.  ``records`` is the
-    per-row view, built from the columns on first access.
+    The columns come from one operator per class of outcomes (see _table); no
+    operator is held.  ``final_ops`` multiplies out every row's operator of
+    ``chain`` on each read, and ``records``, the per-row view built on first
+    access, labels a node's digit with ``mode.labels``.
     """
 
     constant: float
@@ -153,22 +162,20 @@ class TradeoffReport:
     weight: np.ndarray
     prob: np.ndarray
     concurrence: np.ndarray
-    final_ops: np.ndarray
-    labels: tuple
+    chain: _Chain
+    mode: _Mode
+
+    @property
+    def final_ops(self) -> np.ndarray:
+        """(rows, D, D) chain operators in row order, by the full route."""
+        return _operators(self.chain, [self.mode.ops] * self.chain.n_nodes, self.mode.end)
 
     @cached_property
     def records(self) -> list[OutcomeRecord]:
-        label = self.labels.__getitem__
-        return [
-            OutcomeRecord(tuple(map(label, row)), w, p, op, c)
-            for row, w, p, op, c in zip(
-                self.digits.tolist(),
-                self.weight.tolist(),
-                self.prob.tolist(),
-                self.final_ops,
-                self.concurrence.tolist(),
-            )
-        ]
+        label = self.mode.labels.__getitem__
+        columns = (self.digits.tolist(), self.weight.tolist(), self.prob.tolist(),
+                   self.final_ops, self.concurrence.tolist())
+        return [OutcomeRecord(tuple(map(label, row)), *rest) for row, *rest in zip(*columns)]
 
 
 def digit_table(base: int, n: int, offset: int = 0) -> np.ndarray:
@@ -182,8 +189,14 @@ def digit_table(base: int, n: int, offset: int = 0) -> np.ndarray:
 
 
 def row_index(digits: np.ndarray, base: int, offset: int = 0) -> np.ndarray:
-    """Row Σ_k (d_k − offset)·base^k of each digit string in digit_table."""
-    return (digits - offset) @ base ** np.arange(digits.shape[1])
+    """Row Σ_k (d_k − offset)·base^k of each digit string in digit_table, by
+    Horner's rule over the columns, so only one int64 vector is held."""
+    rows = np.zeros(len(digits), dtype=np.int64)
+    for col in digits.T[::-1]:  # most significant node first
+        rows *= base
+        rows += col
+    rows -= offset * (base ** digits.shape[1] - 1) // (base - 1)
+    return rows
 
 
 def _approx(log10_x: float) -> str:
@@ -212,49 +225,6 @@ def check_budget(base: int, n: int, dim: int, budget: int, hint: str = "") -> No
     )
 
 
-def tabulate(batch: np.ndarray, dim: int, digits: np.ndarray, labels: tuple,
-             bond_cs: list[float]) -> TradeoffReport:
-    """Weights, probabilities and concurrences of a batch of chain operators.
-
-    weight = Tr(M M†)/dim, prob = weight / P_sum, and the report constant
-    Π_j C_j / P_sum equals prob × concurrence on every non-zero-weight row;
-    max_residual is the worst deviation.
-    """
-    hs_sq = np.abs(batch) ** 2
-    hs_sq = hs_sq.sum(axis=(1, 2))
-    weights = hs_sq / dim
-    # correctly-rounded sum: independent of the record enumeration order
-    p_sum = math.fsum(weights.tolist())
-    probs = weights / p_sum
-    abs_dets = np.abs(batched_determinant(batch))
-    conc = np.zeros(len(batch))
-    nz = hs_sq > 0.0
-    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], dim))
-    constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
-    max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
-    return TradeoffReport(
-        constant=constant,
-        p_sum=p_sum,
-        max_residual=max_residual,
-        digits=digits,
-        weight=weights,
-        prob=probs,
-        concurrence=conc,
-        final_ops=batch,
-        labels=labels,
-    )
-
-
-def _ordered_product(chain: _Chain, ops, end=None) -> np.ndarray:
-    """[end·]T_N U_N ··· U_1 T_0 for the node operators ``ops`` = U_1, ..., U_N."""
-    if len(ops) != chain.n_nodes:
-        raise ValueError(f"expected {chain.n_nodes} outcome labels, got {len(ops)}")
-    m = chain.filters[0].matrix
-    for f, u in zip(chain.filters[1:], ops):
-        m = f.matrix @ (u @ m)
-    return m if end is None else end @ m
-
-
 def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     """Ordered operator for one outcome: [σ3·]T_N σ_{i_N} ··· σ_{i_1} T_0."""
     mode = _MODES[chain.mode]
@@ -262,8 +232,7 @@ def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     for i in idx:
         if i not in mode.digits:
             raise ValueError(f"outcome index {i} invalid for mode {chain.mode!r}")
-    ops = [mode.ops[i - mode.digits.start] for i in idx]
-    return _ordered_product(chain, ops, mode.end)
+    return _operators(chain, [[mode.ops[i - mode.digits.start]] for i in idx], mode.end)[0]
 
 
 def outcome_weight(chain: SwapChain, indices) -> float:
@@ -284,15 +253,46 @@ def bond_concurrences(chain: _Chain) -> list[float]:
     ]
 
 
+def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
+    """[end·]T_N U_N ··· U_1 T_0 for every choice of each U_k from the stack
+    ``node_ops[k - 1]``, in digit-table order (node 1 least significant)."""
+    if len(node_ops) != chain.n_nodes:
+        raise ValueError(f"expected {chain.n_nodes} outcome labels, got {len(node_ops)}")
+    mats = [f.matrix for f in chain.filters]
+    if end is not None:  # a signed permutation (σ3): exact in the last factor
+        mats[-1] = end @ mats[-1]
+    layers = [[m @ u for u in ops] for m, ops in zip(mats[1:], node_ops)]
+    return batched_products(mats[0], layers)
+
+
 def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
-    """Every outcome of ``chain`` measured in ``mode``, in digit-table order:
-    the ordered products over all digit strings, then the end factor."""
-    layers = [[f.matrix @ u for u in mode.ops] for f in chain.filters[1:]]
-    batch = batched_products(chain.filters[0].matrix, layers)
-    if mode.end is not None:
-        batch = np.matmul(mode.end, batch)
+    """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
+
+    weight = Tr(M M†)/dim, |det M| and concurrence are reduced once per class
+    string, over the products of mode.class_ops; each row reads them at its
+    class index Σ_k class(d_k)·C^k.  prob = weight / P_sum; max_residual is
+    the worst deviation of prob × concurrence from Π_j C_j / P_sum.
+    """
+    batch = _operators(chain, [mode.class_ops] * chain.n_nodes, mode.end)
+    hs_sq = (np.abs(batch) ** 2).sum(axis=(1, 2))
+    weights = hs_sq / mode.dim
+    classes, n_classes = np.array(mode.classes), len(mode.class_ops)
+    index = np.zeros(1, dtype=np.intp)
+    for k in range(chain.n_nodes):
+        index = (classes[:, None] * n_classes ** k + index).ravel()
+    # w·(rows of its class) is exact (a power of two): fsum over all rows
+    p_sum = math.fsum((weights * np.bincount(index, minlength=len(weights))).tolist())
+    probs = weights / p_sum
+    abs_dets = np.abs(batched_determinant(batch))
+    conc = np.zeros(len(batch))
+    nz = hs_sq > 0.0
+    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], mode.dim))
+    bond_cs = bond_concurrences(chain)
+    constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
+    max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
     digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
-    return tabulate(batch, mode.dim, digits, mode.labels, bond_concurrences(chain))
+    return TradeoffReport(constant, p_sum, max_residual, digits, weights[index],
+                          probs[index], conc[index], chain, mode)
 
 
 def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
@@ -322,7 +322,7 @@ def _transfer(mode: _Mode, mags):
     bond, where the true entries are (p, r)·exp(log_shift); the shift stays
     0 until the entries threaten to leave the float range.
     """
-    k, s = map(float, mode.counts())
+    k, s = map(float, mode.class_sizes)
     bonds = iter(mags)
     p, r = next(bonds)
     shift = 0.0
@@ -413,7 +413,7 @@ def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = chain.n_nodes
     mode = _MODES[chain.mode]
-    k, s = mode.counts()
+    k, s = mode.class_sizes
     mags = (np.abs(chain.diags) ** 2).tolist()
 
     # suffix[j] = diagonal of the adjoint map applied to I over nodes j+1..N,
@@ -427,8 +427,8 @@ def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:
 
     # outcome c is drawn when t passes the weight n_keep·w_keep + n_swap·w_swap
     # of the outcomes before it, with the counts as exact integers
-    swaps = np.array(mode.swaps)
-    before = [mode.counts(c) for c in range(1, len(swaps))]
+    swaps = np.array(mode.classes, dtype=bool)
+    before = [(c - sum(mode.classes[:c]), sum(mode.classes[:c])) for c in range(1, len(swaps))]
     v = np.tile(np.array(mags[0])[:, None], n_samples)   # (2, n_samples)
     draws = np.empty((n_samples, n), dtype=np.uint8)
     for j in range(1, n + 1):
@@ -453,5 +453,4 @@ def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
     # one n-byte string per draw: np.unique sorts these bytewise, which is the
     # row order np.unique(draws, axis=0) gives, at a fraction of its cost
     uniq, cnt = np.unique(draws.view(f"V{n}").ravel(), return_counts=True)
-    rows = uniq.view(np.uint8).reshape(-1, n).tolist()
-    return dict(zip(map(tuple, rows), cnt.tolist()))
+    return dict(zip(struct.Struct(f"{n}B").iter_unpack(uniq), cnt.tolist()))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .filters import FilterOp, _Chain
 from .linalg import StateVector, as_matrix, det_concurrence, determinant, state_from_operator
-from .qubit import TradeoffReport, _Mode, _ordered_product, _table, check_budget
+from .qubit import TradeoffReport, _Mode, _operators, _table, check_budget
 
 #: Largest qudit outcome table enumerate_qudit_outcomes will materialize, in
 #: rows.  Its largest table, D = 6 with N = 4, peaks at about 1.5 GB in a CLI
@@ -68,10 +68,10 @@ def qudit_bell(dim: int, m: int, n: int) -> StateVector:
 
 @cache
 def _weyl_mode(dim: int) -> _Mode:
-    """The D² Weyl-Bell outcomes: digit m·D + n applies U_mn, labelled (m, n)."""
+    """The D² Weyl-Bell outcomes: digit m·D + n applies U_mn, labelled (m, n), its own class."""
     labels = tuple(divmod(digit, dim) for digit in range(dim * dim))
     ops = tuple(gen_pauli(dim, m, n).matrix for m, n in labels)
-    return _Mode(dim, range(dim * dim), ops, labels)
+    return _Mode(dim, range(dim * dim), ops, labels, tuple(range(dim * dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +93,8 @@ def qudit_chain_operator(chain: QuditChain, outcome) -> np.ndarray:
     their N operators are built, never all D² of the mode.  The product's
     |det| equals Π_k |det T_k| because every U_mn is unitary.
     """
-    ops = [gen_pauli(chain.dim, int(m), int(n)).matrix for m, n in outcome]
-    return _ordered_product(chain, ops)
+    ops = [[gen_pauli(chain.dim, int(m), int(n)).matrix] for m, n in outcome]
+    return _operators(chain, ops)[0]
 
 
 def gen_concurrence(m, dim: int) -> float:

@@ -62,7 +62,7 @@ def build_vbs_state(filters) -> StateVector:
         bond = np.zeros(4, dtype=complex)
         bond[1] = f.diag[0] / np.sqrt(2.0)
         bond[2] = -f.diag[1] / np.sqrt(2.0)
-        psi = np.kron(psi, bond)
+        psi = np.outer(psi, bond).ravel()  # np.kron's products, without its overhead
     proj = symmetric_projector()
     for k in range(1, n_internal + 1):
         left = 2 ** (2 * k - 1)

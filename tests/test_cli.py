@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -372,6 +373,34 @@ class TestColumnarRendering:
         assert code == 0
         assert sink.chars > 3_000_000
         assert peak < 2 * sink.chars
+
+
+# complex, signed, unbalanced and near-singular bonds: vbs N = 9 and plain N = 7
+PINNED_VBS9 = ("0.9,0.3;-0.5,0.7;0.6+0.2j,0.4;1,-1e-3;0.8,0.8j;0.35,1;-0.7-0.1j,0.5;"
+               "2,1;0.45,-0.95;0.3+0.3j,0.6-0.2j")
+PINNED_PLAIN7 = "1,0.5;0.2-0.9j,0.7;-1,0.35;0.6,0.6+0.1j;1e-3,1;0.75,-0.4;0.5j,0.9;0.8,0.3-0.3j"
+# sha256 of whole documents, recorded from the per-row table route; the
+# reference renderer above reads the same tables, so these pins are what
+# guards the table bits themselves
+PINNED_DOCUMENTS = {
+    ("swap", "vbs", "json"): "e443a41a2267d0895af99378e20284891025f3a0c638b682e96f9ee67e05d49b",
+    ("swap", "vbs", "csv"): "2cb6906a618455343a016aa4960cd541a73d093676a7385ea436c62a9eeceedd",
+    ("swap", "plain", "json"): "e74603379e6d34f9f82f3432a203b900951a60cc4814307f182964ef1db0f02e",
+    ("swap", "plain", "csv"): "59f300ac7a0f8d4933bb4b2fed29bf6671155935e35476f772cd92eeea9f5705",
+    ("sample", "vbs", "json"): "04776fbfc45fbd80dd3aeaad7c50ab1d000d367d9bdc7de8326fa6985f846be7",
+}
+
+
+class TestPinnedDocuments:
+    @pytest.mark.parametrize("command, mode, fmt", list(PINNED_DOCUMENTS))
+    def test_document_digest(self, capsys, command, mode, fmt):
+        filters = PINNED_VBS9 if mode == "vbs" else PINNED_PLAIN7
+        argv = [command, f"--mode={mode}", f"--filters={filters}", f"--format={fmt}"]
+        if command == "sample":
+            argv += ["--samples=5000", "--seed=7"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[command, mode, fmt]
 
 
 class TestScanCommand:

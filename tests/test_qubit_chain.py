@@ -8,22 +8,34 @@ TestPinnedOutputs were recorded from an earlier version of the code and
 must be reproduced bit for bit.
 """
 
+import cmath
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import kron, random_unitary
 
 from bondswap.filters import PLAIN, VBS, Bond, bond_concurrence, make_filter, random_filter
-from bondswap.linalg import EnumerationBudgetError, partial_trace
+from bondswap.linalg import (
+    EnumerationBudgetError,
+    batched_determinant,
+    det_concurrence,
+    partial_trace,
+)
 from bondswap.qubit import (
+    _MODES,
     SwapChain,
+    _Mode,
     bell_state,
     bond_concurrences,
     chain_operator,
+    digit_table,
     enumerate_outcomes,
     final_state,
     log_p_sum_transfer,
@@ -31,6 +43,7 @@ from bondswap.qubit import (
     outcome_weight,
     p_sum_transfer,
     pauli,
+    row_index,
     sample_outcomes,
     scan_log_constants,
     tradeoff_constant,
@@ -767,3 +780,110 @@ class TestBondConcurrencesBits:
         got = bond_concurrences(chain)
         assert want[7] == 0.0 and want[8] == 1.0
         assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+@st.composite
+def qubit_chains(draw, max_nodes):
+    """A vbs or plain chain of 0..max_nodes nodes; each bond's diagonal is
+    complex, real with random signs, or near-singular (|λ0/λ1| up to 1e150)."""
+    mode = draw(st.sampled_from([VBS, PLAIN]))
+    filters = []
+    for _ in range(draw(st.integers(0, max_nodes)) + 1):
+        kind = draw(st.sampled_from(["complex", "signed", "near-singular"]))
+        diag = [draw(st.floats(0.35, 1.0)) for _ in range(2)]
+        if kind == "complex":
+            diag = [m * cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0))) for m in diag]
+        else:
+            diag = [m * draw(st.sampled_from([-1.0, 1.0])) for m in diag]
+        if kind == "near-singular":
+            diag[draw(st.integers(0, 1))] *= 10.0 ** -draw(st.floats(0.0, 150.0))
+        filters.append(make_filter(diag))
+    return SwapChain(tuple(filters), mode)
+
+
+def full_route_columns(report):
+    """weight, prob, concurrence, p_sum, constant and max_residual reduced
+    from every row's own operator, with fsum over every row."""
+    batch = report.final_ops
+    hs_sq = (np.abs(batch) ** 2).sum(axis=(1, 2))
+    weights = hs_sq / 2
+    p_sum = math.fsum(weights.tolist())
+    probs = weights / p_sum
+    abs_dets = np.abs(batched_determinant(batch))
+    conc = np.zeros(len(batch))
+    nz = hs_sq > 0.0
+    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], 2))
+    cs = bond_concurrences(report.chain)
+    constant = 0.0 if any(c == 0.0 for c in cs) else math.prod(cs) / p_sum
+    max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
+    return weights, probs, conc, p_sum, constant, max_residual
+
+
+class TestClassKernel:
+    """Qubit tables are reduced once per keep/swap class and gathered to the
+    rows; every column must equal the full per-row route bit for bit."""
+
+    @given(chain=qubit_chains(8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_class_route_matches_full_route_bit_for_bit(self, chain):
+        report = enumerate_outcomes(chain)
+        weights, probs, conc, *scalars = full_route_columns(report)
+        for got, want in ((report.weight, weights), (report.prob, probs),
+                          (report.concurrence, conc)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = (report.p_sum, report.constant, report.max_residual)
+        assert list(map(float.hex, got)) == list(map(float.hex, scalars))
+
+    @given(chain=qubit_chains(4))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_final_ops_equal_chain_operator_on_every_row(self, chain):
+        report = enumerate_outcomes(chain)
+        ops = report.final_ops
+        assert ops.shape == (len(report.prob), 2, 2)
+        for op, digits in zip(ops, report.digits.tolist()):
+            assert np.array_equal(op, chain_operator(chain, digits))
+
+    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    def test_classes_are_keep_and_swap(self, mode):
+        m = _MODES[mode]
+        # class 1 holds exactly the Paulis with a zero diagonal (σx, σ3)
+        assert m.classes == tuple(int(u[0, 0] == 0) for u in m.ops)
+        assert m.class_sizes == ((1, 2) if mode == VBS else (2, 2))
+        assert all(u is m.ops[m.classes.index(c)] for c, u in enumerate(m.class_ops))
+
+    def test_class_sizes_must_be_powers_of_two(self):
+        m = _Mode(2, range(4), _MODES[PLAIN].ops, tuple(range(4)), (0, 0, 0, 1))
+        with pytest.raises(AssertionError, match="class sizes"):
+            m.class_sizes
+
+    def test_table_holds_no_operator_batch(self):
+        # 59049 rows: the table peaks near 44 B/row; holding every row's
+        # operator (64 B/row) and reducing it row by row peaked at 139 B/row
+        rng = np.random.default_rng(12)
+        chain = SwapChain(tuple(random_filter(rng) for _ in range(11)), VBS)
+        tracemalloc.start()
+        try:
+            report = enumerate_outcomes(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 99 * len(report.prob)
+
+
+class TestRowIndex:
+    @pytest.mark.parametrize("base, n, offset", [(3, 0, 1), (3, 5, 1), (4, 4, 0), (2, 9, 0)])
+    def test_inverts_digit_table(self, base, n, offset):
+        rows = row_index(digit_table(base, n, offset), base, offset)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, np.arange(base ** n))
+
+    def test_holds_one_int64_vector(self):
+        digits = np.ones((200_000, 13), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            rows = row_index(digits, 3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rows.any()
+        assert peak < 12 * len(digits)  # an int64 copy of the digits is 104 B/row
