@@ -9,6 +9,7 @@ error, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -242,14 +243,16 @@ def _echo(cfg, filters) -> dict:
     return echo
 
 
-def _index_strings(digits: np.ndarray) -> np.ndarray:
-    """One string per table row: node k's digit as character k of _DIGITS."""
+def _index_strings(digits: np.ndarray, quote: str) -> np.ndarray:
+    """One string per table row, in ``quote``s: node k's digit as character k of _DIGITS."""
     rows, n = digits.shape
-    if n == 0:
+    if n == 0 and not quote:
         return np.full(rows, "")
-    codes = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8).astype(np.uint32)
-    # n UCS-4 code points per row read as one numpy U<n> string each
-    return codes[digits].view(f"U{n}").ravel()
+    codes = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8).astype(np.uint32)[digits]
+    if quote:
+        codes = np.pad(codes, ((0, 0), (1, 1)), constant_values=ord(quote))
+    # the code points of a row read as one numpy U<width> string each
+    return codes.view(f"U{codes.shape[1]}").ravel()
 
 
 def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
@@ -260,13 +263,11 @@ def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
     else:
         chain = SwapChain(tuple(filters), cfg["mode"])
         report = enumerate_outcomes(chain)
-    outcomes = {
-        "index": report.digits,
-        "weight": report.weight,
-        "prob": report.prob,
-        "concurrence": report.concurrence,
-        "prob_times_c": report.prob * report.concurrence,
-    }
+    prob, conc = report.class_prob, report.class_concurrence
+    columns = {"weight": report.class_weight, "prob": prob, "concurrence": conc,
+               "prob_times_c": prob * conc}
+    outcomes = {"index": report.digits,
+                **{name: (values, report.class_index) for name, values in columns.items()}}
     payload = {
         "dim": cfg["dim"],
         "mode": cfg["mode"],
@@ -319,11 +320,12 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
     report = enumerate_outcomes(chain)  # checks the table budget: before drawing
     base, offset = len(chain.outcome_indices), chain.outcome_indices.start
     rows = row_index(_draw(chain, n, cfg["seed"]), base, offset)
-    count = np.bincount(rows, minlength=len(report.prob))
-    freq = count / n
+    counts, which = np.unique(np.bincount(rows, minlength=len(report.digits)),
+                              return_inverse=True)
     # left to right in record order, as cumsum adds: np.sum and fsum round differently
-    tv = float(np.cumsum(np.abs(freq - report.prob))[-1])
-    outcomes = {"index": report.digits, "count": count, "frequency": freq, "prob": report.prob}
+    tv = float(np.cumsum(np.abs(counts[which] / n - report.prob))[-1])
+    outcomes = {"index": report.digits, "count": (counts, which),
+                "frequency": (counts / n, which), "prob": (report.class_prob, report.class_index)}
     payload = {
         "dim": 2,
         "mode": cfg["mode"],
@@ -410,17 +412,32 @@ def _csv_tokens(col: np.ndarray) -> list[str]:
     return list(map(_csv_cell if col.dtype.kind == "O" else str, col.tolist()))
 
 
-def _column_tokens(col: np.ndarray, encode):
-    """A function from a slice of rows to the column's tokens there.  A float
-    column encodes each distinct bit pattern once (so -0.0 stays apart from
-    0.0) and gathers; a digit table becomes one index string per row."""
-    if col.dtype.kind == "f":
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        tokens = np.array(encode(bits.view(np.float64)), dtype=object)
-        return lambda rows: tokens[inverse[rows]].tolist()
-    if col.ndim == 2:
-        return lambda rows: encode(_index_strings(col[rows]))
-    return lambda rows: encode(col[rows])
+def _segments(rows: dict, names, opens, encode, quote: str):
+    """The text before each segment of a row, and a function from a slice of rows
+    to its tokens.  Row b of a column (values, index) holds values[index[b]],
+    and columns with one index join their tokens once per value.  A float
+    column with no fewer values than rows (plain, or qudit, whose outcomes are
+    classes of one) is factored first by its bits (-0.0 apart from 0.0)."""
+    texts, parts = [], []  # (index, tokens per value) or (None, column)
+    for name, text in zip(names, opens):
+        values, index = rows[name] if isinstance(rows[name], tuple) else (rows[name], None)
+        if values.dtype.kind == "f" and (index is None or len(values) >= len(index)):
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            values, index = bits.view(np.float64), inverse if index is None else inverse[index]
+        tokens = values if index is None else np.array(encode(values), dtype=object)
+        if index is not None and parts and parts[-1][0] is index:
+            parts[-1] = (index, parts[-1][1] + text + tokens)
+        else:
+            texts.append(text)
+            parts.append((index, tokens))
+
+    def column(index, tokens):
+        if index is not None:
+            return lambda rows: tokens[index[rows]].tolist()
+        if tokens.ndim == 2:
+            return lambda rows: _index_strings(tokens[rows], quote).tolist()
+        return lambda rows: encode(tokens[rows])
+    return texts, [column(*part) for part in parts]
 
 
 def _render(fmt: str, command: str, document: dict):
@@ -438,7 +455,7 @@ def _render(fmt: str, command: str, document: dict):
         # the text before each field of a row, and after its last
         opens = [f"{',' if j else '    {'}\n      {json.dumps(name)}: "
                  for j, name in enumerate(names)]
-        close, sep, trailer, encode = "\n    }", ",\n", f"\n  ]{tail}\n", _json_tokens
+        close, sep, trailer, encode, quote = "\n    }", ",\n", f"\n  ]{tail}\n", _json_tokens, '"'
         one_row = lambda row: "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
     else:
         names = _CSV_COLUMNS[command]
@@ -446,11 +463,11 @@ def _render(fmt: str, command: str, document: dict):
                  for k, v in document.items() if k not in (rows_key, "config_echo")}
         yield "".join(f"# {k}={v}\n" for k, v in cells.items()) + ",".join(names) + "\n"
         opens = [""] + [","] * (len(names) - 1)
-        close, sep, trailer, encode = "", "\n", "\n", _csv_tokens
+        close, sep, trailer, encode, quote = "", "\n", "\n", _csv_tokens, ""
         one_row = lambda row: ",".join(_csv_cell(row[name]) for name in names)
-    if isinstance(rows, dict):  # columns: name -> numpy array
-        columns = [_column_tokens(rows[name], encode) for name in names]
-        glue = [close + sep + opens[0], *opens[1:]]
+    if isinstance(rows, dict):  # columns: name -> numpy array or (values, index)
+        glue, columns = _segments(rows, names, opens, encode, quote)
+        glue[0] = close + sep + glue[0]
         step = 2 * len(glue)
         for start in range(0, len(rows[names[0]]), _CHUNK_ROWS):
             # one str.join over glue and tokens interleaved row by row
@@ -466,7 +483,9 @@ def _render(fmt: str, command: str, document: dict):
     yield trailer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="bondswap",
         description="Entanglement swapping on chains of filtered bonds.",

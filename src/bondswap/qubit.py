@@ -46,8 +46,8 @@ _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 ENUMERATION_BUDGET = 3 ** 13
 
 # Peak resident bytes per row of a CLI swap or sample, an upper fit to the
-# largest admitted tables: 110-139 B/row for qubits, set by the columns and their
-# rendering, and 294-1686 for qudit D = 3-8, set by each row's D×D operator.
+# largest admitted tables: 60-67 B/row for a qubit swap and 89-99 for a sample,
+# set by its count arrays, and 294-1686 for qudit D = 3-8, by each D×D operator.
 _ROW_BYTES = 150
 _ROW_BYTES_PER_OP_ENTRY = 32
 
@@ -145,25 +145,29 @@ class OutcomeRecord:
 
 @dataclass(frozen=True, eq=False)
 class TradeoffReport:
-    """Outcome table held as columns, plus the outcome-independent prob × C.
+    """Outcome table held per class, plus the outcome-independent prob × C.
 
-    Row b of every column belongs to the outcome whose per-node digits are
-    ``digits[b]`` (little-endian, node 1 first; the digit the CLI prints).
-    The columns come from one operator per class of outcomes (see _table); no
-    operator is held.  ``final_ops`` multiplies out every row's operator of
-    ``chain`` on each read, and ``records``, the per-row view built on first
-    access, labels a node's digit with ``mode.labels``.
+    Row b belongs to the outcome whose per-node digits are ``digits[b]``
+    (little-endian, node 1 first; the digit the CLI prints) and shares the
+    values of class ``class_index[b]`` (see _table) bit for bit; ``weight``,
+    ``prob`` and ``concurrence`` gather them on each read.  ``final_ops``
+    multiplies out every row's operator of ``chain`` on each read, and
+    ``records``, the per-row view, labels a digit with ``mode.labels``.
     """
 
     constant: float
     p_sum: float
     max_residual: float
     digits: np.ndarray
-    weight: np.ndarray
-    prob: np.ndarray
-    concurrence: np.ndarray
+    class_index: np.ndarray
+    class_weight: np.ndarray
+    class_prob: np.ndarray
+    class_concurrence: np.ndarray
     chain: _Chain
     mode: _Mode
+    weight = property(lambda self: self.class_weight[self.class_index])
+    prob = property(lambda self: self.class_prob[self.class_index])
+    concurrence = property(lambda self: self.class_concurrence[self.class_index])
 
     @property
     def final_ops(self) -> np.ndarray:
@@ -269,15 +273,15 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
 
     weight = Tr(M M†)/dim, |det M| and concurrence are reduced once per class
-    string, over the products of mode.class_ops; each row reads them at its
-    class index Σ_k class(d_k)·C^k.  prob = weight / P_sum; max_residual is
-    the worst deviation of prob × concurrence from Π_j C_j / P_sum.
+    string, over the products of mode.class_ops; a row's class index Σ_k
+    class(d_k)·C^k takes the smallest unsigned dtype.  prob = weight / P_sum;
+    max_residual is the worst deviation of prob × concurrence from Π_j C_j / P_sum.
     """
     batch = _operators(chain, [mode.class_ops] * chain.n_nodes, mode.end)
     hs_sq = (np.abs(batch) ** 2).sum(axis=(1, 2))
     weights = hs_sq / mode.dim
-    classes, n_classes = np.array(mode.classes), len(mode.class_ops)
-    index = np.zeros(1, dtype=np.intp)
+    index = np.zeros(1, dtype=np.min_scalar_type(len(weights) - 1))
+    classes, n_classes = np.array(mode.classes, index.dtype), len(mode.class_ops)
     for k in range(chain.n_nodes):
         index = (classes[:, None] * n_classes ** k + index).ravel()
     # w·(rows of its class) is exact (a power of two): fsum over all rows
@@ -291,8 +295,8 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
     max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
     digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
-    return TradeoffReport(constant, p_sum, max_residual, digits, weights[index],
-                          probs[index], conc[index], chain, mode)
+    return TradeoffReport(constant, p_sum, max_residual, digits, index, weights, probs, conc,
+                          chain, mode)
 
 
 def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:

@@ -16,6 +16,7 @@ joint outcomes come out of one contraction pass over the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,13 +152,24 @@ class OutcomeComparison:
 
 @dataclass(frozen=True, eq=False)
 class CrossCheckReport:
-    """Outcome-by-outcome agreement between oracle and chain computation."""
+    """Outcome-by-outcome agreement between oracle and chain, as columns."""
 
-    comparisons: list[OutcomeComparison]
+    digits: np.ndarray
+    oracle_weight: np.ndarray
+    chain_prob: np.ndarray
+    weight_dev: np.ndarray
+    fidelity: np.ndarray
     worst_weight_dev: float
     worst_fidelity: float
     tolerance: float
     passed: bool
+
+    @cached_property
+    def comparisons(self) -> list[OutcomeComparison]:
+        """One comparison per outcome, built on first read."""
+        columns = (self.oracle_weight, self.chain_prob, self.weight_dev, self.fidelity)
+        return [OutcomeComparison(tuple(idx), *rest) for idx, *rest in
+                zip(self.digits.tolist(), *(col.tolist() for col in columns))]
 
 
 def cross_check(filters, tolerance: float = 1e-9,
@@ -192,22 +204,6 @@ def cross_check(filters, tolerance: float = 1e-9,
     overlap = _abs_sq(np.sum(unit_end.conj() * pred, axis=1))
     fid[live] = np.clip(overlap / _abs_sq(pred).sum(axis=1), 0.0, 1.0)
     dev = np.abs(weights - prob)
-    comparisons = [
-        OutcomeComparison(
-            indices=tuple(idx), oracle_weight=w, chain_prob=p, weight_dev=d, fidelity=f
-        )
-        for idx, w, p, d, f in zip(
-            report.digits.tolist(), weights.tolist(), prob.tolist(),
-            dev.tolist(), fid.tolist(),
-        )
-    ]
-    worst_dev = float(dev.max())
-    worst_fid = float(fid.min())
-    tol = float(tolerance)
-    return CrossCheckReport(
-        comparisons=comparisons,
-        worst_weight_dev=worst_dev,
-        worst_fidelity=worst_fid,
-        tolerance=tol,
-        passed=worst_dev <= tol and worst_fid >= 1.0 - tol,
-    )
+    worst_dev, worst_fid, tol = float(dev.max()), float(fid.min()), float(tolerance)
+    return CrossCheckReport(report.digits, weights, prob, dev, fid, worst_dev, worst_fid, tol,
+                            passed=worst_dev <= tol and worst_fid >= 1.0 - tol)

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from bondswap.qubit import (
     scan_log_constants,
 )
 from bondswap.qudit import QuditChain, enumerate_qudit_outcomes
+from bondswap.vbs import OutcomeComparison, cross_check
 
 
 def run_cli(capsys, *argv):
@@ -305,13 +308,29 @@ FLOAT_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
 @st.composite
 def swap_columns(draw):
     """Digit rows and the four float columns of a swap table drawn from
-    FLOAT_POOL, so values repeat within and across blocks."""
+    FLOAT_POOL, so values repeat within and across blocks: each row's values,
+    and the columns as rendered.  A column is plain, or (values, index) with
+    one index shared by all such columns, whose classes often come in runs
+    that straddle blocks, and may be no fewer than the rows."""
     n_rows, n_nodes = draw(st.integers(1, 12)), draw(st.integers(0, 3))
     digits = draw(st.lists(st.lists(st.integers(1, 3), min_size=n_nodes, max_size=n_nodes),
                            min_size=n_rows, max_size=n_rows))
-    column = st.lists(st.sampled_from(FLOAT_POOL), min_size=n_rows, max_size=n_rows)
-    names = ("weight", "prob", "concurrence", "prob_times_c")
-    return digits, {name: draw(column) for name in names}
+    n_classes = draw(st.integers(1, 14))
+    index = draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        index.sort()
+    shared = np.array(index, dtype=np.uint8)
+    rows, columns = {}, {}
+    for name in ("weight", "prob", "concurrence", "prob_times_c"):
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(FLOAT_POOL), min_size=n_classes,
+                                   max_size=n_classes))
+            rows[name], columns[name] = [values[c] for c in index], (np.array(values), shared)
+        else:
+            rows[name] = draw(st.lists(st.sampled_from(FLOAT_POOL), min_size=n_rows,
+                                       max_size=n_rows))
+            columns[name] = np.array(rows[name])
+    return digits, rows, columns
 
 
 class _Sink(io.TextIOBase):
@@ -342,7 +361,7 @@ class TestColumnarRendering:
     def test_repeated_and_special_floats(self, monkeypatch, fmt, table):
         # blocks of 3 rows, so a distinct value's token serves several blocks
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
-        digits, floats = table
+        digits, floats, factored = table
         cfg = cli._resolve_config(cli.build_parser().parse_args(
             ["swap", *WORKED, "--format", fmt]))
         filters = cli._build_filters(cfg)
@@ -352,16 +371,19 @@ class TestColumnarRendering:
         rows = [{"index": "".join(cli._DIGITS[d] for d in row),
                  **{name: col[i] for name, col in floats.items()}}
                 for i, row in enumerate(digits)]
-        columns = {"index": np.array(digits, dtype=np.uint8),
-                   **{name: np.array(col) for name, col in floats.items()}}
+        columns = {"index": np.array(digits, dtype=np.uint8), **factored}
         document = {"version": __version__, "seed": cfg["seed"],
                     "config_echo": cli._echo(cfg, filters), **head, "outcomes": columns}
         assert "".join(cli._render(fmt, "swap", document)) == render_reference(
             cfg, filters, {**head, "outcomes": rows})
 
-    def test_rendering_streams_in_blocks(self):
-        # the whole document is never held: the peak of a 19683-row JSON swap
-        # written to a sink stays below twice the document's length
+    def test_rendering_streams_in_blocks(self, monkeypatch):
+        # the whole document is never held, nor a per-row array beside the
+        # table's own: the peak of a 19683-row JSON swap written to a sink is
+        # 0.63 times the document's length, where gathered columns and their
+        # np.unique inverses took 0.99.  Qubit columns take their tokens per
+        # keep/swap class, so np.unique is never called.
+        monkeypatch.setattr(np, "unique", None)
         sink = _Sink()
         tracemalloc.start()
         try:
@@ -372,35 +394,48 @@ class TestColumnarRendering:
             tracemalloc.stop()
         assert code == 0
         assert sink.chars > 3_000_000
-        assert peak < 2 * sink.chars
+        assert peak < 0.8 * sink.chars
 
 
-# complex, signed, unbalanced and near-singular bonds: vbs N = 9 and plain N = 7
+# complex, signed, unbalanced and near-singular bonds: vbs N = 9, plain N = 7
+# and qudit D = 5, N = 3; and identical bonds, whose 729 rows fall in 64
+# keep/swap classes, so 5000 draws give each count to many rows
 PINNED_VBS9 = ("0.9,0.3;-0.5,0.7;0.6+0.2j,0.4;1,-1e-3;0.8,0.8j;0.35,1;-0.7-0.1j,0.5;"
                "2,1;0.45,-0.95;0.3+0.3j,0.6-0.2j")
 PINNED_PLAIN7 = "1,0.5;0.2-0.9j,0.7;-1,0.35;0.6,0.6+0.1j;1e-3,1;0.75,-0.4;0.5j,0.9;0.8,0.3-0.3j"
-# sha256 of whole documents, recorded from the per-row table route; the
-# reference renderer above reads the same tables, so these pins are what
-# guards the table bits themselves
+PINNED_QUDIT5 = "1,2,0.5,0.3+0.4j,0.8;0.7,1,-0.5,0.2,1.5;0.9j,0.4,1,0.6,-1;1,0.25,0.75,2,0.5-0.1j"
+PINNED_CHAINS = {
+    "vbs": ("--mode=vbs", f"--filters={PINNED_VBS9}"),
+    "plain": ("--mode=plain", f"--filters={PINNED_PLAIN7}"),
+    "qudit": ("--mode=qudit", "--dim=5", f"--filters={PINNED_QUDIT5}"),
+    "identical": ("--identical=2,1", "--bonds=7"),
+}
+# sha256 of whole documents, recorded from the per-row table route (the last
+# four from the column renderer that preceded class tokens); the reference
+# renderer above reads the same tables, so these pins guard the table bits
 PINNED_DOCUMENTS = {
     ("swap", "vbs", "json"): "e443a41a2267d0895af99378e20284891025f3a0c638b682e96f9ee67e05d49b",
     ("swap", "vbs", "csv"): "2cb6906a618455343a016aa4960cd541a73d093676a7385ea436c62a9eeceedd",
     ("swap", "plain", "json"): "e74603379e6d34f9f82f3432a203b900951a60cc4814307f182964ef1db0f02e",
     ("swap", "plain", "csv"): "59f300ac7a0f8d4933bb4b2fed29bf6671155935e35476f772cd92eeea9f5705",
     ("sample", "vbs", "json"): "04776fbfc45fbd80dd3aeaad7c50ab1d000d367d9bdc7de8326fa6985f846be7",
+    ("sample", "vbs", "csv"): "a0e591335ddbdf1439b31b81d5774930e00938bbf94203be07bdd285e954042d",
+    ("sample", "plain", "csv"): "c51726c1e744f780faa0910fde875c4b63bc47db6720dac30d43937fe5b95dab",
+    ("swap", "qudit", "json"): "4b0ad71e8bf16345ba9aa712579f54312ca048cfc2e765986740904cce775d98",
+    ("sample", "identical", "json"):
+        "a5846173ee490052d7c562f6814e5776bbfd988c3213c7f000663dc78cc17f7e",
 }
 
 
 class TestPinnedDocuments:
-    @pytest.mark.parametrize("command, mode, fmt", list(PINNED_DOCUMENTS))
-    def test_document_digest(self, capsys, command, mode, fmt):
-        filters = PINNED_VBS9 if mode == "vbs" else PINNED_PLAIN7
-        argv = [command, f"--mode={mode}", f"--filters={filters}", f"--format={fmt}"]
+    @pytest.mark.parametrize("command, chain, fmt", list(PINNED_DOCUMENTS))
+    def test_document_digest(self, capsys, command, chain, fmt):
+        argv = [command, *PINNED_CHAINS[chain], f"--format={fmt}"]
         if command == "sample":
             argv += ["--samples=5000", "--seed=7"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[command, mode, fmt]
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[command, chain, fmt]
 
 
 class TestScanCommand:
@@ -454,8 +489,9 @@ class TestSampleCommand:
 
     def test_counting_holds_no_per_row_objects(self):
         # the draws are counted by table row in arrays: a 19683-row sample
-        # peaks at 160-180 B/row, where label tuples and whole-table lists of
-        # Python floats took 250-280
+        # peaks at 100 B/row, where label tuples and whole-table lists of
+        # Python floats took 250-280, and row columns with their np.unique
+        # inverses 135
         sink = _Sink()
         tracemalloc.start()
         try:
@@ -465,7 +501,7 @@ class TestSampleCommand:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 215 * 3 ** 9
+        assert peak < 125 * 3 ** 9
 
 
 class TestVerifyCommand:
@@ -481,6 +517,21 @@ class TestVerifyCommand:
         doc = run_json(capsys, "verify", *WORKED)
         assert doc["passed"] is True
         assert doc["n_chains"] == 1
+
+    def test_comparisons_are_built_only_when_read(self, capsys, monkeypatch):
+        reports = []
+
+        def spy(*args, **kwargs):
+            reports.append(cross_check(*args, **kwargs))
+            return reports[-1]
+        monkeypatch.setattr(cli, "cross_check", spy)
+        assert run_json(capsys, "verify")["passed"] is True
+        assert len(reports) == 6
+        assert not any("comparisons" in vars(rep) for rep in reports)
+        comparisons = reports[-1].comparisons
+        assert comparisons is reports[-1].comparisons
+        assert type(comparisons) is list and len(comparisons) == 3 ** 3
+        assert all(type(c) is OutcomeComparison for c in comparisons)
 
     def test_corrupted_projector_order_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", *WORKED, "--corrupt-bell-order")
@@ -683,6 +734,22 @@ class TestParser:
             listing = f"--{key.replace('_', '-')} {arg} {opt.flag.get('help', '')}"
             assert listing.strip() in text, listing
         assert "--config FILE JSON config file" in text
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # two runs in one process write the bytes of two runs in processes of
+        # their own, and the shared parser prints the same --help
+        monkeypatch.setenv("COLUMNS", "80")
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root}
+        argvs = (["swap", *WORKED, "--format", "csv"], ["scan", "--identical", "2,1"], ["--help"])
+        alone = [subprocess.run([sys.executable, "-m", "bondswap.cli", *argv], env=env,
+                                capture_output=True, text=True, check=True).stdout
+                 for argv in argvs]
+        shared = [run_cli(capsys, *argv)[1] for argv in argvs[:2]]
+        with pytest.raises(SystemExit):
+            main(argvs[2])
+        assert shared + [capsys.readouterr().out] == alone
+        assert cli.build_parser() is cli.build_parser()
 
     def test_flags_may_come_before_the_command(self, capsys):
         after = run_cli(capsys, "swap", *WORKED)
