@@ -24,11 +24,12 @@ from .qubit import (
     SwapChain,
     _draw,
     bond_concurrences,
+    check_table_budget,
     enumerate_outcomes,
     row_index,
     scan_log_constants,
 )
-from .qudit import QuditChain, enumerate_qudit_outcomes
+from .qudit import QuditChain, check_qudit_table_budget, enumerate_qudit_outcomes
 from .vbs import cross_check
 
 QUDIT = "qudit"
@@ -194,7 +195,10 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
-def _build_filters(cfg) -> list[FilterOp]:
+def _build_filters(cfg, table: bool = False) -> list[FilterOp]:
+    """The chain's filters, one per bond.  With ``table``, an outcome table over
+    its budget is refused from the bond count, after the usage checks and
+    before the list of one filter per bond is made."""
     if cfg["identical"] is not None and cfg["filters"] is not None:
         raise UsageError("give either --identical or --filters, not both")
     if cfg["identical"] is not None:
@@ -217,7 +221,12 @@ def _build_filters(cfg) -> list[FilterOp]:
                 f"filter {diag} has {len(diag)} entries but --dim is {cfg['dim']}"
             )
     filters = [make_filter(d) for d in diags]
-    return filters if cfg["filters"] is not None else filters * cfg["bonds"]
+    n_bonds = cfg["bonds"] if cfg["filters"] is None else len(filters)
+    if table and cfg["mode"] == QUDIT:
+        check_qudit_table_budget(cfg["dim"], n_bonds - 1)
+    elif table:
+        check_table_budget(cfg["mode"], n_bonds - 1)
+    return filters if cfg["filters"] is not None else filters * n_bonds
 
 
 def _normalized(filters) -> list:
@@ -256,7 +265,7 @@ def _index_strings(digits: np.ndarray, quote: str) -> np.ndarray:
 
 
 def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
-    filters = _build_filters(cfg)
+    filters = _build_filters(cfg, table=True)
     if cfg["mode"] == QUDIT:
         chain = QuditChain(cfg["dim"], tuple(filters))
         report = enumerate_qudit_outcomes(chain)
@@ -315,15 +324,26 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
     if n < 1:
         raise UsageError("--samples must be >= 1")
     _check_budget("sample", n, _DRAW_BUDGET, "draw", _DRAW_BYTES)
-    filters = _build_filters(cfg)
+    filters = _build_filters(cfg, table=True)
     chain = SwapChain(tuple(filters), cfg["mode"])
-    report = enumerate_outcomes(chain)  # checks the table budget: before drawing
+    report = enumerate_outcomes(chain)
     base, offset = len(chain.outcome_indices), chain.outcome_indices.start
-    rows = row_index(_draw(chain, n, cfg["seed"]), base, offset)
-    counts, which = np.unique(np.bincount(rows, minlength=len(report.digits)),
-                              return_inverse=True)
-    # left to right in record order, as cumsum adds: np.sum and fsum round differently
-    tv = float(np.cumsum(np.abs(counts[which] / n - report.prob))[-1])
+    per_row = np.bincount(row_index(_draw(chain, n, cfg["seed"]), base, offset),
+                          minlength=len(report.digits))
+    # the distinct counts ascending, as np.unique gives them, from a count of
+    # counts (at most n + 1 long), and each row's place among them in the
+    # smallest unsigned dtype: no row-length sort and no int64 inverse
+    counts = np.flatnonzero(np.bincount(per_row))
+    place = np.zeros(counts[-1] + 1, np.min_scalar_type(len(counts) - 1))
+    place[counts] = np.arange(len(counts))
+    which = place[per_row]
+    del per_row
+    # |frequency − prob| summed left to right in record order, as cumsum adds
+    # (np.sum and fsum round differently), in one row-length buffer
+    dev = (counts / n)[which]
+    dev -= report.prob
+    np.abs(dev, out=dev)
+    tv = float(np.cumsum(dev, out=dev)[-1])
     outcomes = {"index": report.digits, "count": (counts, which),
                 "frequency": (counts / n, which), "prob": (report.class_prob, report.class_index)}
     payload = {

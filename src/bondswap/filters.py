@@ -1,4 +1,4 @@
-"""Diagonal local filtering operators and the entangled bonds they produce.
+"""Diagonal local filtering operators and the chains of bonds they filter.
 
 A filter is a diagonal operator applied to one side of a maximally entangled
 pair.  Every filter is rescaled on construction so that Σ|λ_j|² equals the
@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, det_concurrence, state_from_operator
-
 PLAIN = "plain"
 VBS = "vbs"
-CONVENTIONS = (PLAIN, VBS)
-
-# σx·σz — the unitary that turns |Φ+⟩ into the singlet (up to sign).
-_SIGMA3 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA3.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,43 +128,3 @@ class _Chain:
         """Number of measured internal nodes (bonds minus one)."""
         return len(self.filters) - 1
 
-
-@dataclass(frozen=True, eq=False)
-class Bond:
-    """A filtered entangled pair: (I ⊗ T)|Φ+⟩, or (I ⊗ σ3 T)|Φ+⟩ for vbs.
-
-    The vbs convention (singlet-like bond α|01⟩ − β|10⟩) only exists for
-    qubits.
-    """
-
-    filter: FilterOp
-    convention: str = PLAIN
-
-    def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"unknown bond convention {self.convention!r}")
-        if self.convention == VBS and self.filter.dim != 2:
-            raise ValueError("vbs bonds are qubit-only (dim 2)")
-
-
-def bond_state(bond: Bond) -> StateVector:
-    """Normalized two-qudit state of the bond."""
-    op = bond.filter.matrix
-    if bond.convention == VBS:
-        op = _SIGMA3 @ op
-    return state_from_operator(op, bond.filter.dim)
-
-
-def bond_concurrence(bond: Bond) -> float:
-    """Entanglement of the bond state in [0, 1]; 1 iff all |λ_j| are equal.
-
-    For qubits this is the concurrence 2|αβ|; in general it is the
-    determinant-based measure dim·|det T|^(2/dim)/Tr(T T†), which the bond
-    normalization reduces to Π_j |λ_j|^(2/dim).
-    """
-    lam = bond.filter.diag
-    abs_det = float(np.prod(np.abs(lam)))
-    if abs_det == 0.0:
-        return 0.0
-    ssq = float(np.sum(np.abs(lam) ** 2))
-    return min(1.0, float(det_concurrence(abs_det, ssq, bond.filter.dim)))

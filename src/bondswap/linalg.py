@@ -76,6 +76,7 @@ class StateVector:
         return StateVector(self.dims, self.amplitudes / n)
 
 
+# kept for bench/spans.py, which wraps it: no caller in the package
 def state_from_operator(m, dim: int) -> StateVector:
     """Two-qudit state (I ⊗ M)|Φ+⟩ for a dim×dim operator M.
 
@@ -91,48 +92,7 @@ def state_from_operator(m, dim: int) -> StateVector:
     return StateVector((d, d), amps)
 
 
-def partial_trace(state: StateVector, keep, atol: float = ATOL_EXACT) -> np.ndarray:
-    """Reduced density matrix of a normalized pure state.
-
-    Parameters
-    ----------
-    state : StateVector
-        Normalized input state.
-    keep : int or iterable of int
-        Subsystem indices to keep; the reduced matrix orders them ascending.
-    """
-    if isinstance(keep, (int, np.integer)):
-        keep_idx = (int(keep),)
-    else:
-        keep_idx = tuple(sorted({int(i) for i in keep}))
-    n = len(state.dims)
-    if not keep_idx:
-        raise ValueError("must keep at least one subsystem")
-    if any(i < 0 or i >= n for i in keep_idx):
-        raise ValueError(f"subsystem index out of range for {n} subsystems")
-    if not state.is_normalized(atol):
-        raise ValueError("partial_trace expects a normalized state")
-    traced = tuple(i for i in range(n) if i not in keep_idx)
-    psi = state.amplitudes.reshape(state.dims)
-    psi = np.transpose(psi, keep_idx + traced)
-    d_keep = prod(state.dims[i] for i in keep_idx)
-    mat = psi.reshape(d_keep, -1)
-    return mat @ mat.conj().T
-
-
-def determinant(m) -> complex:
-    """Determinant of a square matrix (closed form for 1×1 and 2×2)."""
-    arr = as_matrix(m)
-    rows, cols = arr.shape
-    if rows != cols:
-        raise ValueError(f"determinant needs a square matrix, got {arr.shape}")
-    if rows == 1:
-        return complex(arr[0, 0])
-    if rows == 2:
-        return complex(arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0])
-    return complex(np.linalg.det(arr))
-
-
+# kept for bench/spans.py, which wraps it: no caller in the package
 def fidelity_up_to_phase(u: StateVector, v: StateVector) -> float:
     """|⟨u|v⟩|² for two normalized states; insensitive to global phase."""
     if u.dims != v.dims:

@@ -28,7 +28,6 @@ from .linalg import (
     batched_determinant,
     batched_products,
     det_concurrence,
-    state_from_operator,
 )
 
 _ID = np.eye(2, dtype=complex)
@@ -94,13 +93,6 @@ def _mode(name: str) -> _Mode:
     return _MODES[name]
 
 
-def pauli(i: int) -> np.ndarray:
-    """σ_i in the ordering (I, σx, σz, σx·σz)."""
-    if i not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be 0..3, got {i}")
-    return PAULI[i]
-
-
 def bell_state(mode: str, i: int) -> StateVector:
     """Measurement basis state for one internal node.
 
@@ -132,6 +124,7 @@ class SwapChain(_Chain):
         return _MODES[self.mode].digits
 
 
+# kept for bench/spans.py, whose counters read len(report.records) on traced runs
 @dataclass(frozen=True, eq=False)
 class OutcomeRecord:
     """One Bell-outcome row of an enumeration table."""
@@ -174,7 +167,7 @@ class TradeoffReport:
         """(rows, D, D) chain operators in row order, by the full route."""
         return _operators(self.chain, [self.mode.ops] * self.chain.n_nodes, self.mode.end)
 
-    @cached_property
+    @cached_property  # kept for bench/spans.py, whose counters read len(records)
     def records(self) -> list[OutcomeRecord]:
         label = self.mode.labels.__getitem__
         columns = (self.digits.tolist(), self.weight.tolist(), self.prob.tolist(),
@@ -217,7 +210,8 @@ def check_budget(base: int, n: int, dim: int, budget: int, hint: str = "") -> No
     Runs before anything is allocated; the error gives the row count and the
     estimated peak memory of a CLI run that renders the table.
     """
-    if base ** n <= budget:
+    # past its bit length, base^n > 2^n > budget: never build a huge base ** n
+    if n <= budget.bit_length() and base ** n <= budget:
         return
     log10_rows = n * math.log10(base)
     row_bytes = _ROW_BYTES + _ROW_BYTES_PER_OP_ENTRY * dim * dim
@@ -229,6 +223,13 @@ def check_budget(base: int, n: int, dim: int, budget: int, hint: str = "") -> No
     )
 
 
+def check_table_budget(mode: str, n_nodes: int) -> None:
+    """enumerate_outcomes's budget check, from the mode and node count alone."""
+    check_budget(len(_mode(mode).digits), n_nodes, 2, ENUMERATION_BUDGET,
+                 "; use sample_outcomes or p_sum_transfer instead")
+
+
+# kept for bench/spans.py, which wraps it: no caller in the package
 def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     """Ordered operator for one outcome: [σ3·]T_N σ_{i_N} ··· σ_{i_1} T_0."""
     mode = _MODES[chain.mode]
@@ -239,16 +240,11 @@ def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     return _operators(chain, [[mode.ops[i - mode.digits.start]] for i in idx], mode.end)[0]
 
 
-def outcome_weight(chain: SwapChain, indices) -> float:
-    """(1/2)Tr(M M†) — the squared norm of (I ⊗ M)|Φ+⟩."""
-    m = chain_operator(chain, indices)
-    return 0.5 * float(np.sum(np.abs(m) ** 2))
-
-
 def bond_concurrences(chain: _Chain) -> list[float]:
-    """Per-bond concurrence C_j of every bond of a qubit or qudit chain, bit for
-    bit bond_concurrence: |det| and Σ|λ|² in one pass over the diagonals, then
-    Python's ``**`` per bond (np.power can round differently)."""
+    """Per-bond entanglement C_j = D·|det T_j|^(2/D) / Tr(T_j T_j†) of every bond
+    of a qubit or qudit chain (2|αβ| for qubits; 0 for a singular filter): |det|
+    and Σ|λ|² in one pass over the diagonals, then Python's ``**`` per bond
+    (np.power can round differently)."""
     mags = np.abs(chain.diags)
     dim = mags.shape[1]
     return [
@@ -307,14 +303,8 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     one; the report constant Π_j C_j / P_sum equals prob × concurrence on
     every non-zero-weight record, and max_residual is the worst deviation.
     """
-    check_budget(len(chain.outcome_indices), chain.n_nodes, 2, ENUMERATION_BUDGET,
-                 "; use sample_outcomes or p_sum_transfer instead")
+    check_table_budget(chain.mode, chain.n_nodes)
     return _table(chain, _MODES[chain.mode])
-
-
-def final_state(chain: SwapChain, indices) -> StateVector:
-    """Normalized end-pair state (I ⊗ M)|Φ+⟩/‖·‖ for one outcome."""
-    return state_from_operator(chain_operator(chain, indices), 2).normalized()
 
 
 def _transfer(mode: _Mode, mags):
@@ -380,14 +370,6 @@ def tradeoff_constant(chain: SwapChain) -> float:
         return math.prod(cs) / (0.5 * (p + r))
     log_val = math.fsum(math.log(c) for c in cs) - shift - math.log(0.5 * (p + r))
     return math.exp(log_val)
-
-
-def log_tradeoff_constant(chain: SwapChain) -> float:
-    """log(Π_j C_j / P_sum); -inf when a filter is singular."""
-    cs = bond_concurrences(chain)
-    if any(c == 0.0 for c in cs):
-        return -math.inf
-    return math.fsum(math.log(c) for c in cs) - log_p_sum_transfer(chain)
 
 
 def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarray:

@@ -119,6 +119,7 @@ def measure_all_outcomes(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     return _abs_sq(ends).sum(axis=(1, 2)), ends
 
 
+# kept for bench/spans.py, which wraps it: no caller in the package
 def measure_internal_sites(state: StateVector, indices) -> tuple[float, StateVector | None]:
     """Project every internal pair onto its symmetric Bell outcome.
 

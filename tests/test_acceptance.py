@@ -13,8 +13,10 @@ import time
 import numpy as np
 import pytest
 
+from reference import bond_concurrence
+
 from bondswap.cli import main as cli_main
-from bondswap.filters import PLAIN, VBS, Bond, bond_concurrence, make_filter, random_filter
+from bondswap.filters import PLAIN, VBS, make_filter, random_filter
 from bondswap.qubit import (
     SwapChain,
     bond_concurrences,
@@ -162,7 +164,7 @@ def test_criterion_5_qudit_tradeoff():
         filters = tuple(random_filter(rng, dim=d) for _ in range(n_nodes + 1))
         chain = QuditChain(d, filters)
         report = enumerate_qudit_outcomes(chain)
-        cprod = math.prod(bond_concurrence(Bond(f, PLAIN)) for f in filters)
+        cprod = math.prod(bond_concurrence(f) for f in filters)
         for rec in report.records:
             worst_literal = max(
                 worst_literal, abs(rec.weight * rec.concurrence - cprod)

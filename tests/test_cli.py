@@ -16,9 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import bond_concurrence
+
 from bondswap import __version__, cli, qubit, qudit
 from bondswap.cli import main
-from bondswap.filters import PLAIN, Bond, bond_concurrence, make_filter
+from bondswap.filters import make_filter
 from bondswap.qubit import (
     SwapChain,
     bond_concurrences,
@@ -80,7 +82,7 @@ def reference_document(*argv) -> str:
     filters = cli._build_filters(cfg)
     if cfg["mode"] == "qudit":
         report = enumerate_qudit_outcomes(QuditChain(cfg["dim"], tuple(filters)))
-        cs = [bond_concurrence(Bond(f, PLAIN)) for f in filters]
+        cs = [bond_concurrence(f) for f in filters]
     else:
         chain = SwapChain(tuple(filters), cfg["mode"])
         report = enumerate_outcomes(chain)
@@ -489,9 +491,9 @@ class TestSampleCommand:
 
     def test_counting_holds_no_per_row_objects(self):
         # the draws are counted by table row in arrays: a 19683-row sample
-        # peaks at 100 B/row, where label tuples and whole-table lists of
-        # Python floats took 250-280, and row columns with their np.unique
-        # inverses 135
+        # peaks at 118 B/row, most of it in rendering, where label tuples and
+        # whole-table lists of Python floats took 250-280, and the int64
+        # np.unique inverse with a TV distance of six row-length temporaries 125
         sink = _Sink()
         tracemalloc.start()
         try:
@@ -501,7 +503,7 @@ class TestSampleCommand:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 125 * 3 ** 9
+        assert peak < 120 * 3 ** 9
 
 
 class TestVerifyCommand:
@@ -602,6 +604,20 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "3^14" in err and "budget" in err
+
+    @pytest.mark.parametrize("command", ["swap", "sample"])
+    def test_table_budget_is_checked_before_the_chain_is_built(self, capsys, monkeypatch,
+                                                              command):
+        def no_chain(*args):
+            raise AssertionError("a SwapChain was built before the budget check")
+
+        monkeypatch.setattr(cli, "SwapChain", no_chain)
+        code, out, err = run_cli(capsys, command, "--identical", "2,1", "--bonds", "2000000")
+        assert code == 3
+        assert out == ""
+        assert err == ("bondswap: budget exceeded: 3^1999999 = 1.08e+954242 outcome rows "
+                       "(about 2.99e+954235 GB at 278 B/row) exceed the enumeration budget "
+                       "of 1594323 rows; use sample_outcomes or p_sum_transfer instead\n")
 
     def test_sample_checks_the_draw_budget_before_drawing(self, capsys, monkeypatch):
         def no_draws(*args):

@@ -1,4 +1,4 @@
-"""Diagonal bond filters: normalization convention, bond states, concurrence."""
+"""Diagonal bond filters: normalization convention and bond concurrence."""
 
 import math
 import re
@@ -7,17 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from bondswap.filters import (
-    PLAIN,
-    VBS,
-    Bond,
-    FilterOp,
-    bond_concurrence,
-    bond_state,
-    make_filter,
-    random_filter,
-)
-from bondswap.linalg import partial_trace
+from reference import reduced_density
+
+from bondswap.filters import PLAIN, VBS, FilterOp, make_filter, random_filter
+from bondswap.linalg import state_from_operator
+from bondswap.qubit import bond_concurrences
+from bondswap.qudit import QuditChain
 
 
 class TestMakeFilter:
@@ -162,77 +157,50 @@ class TestMakeFilterBits:
             FilterOp(2, np.array([np.nan, 1.0], dtype=complex))
 
 
-class TestBondState:
-    def test_plain_identity_bond_is_phi_plus(self):
-        psi = bond_state(Bond(make_filter([1, 1]), PLAIN))
-        assert np.allclose(psi.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
-
-    def test_vbs_two_one_bond_by_hand(self):
-        # sigma3·diag(2s, s) maps the pair onto (2|01> - |10>)/sqrt(5)
-        psi = bond_state(Bond(make_filter([2, 1]), VBS))
-        expect = np.array([0, 2, -1, 0]) / np.sqrt(5)
-        assert np.allclose(psi.amplitudes, expect, atol=1e-12)
-
-    def test_singular_plain_qutrit_bond_is_product(self):
-        psi = bond_state(Bond(make_filter([1, 0, 0]), PLAIN))
-        expect = np.zeros(9)
-        expect[0] = 1.0
-        assert np.allclose(psi.amplitudes, expect, atol=1e-12)
-
-    def test_normalized_for_random_bonds(self, rng):
-        for _ in range(50):
-            d = int(rng.integers(2, 6))
-            f = random_filter(rng, dim=d)
-            psi = bond_state(Bond(f, PLAIN))
-            assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+def one_bond_concurrence(f) -> float:
+    """bond_concurrences of the one-bond chain of ``f``."""
+    return bond_concurrences(QuditChain(f.dim, (f,)))[0]
 
 
 class TestBondConcurrence:
     def test_identity_bond_is_maximal(self):
-        assert bond_concurrence(Bond(make_filter([1, 1]), VBS)) == pytest.approx(1.0)
+        assert one_bond_concurrence(make_filter([1, 1])) == pytest.approx(1.0)
 
     def test_two_one_bond(self):
         # 2|ab| with (a, b) = (2, 1)/sqrt(5) -> 4/5
-        c = bond_concurrence(Bond(make_filter([2, 1]), PLAIN))
+        c = one_bond_concurrence(make_filter([2, 1]))
         assert c == pytest.approx(0.8, abs=1e-15)
 
     def test_singular_bond_carries_none(self):
-        assert bond_concurrence(Bond(make_filter([1, 0]), VBS)) == 0.0
+        assert one_bond_concurrence(make_filter([1, 0])) == 0.0
 
     @pytest.mark.parametrize("convention", [PLAIN, VBS])
     def test_matches_reduced_density_route(self, rng, convention):
-        # independent route: C = 2*sqrt(det rho_A) for a pure 2-qubit state
+        # independent route: C = 2*sqrt(det rho_A) for the pure bond state
+        # (I ⊗ T)|Φ+⟩, or (I ⊗ σ3 T)|Φ+⟩ in the vbs convention
+        end = np.array([[0, -1], [1, 0]]) if convention == VBS else np.eye(2)
         for _ in range(100):
             f = random_filter(rng, dim=2, lo=0.1)
-            bond = Bond(f, convention)
-            rho = partial_trace(bond_state(bond).normalized(), [0])
+            rho = reduced_density(state_from_operator(end @ f.matrix, 2), 0)
             want = 2.0 * math.sqrt(max(np.linalg.det(rho).real, 0.0))
-            assert bond_concurrence(bond) == pytest.approx(want, abs=1e-12)
+            assert one_bond_concurrence(f) == pytest.approx(want, abs=1e-12)
 
     def test_range_and_maximality(self, rng):
         for _ in range(40):
             d = int(rng.integers(2, 6))
-            c = bond_concurrence(Bond(random_filter(rng, dim=d), PLAIN))
+            c = one_bond_concurrence(random_filter(rng, dim=d))
             assert 0.0 <= c <= 1.0
         # all magnitudes equal -> maximal, regardless of phases
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
-        assert bond_concurrence(Bond(make_filter(phases), PLAIN)) == pytest.approx(
+        assert one_bond_concurrence(make_filter(phases)) == pytest.approx(
             1.0, abs=1e-10
         )
         # any magnitude imbalance strictly lowers it
-        c = bond_concurrence(Bond(make_filter([1.0, 1.0, 0.9]), PLAIN))
+        c = one_bond_concurrence(make_filter([1.0, 1.0, 0.9]))
         assert c < 1.0 - 1e-4
 
 
 class TestBondValidation:
-    def test_vbs_requires_qubits(self):
-        with pytest.raises(ValueError):
-            Bond(make_filter([1, 1, 1]), VBS)
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            Bond(make_filter([1, 1]), "twisted")
-
     def test_random_filter_is_normalized_and_regular(self, rng):
         for _ in range(30):
             f = random_filter(rng, dim=3)

@@ -1,4 +1,4 @@
-"""Low-level linear algebra: kron, partial trace, determinants, fidelity."""
+"""Low-level linear algebra: kron, states, batched products, fidelity, concurrence."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kron, random_complex_matrix, random_unitary
+from reference import reduced_density
 
 from bondswap.linalg import (
     StateVector,
     batched_determinant,
     batched_products,
     det_concurrence,
-    determinant,
     fidelity_up_to_phase,
-    partial_trace,
     state_from_operator,
 )
 
@@ -30,34 +29,6 @@ def kron_by_hand(a, b):
                 for l in range(cb):
                     out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
     return out
-
-
-def reduced_by_hand(amps, dims, keep):
-    """Double-loop partial trace oracle over explicit basis indices."""
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    traced = [i for i in range(len(dims)) if i not in keep]
-    tensor = amps.reshape(dims)
-    rho = np.zeros((d_keep, d_keep), dtype=complex)
-    keep_ranges = [range(dims[i]) for i in keep]
-    tr_ranges = [range(dims[i]) for i in traced]
-    import itertools
-
-    for ka in itertools.product(*keep_ranges):
-        for kb in itertools.product(*keep_ranges):
-            row = int(np.ravel_multi_index(ka, [dims[i] for i in keep])) if keep else 0
-            col = int(np.ravel_multi_index(kb, [dims[i] for i in keep])) if keep else 0
-            for t in itertools.product(*tr_ranges):
-                ia = [0] * len(dims)
-                ib = [0] * len(dims)
-                for pos, idx in zip(keep, ka):
-                    ia[pos] = idx
-                for pos, idx in zip(keep, kb):
-                    ib[pos] = idx
-                for pos, idx in zip(traced, t):
-                    ia[pos] = idx
-                    ib[pos] = idx
-                rho[row, col] += tensor[tuple(ia)] * np.conj(tensor[tuple(ib)])
-    return rho
 
 
 class TestKron:
@@ -134,77 +105,14 @@ class TestStateFromOperator:
             m = random_complex_matrix(rng, d)
             psi = state_from_operator(m, d).normalized()
             tr = np.trace(m @ m.conj().T).real
-            first = partial_trace(psi, [0])
-            second = partial_trace(psi, [1])
+            first = reduced_density(psi, 0)
+            second = reduced_density(psi, 1)
             assert np.allclose(first, m.T @ m.conj() / tr, atol=1e-12)
             assert np.allclose(second, m @ m.conj().T / tr, atol=1e-12)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             state_from_operator(np.eye(3), 2)
-
-
-class TestPartialTrace:
-    def test_matches_double_loop_oracle(self, rng):
-        amps = rng.normal(size=12) + 1j * rng.normal(size=12)
-        amps /= np.linalg.norm(amps)
-        psi = StateVector((2, 3, 2), amps)
-        for keep in ([0], [1], [2], [0, 1], [1, 2], [0, 2]):
-            got = partial_trace(psi, keep)
-            want = reduced_by_hand(amps, (2, 3, 2), keep)
-            assert np.allclose(got, want, atol=1e-12), keep
-
-    def test_reduced_density_properties(self, rng):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        rho = partial_trace(StateVector((2, 2, 2), amps), [0, 2])
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(rho, rho.conj().T, atol=1e-12)
-        assert np.linalg.eigvalsh(rho).min() > -1e-12
-
-    def test_requires_normalized_input(self):
-        psi = StateVector((2, 2), np.array([2.0, 0, 0, 0], dtype=complex))
-        with pytest.raises(ValueError):
-            partial_trace(psi, [0])
-
-    def test_rejects_bad_subsystems(self):
-        psi = StateVector((2, 2), np.array([1.0, 0, 0, 0], dtype=complex))
-        with pytest.raises(ValueError):
-            partial_trace(psi, [2])
-        with pytest.raises(ValueError):
-            partial_trace(psi, [])
-
-    def test_keep_order_is_canonicalized(self, rng):
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        psi = StateVector((2, 2), amps)
-        assert np.allclose(partial_trace(psi, [1, 0]), partial_trace(psi, [0, 1]))
-
-
-class TestDeterminant:
-    def test_two_by_two_closed_form(self, rng):
-        m = random_complex_matrix(rng, 2)
-        want = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        assert determinant(m) == pytest.approx(want, rel=1e-14)
-
-    def test_permutation_sign_oracle_for_cyclic_shift(self):
-        # det of a cyclic shift on d letters is the sign of the permutation,
-        # i.e. (-1)**(d - 1); a clean case with an exact hand answer.
-        for d in range(2, 7):
-            shift = np.zeros((d, d))
-            for j in range(d):
-                shift[(j + 1) % d, j] = 1.0
-            assert determinant(shift) == pytest.approx((-1.0) ** (d - 1), abs=1e-12)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_multiplicative(self, rng, d):
-        a = random_complex_matrix(rng, d)
-        b = random_complex_matrix(rng, d)
-        assert determinant(a @ b) == pytest.approx(determinant(a) * determinant(b), rel=1e-10)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            determinant(np.zeros((2, 3)))
 
 
 class TestBatchedHelpers:
@@ -226,7 +134,7 @@ class TestBatchedHelpers:
         mats = np.stack([random_complex_matrix(rng, 2) for _ in range(5)])
         dets = batched_determinant(mats)
         for k in range(5):
-            assert dets[k] == pytest.approx(determinant(mats[k]), rel=1e-12)
+            assert dets[k] == pytest.approx(np.linalg.det(mats[k]), rel=1e-12)
 
 
 class TestFidelity:
@@ -253,6 +161,27 @@ class TestDetConcurrence:
     def test_known_qubit_value(self):
         # diag(2,1)-shaped operator: 2*|det|/tr(MM†) = 2*2/5
         assert det_concurrence(2.0, 5.0, 2) == pytest.approx(0.8, abs=1e-15)
+
+    @staticmethod
+    def of_operator(m):
+        # as the table builder reduces an operator: |det| and Σ|M_ij|²
+        m = np.asarray(m, dtype=complex)
+        abs_det = abs(batched_determinant(m[np.newaxis])[0])
+        return det_concurrence(abs_det, np.sum(np.abs(m) ** 2), len(m))
+
+    def test_identity_is_maximal(self):
+        for d in (2, 3, 5):
+            assert self.of_operator(np.eye(d)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_qubit_limit_matches_two_det_over_trace(self, rng):
+        for _ in range(50):
+            m = random_complex_matrix(rng, 2)
+            want = 2.0 * abs(np.linalg.det(m)) / np.trace(m @ m.conj().T).real
+            assert self.of_operator(m) == pytest.approx(want, rel=1e-12)
+
+    def test_scale_invariant_for_qudits(self, rng):
+        m = random_complex_matrix(rng, 4)
+        assert self.of_operator(3.7 * m) == pytest.approx(self.of_operator(m), rel=1e-12)
 
     @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0))
     @settings(max_examples=40, deadline=None)

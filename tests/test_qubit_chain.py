@@ -20,13 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kron, random_unitary
+from reference import bond_concurrence, reduced_density
 
-from bondswap.filters import PLAIN, VBS, Bond, bond_concurrence, make_filter, random_filter
+from bondswap.filters import PLAIN, VBS, make_filter, random_filter
 from bondswap.linalg import (
     EnumerationBudgetError,
     batched_determinant,
     det_concurrence,
-    partial_trace,
+    state_from_operator,
 )
 from bondswap.qubit import (
     _MODES,
@@ -37,12 +38,9 @@ from bondswap.qubit import (
     chain_operator,
     digit_table,
     enumerate_outcomes,
-    final_state,
+    PAULI,
     log_p_sum_transfer,
-    log_tradeoff_constant,
-    outcome_weight,
     p_sum_transfer,
-    pauli,
     row_index,
     sample_outcomes,
     scan_log_constants,
@@ -315,22 +313,16 @@ PINNED_LONG_SAMPLES = {
 
 class TestPauliConventions:
     def test_ordering(self):
-        assert np.array_equal(pauli(0), np.eye(2))
-        assert np.array_equal(pauli(1), SX)
-        assert np.array_equal(pauli(2), SZ)
-        assert np.array_equal(pauli(3), np.array([[0, -1], [1, 0]]))
+        assert np.array_equal(PAULI[0], np.eye(2))
+        assert np.array_equal(PAULI[1], SX)
+        assert np.array_equal(PAULI[2], SZ)
+        assert np.array_equal(PAULI[3], np.array([[0, -1], [1, 0]]))
 
     def test_third_label_is_x_times_z(self):
-        assert np.allclose(pauli(3), pauli(1) @ pauli(2))
+        assert np.allclose(PAULI[3], PAULI[1] @ PAULI[2])
 
     def test_antisymmetric_label_squares_to_minus_identity(self):
-        assert np.allclose(pauli(3) @ pauli(3), -np.eye(2))
-
-    def test_index_range(self):
-        with pytest.raises(ValueError):
-            pauli(4)
-        with pytest.raises(ValueError):
-            pauli(-1)
+        assert np.allclose(PAULI[3] @ PAULI[3], -np.eye(2))
 
 
 class TestBellStates:
@@ -407,20 +399,25 @@ class TestChainOperator:
             assert 2.0 * abs(np.linalg.det(m)) / 2.0 == pytest.approx(want, rel=1e-12)
 
 
+def table_weights(chain):
+    return {rec.indices: rec.weight for rec in enumerate_outcomes(chain).records}
+
+
 class TestOutcomeWeights:
     def test_worked_instance_weights(self):
-        chain = worked_chain()
-        assert outcome_weight(chain, (2,)) == pytest.approx(1.36, abs=1e-12)
-        assert outcome_weight(chain, (1,)) == pytest.approx(0.64, abs=1e-12)
-        assert outcome_weight(chain, (3,)) == pytest.approx(0.64, abs=1e-12)
+        weights = table_weights(worked_chain())
+        assert weights[(2,)] == pytest.approx(1.36, abs=1e-12)
+        assert weights[(1,)] == pytest.approx(0.64, abs=1e-12)
+        assert weights[(3,)] == pytest.approx(0.64, abs=1e-12)
 
     def test_matches_brute_force_table(self, rng):
         filters = tuple(random_filter(rng) for _ in range(4))
         for mode in (VBS, PLAIN):
-            chain = SwapChain(filters, mode)
+            weights = table_weights(SwapChain(filters, mode))
             table = oracle_table(filters, mode)
+            assert set(weights) == set(table)
             for combo, (w, _) in table.items():
-                assert outcome_weight(chain, combo) == pytest.approx(w, rel=1e-12)
+                assert weights[combo] == pytest.approx(w, rel=1e-12)
 
 
 class TestEnumerateOutcomes:
@@ -512,18 +509,12 @@ class TestEnumerateOutcomes:
         assert "sample" in str(err.value)
 
 
-class TestFinalStates:
-    def test_normalized_and_consistent_with_operator(self, rng):
-        filters = tuple(random_filter(rng) for _ in range(3))
-        chain = SwapChain(filters, VBS)
-        psi = final_state(chain, (2, 3))
-        assert psi.is_normalized(1e-12)
-        m = chain_operator(chain, (2, 3))
-        expect = (m.T.reshape(-1) / np.sqrt(2)) / math.sqrt(
-            0.5 * np.sum(np.abs(m) ** 2)
-        )
-        assert np.allclose(psi.amplitudes, expect, atol=1e-12)
+def final_state(chain, indices):
+    """Normalized end-pair state (I ⊗ M)|Φ+⟩/‖·‖ of one outcome."""
+    return state_from_operator(chain_operator(chain, indices), 2).normalized()
 
+
+class TestFinalStates:
     def test_concurrence_from_reduced_density(self, rng):
         # second route to the reported entanglement: 2*sqrt(det rho_A)
         filters = tuple(random_filter(rng) for _ in range(4))
@@ -531,7 +522,7 @@ class TestFinalStates:
         report = enumerate_outcomes(chain)
         for rec in report.records[::5]:
             psi = final_state(chain, rec.indices)
-            rho = partial_trace(psi, [0])
+            rho = reduced_density(psi, 0)
             want = 2.0 * math.sqrt(max(np.linalg.det(rho).real, 0.0))
             assert rec.concurrence == pytest.approx(want, abs=1e-10)
 
@@ -546,13 +537,6 @@ class TestFinalStates:
         rho = rotated.reshape(2, 2) @ rotated.reshape(2, 2).conj().T
         want = 2.0 * math.sqrt(max(np.linalg.det(rho).real, 0.0))
         assert rec.concurrence == pytest.approx(want, abs=1e-10)
-
-    def test_singular_outcome_rejected(self):
-        f = make_filter([1.0, 0.0])
-        chain = SwapChain((f, f), VBS)
-        # sigma_x flips the surviving level into the dead one: zero weight
-        with pytest.raises(ValueError):
-            final_state(chain, (1,))
 
 
 class TestTransferSums:
@@ -600,16 +584,9 @@ class TestTradeoffConstant:
     def test_worked_instance(self):
         assert tradeoff_constant(worked_chain()) == pytest.approx(8.0 / 33.0, rel=1e-12)
 
-    def test_log_companion(self):
-        chain = worked_chain()
-        assert log_tradeoff_constant(chain) == pytest.approx(
-            math.log(8.0 / 33.0), abs=1e-12
-        )
-
     def test_singular_chain_collapses_to_zero(self):
         chain = SwapChain((make_filter([1, 0]), make_filter([1, 1])), VBS)
         assert tradeoff_constant(chain) == 0.0
-        assert log_tradeoff_constant(chain) == -math.inf
 
     def test_scan_agrees_with_direct_evaluation(self):
         f = make_filter([2.0, 1.0])
@@ -617,7 +594,7 @@ class TestTradeoffConstant:
         assert scan.shape == (6,)
         for n in range(1, 7):
             chain = SwapChain((f,) * (n + 1), VBS)
-            assert scan[n - 1] == pytest.approx(log_tradeoff_constant(chain), abs=1e-12)
+            assert scan[n - 1] == pytest.approx(math.log(tradeoff_constant(chain)), abs=1e-12)
 
     def test_plain_scan_is_exactly_affine(self):
         # per-swap cost in plain mode: each step multiplies the constant by C/4
@@ -766,7 +743,7 @@ class TestChainValidation:
 
 
 class TestBondConcurrencesBits:
-    """The one-pass bond_concurrences equals bond_concurrence per bond."""
+    """The one-pass bond_concurrences equals the per-bond reference bit for bit."""
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_matches_per_bond_route(self, rng, dim):
@@ -776,7 +753,7 @@ class TestBondConcurrencesBits:
         filters[8] = make_filter([1] * dim)  # maximal: C = 1
         filts = tuple(filters)
         chain = SwapChain(filts, PLAIN) if dim == 2 else QuditChain(dim, filts)
-        want = [bond_concurrence(Bond(f)) for f in filters]
+        want = [bond_concurrence(f) for f in filters]
         got = bond_concurrences(chain)
         assert want[7] == 0.0 and want[8] == 1.0
         assert list(map(float.hex, got)) == list(map(float.hex, want))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bondswap.filters import VBS, Bond, make_filter, random_filter
+from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
 from bondswap.qubit import SwapChain, bell_state, chain_operator, enumerate_outcomes
 from bondswap.vbs import (
