@@ -619,6 +619,25 @@ class TestExitCodes:
                        "(about 2.99e+954235 GB at 278 B/row) exceed the enumeration budget "
                        "of 1594323 rows; use sample_outcomes or p_sum_transfer instead\n")
 
+    @pytest.mark.parametrize("command", ["swap", "sample"])
+    def test_usage_errors_come_before_the_table_budget(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--identical", "2,1,3", "--bonds", "2000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bondswap: error") and "but --dim is 2" in err
+
+    def test_qudit_table_budget_is_checked_before_the_chain_is_built(self, capsys,
+                                                                    monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("a QuditChain was built before the budget check")
+
+        monkeypatch.setattr(cli, "QuditChain", no_chain)
+        code, out, err = run_cli(capsys, "swap", "--mode", "qudit", "--dim", "3",
+                                 "--identical", "1,1,1", "--bonds", "2000000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("bondswap: budget exceeded: 9^1999999 = ")
+
     def test_sample_checks_the_draw_budget_before_drawing(self, capsys, monkeypatch):
         def no_draws(*args):
             raise AssertionError("_draw ran before the draw budget check")

@@ -1,4 +1,4 @@
-"""Diagonal bond filters: normalization convention and bond concurrence."""
+"""Diagonal bond filters: normalization convention, bond states, concurrence."""
 
 import math
 import re
@@ -11,8 +11,16 @@ from reference import reduced_density
 
 from bondswap.filters import PLAIN, VBS, FilterOp, make_filter, random_filter
 from bondswap.linalg import state_from_operator
-from bondswap.qubit import bond_concurrences
-from bondswap.qudit import QuditChain
+from bondswap.qubit import (
+    SwapChain,
+    bell_state,
+    bond_concurrences,
+    chain_operator,
+    check_table_budget,
+    scan_log_constants,
+)
+from bondswap.qudit import QuditChain, enumerate_qudit_outcomes
+from bondswap.vbs import build_vbs_state
 
 
 class TestMakeFilter:
@@ -157,6 +165,47 @@ class TestMakeFilterBits:
             FilterOp(2, np.array([np.nan, 1.0], dtype=complex))
 
 
+def bond_state(f, convention=PLAIN):
+    """(I ⊗ M)|Φ+⟩ for the operator M of a chain of one bond and no measured
+    node: M = T, or σ3·T in the vbs convention.  Not renormalized."""
+    if f.dim == 2:
+        m = chain_operator(SwapChain((f,), convention), ())
+    else:
+        m = enumerate_qudit_outcomes(QuditChain(f.dim, (f,))).final_ops[0]
+    return state_from_operator(m, f.dim)
+
+
+class TestBondState:
+    def test_plain_identity_bond_is_phi_plus(self):
+        psi = bond_state(make_filter([1, 1]), PLAIN)
+        assert np.allclose(psi.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+    def test_vbs_two_one_bond_by_hand(self):
+        # sigma3·diag(2s, s) maps the pair onto (2|01> - |10>)/sqrt(5)
+        f = make_filter([2, 1])
+        psi = bond_state(f, VBS)
+        expect = np.array([0, 2, -1, 0]) / np.sqrt(5)
+        assert np.allclose(psi.amplitudes, expect, atol=1e-12)
+        # the oracle's bond (λ0|01⟩ − λ1|10⟩)/√2 is the same state
+        oracle_bond = np.array([0, f.diag[0], -f.diag[1], 0]) / np.sqrt(2)
+        assert np.allclose(psi.amplitudes, oracle_bond, atol=1e-12)
+
+    def test_singular_plain_qutrit_bond_is_product(self):
+        psi = bond_state(make_filter([1, 0, 0]), PLAIN)
+        expect = np.zeros(9)
+        expect[0] = 1.0
+        assert np.allclose(psi.amplitudes, expect, atol=1e-12)
+
+    def test_normalized_for_random_bonds(self, rng):
+        # Σ|λ|² = dim makes every bond state normalized without rescaling
+        for _ in range(50):
+            d = int(rng.integers(2, 6))
+            f = random_filter(rng, dim=d)
+            for convention in (PLAIN, VBS) if d == 2 else (PLAIN,):
+                psi = bond_state(f, convention)
+                assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+
+
 def one_bond_concurrence(f) -> float:
     """bond_concurrences of the one-bond chain of ``f``."""
     return bond_concurrences(QuditChain(f.dim, (f,)))[0]
@@ -201,6 +250,26 @@ class TestBondConcurrence:
 
 
 class TestBondValidation:
+    def test_vbs_requires_qubits(self):
+        f = make_filter([1, 1, 1])
+        with pytest.raises(ValueError):
+            SwapChain((f,), VBS)
+        with pytest.raises(ValueError, match="qubit"):
+            build_vbs_state((f, f))
+        with pytest.raises(ValueError, match="FilterOps of dim 2"):
+            scan_log_constants(f, 2, VBS)
+
+    def test_unknown_convention(self):
+        f = make_filter([1, 1])
+        with pytest.raises(ValueError):
+            SwapChain((f,), "twisted")
+        with pytest.raises(ValueError, match="unknown mode 'twisted'"):
+            bell_state("twisted", 1)
+        with pytest.raises(ValueError, match="unknown mode 'twisted'"):
+            scan_log_constants(f, 2, "twisted")
+        with pytest.raises(ValueError, match="unknown mode 'twisted'"):
+            check_table_budget("twisted", 1)
+
     def test_random_filter_is_normalized_and_regular(self, rng):
         for _ in range(30):
             f = random_filter(rng, dim=3)

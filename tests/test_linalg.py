@@ -137,6 +137,41 @@ class TestBatchedHelpers:
             assert dets[k] == pytest.approx(np.linalg.det(mats[k]), rel=1e-12)
 
 
+class TestDeterminant:
+    """batched_determinant, the determinant every outcome table reduces with."""
+
+    def test_two_by_two_closed_form(self, rng):
+        mats = np.stack([random_complex_matrix(rng, 2) for _ in range(6)])
+        want = [m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] for m in mats]
+        assert batched_determinant(mats) == pytest.approx(want, rel=1e-14)
+
+    def test_permutation_sign_oracle_for_cyclic_shift(self):
+        # det of a cyclic shift on d letters is the sign of the permutation,
+        # i.e. (-1)**(d - 1), and its square has det 1: exact hand answers.
+        for d in range(2, 7):
+            shift = np.zeros((d, d))
+            for j in range(d):
+                shift[(j + 1) % d, j] = 1.0
+            got = batched_determinant(np.stack([shift, shift @ shift]))
+            assert got == pytest.approx([(-1.0) ** (d - 1), 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_multiplicative(self, rng, d):
+        a = np.stack([random_complex_matrix(rng, d) for _ in range(4)])
+        b = np.stack([random_complex_matrix(rng, d) for _ in range(4)])
+        want = batched_determinant(a) * batched_determinant(b)
+        assert batched_determinant(a @ b) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_singular_first_factor_gives_exact_zeros(self, rng, d):
+        # a dead level zeroes a column of every product exactly, so a singular
+        # outcome's |det| is 0.0 and its concurrence exactly 0
+        first = np.diag([1.0] + [0.0] * (d - 1))
+        layers = [np.stack([random_complex_matrix(rng, d) for _ in range(3)])] * 2
+        dets = batched_determinant(batched_products(first, layers))
+        assert dets.shape == (9,) and np.all(dets == 0.0)
+
+
 class TestFidelity:
     def test_phase_invariance(self, rng):
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)

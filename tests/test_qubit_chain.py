@@ -31,11 +31,14 @@ from bondswap.linalg import (
 )
 from bondswap.qubit import (
     _MODES,
+    ENUMERATION_BUDGET,
     SwapChain,
     _Mode,
     bell_state,
     bond_concurrences,
     chain_operator,
+    check_budget,
+    check_table_budget,
     digit_table,
     enumerate_outcomes,
     PAULI,
@@ -515,6 +518,28 @@ def final_state(chain, indices):
 
 
 class TestFinalStates:
+    def test_normalized_and_consistent_with_operator(self, rng):
+        filters = tuple(random_filter(rng) for _ in range(3))
+        chain = SwapChain(filters, VBS)
+        for rec in enumerate_outcomes(chain).records:
+            m = chain_operator(chain, rec.indices)
+            # the unnormalized state's squared norm Tr(M M†)/2 is the table weight
+            assert state_from_operator(m, 2).norm() ** 2 == pytest.approx(rec.weight, rel=1e-12)
+            psi = final_state(chain, rec.indices)
+            assert psi.is_normalized(1e-12)
+            expect = (m.T.reshape(-1) / np.sqrt(2)) / math.sqrt(rec.weight)
+            assert np.allclose(psi.amplitudes, expect, atol=1e-12)
+
+    def test_singular_outcome_rejected(self):
+        f = make_filter([1.0, 0.0])
+        chain = SwapChain((f, f), VBS)
+        # sigma_x flips the surviving level into the dead one: zero weight
+        rec = {r.indices: r for r in enumerate_outcomes(chain).records}[(1,)]
+        assert (rec.weight, rec.prob, rec.concurrence) == (0.0, 0.0, 0.0)
+        assert not chain_operator(chain, (1,)).any()
+        with pytest.raises(ValueError):
+            final_state(chain, (1,))
+
     def test_concurrence_from_reduced_density(self, rng):
         # second route to the reported entanglement: 2*sqrt(det rho_A)
         filters = tuple(random_filter(rng) for _ in range(4))
@@ -583,6 +608,13 @@ class TestTransferSums:
 class TestTradeoffConstant:
     def test_worked_instance(self):
         assert tradeoff_constant(worked_chain()) == pytest.approx(8.0 / 33.0, rel=1e-12)
+
+    def test_log_companion(self):
+        # the scan's N = 1 entry is the worked instance's constant, in logs
+        scan = scan_log_constants(make_filter([2.0, 1.0]), 1, VBS)
+        assert scan[0] == pytest.approx(math.log(8.0 / 33.0), abs=1e-12)
+        singular = scan_log_constants(make_filter([1, 0]), 3, VBS)
+        assert singular.tolist() == [-math.inf] * 3
 
     def test_singular_chain_collapses_to_zero(self):
         chain = SwapChain((make_filter([1, 0]), make_filter([1, 1])), VBS)
@@ -705,6 +737,46 @@ class TestPinnedOutputs:
         scan = scan_log_constants(make_filter(PINNED_DIAGS[name][0]), 3000, mode)
         got = tuple(float.hex(float(scan[i])) for i in (0, 1, 9, 299, 2999))
         assert got == PINNED_SCANS[mode, name]
+
+
+def refused(base, n, budget):
+    try:
+        check_budget(base, n, 2, budget)
+    except EnumerationBudgetError:
+        return True
+    return False
+
+
+class TestCheckBudget:
+    """A table is refused from its row count base^n alone, before any allocation."""
+
+    def test_boundary(self):
+        assert not refused(3, 13, 3**13)  # exactly the budget: allowed
+        with pytest.raises(EnumerationBudgetError, match=r"^3\^13 = 1\.59e\+06 outcome rows"):
+            check_budget(3, 13, 2, 3**13 - 1)
+
+    def test_agrees_with_the_full_row_count(self):
+        # past the budget's bit length the check skips base ** n: it must still
+        # refuse exactly the tables with base^n > budget
+        for base in (2, 3, 4, 9, 64):
+            for budget in (1, 2, 3, 63, 64, 65, ENUMERATION_BUDGET):
+                for n in range(budget.bit_length() + 3):
+                    assert refused(base, n, budget) == (base**n > budget), (base, budget, n)
+
+    def test_huge_node_count_is_refused_without_the_row_count(self):
+        # 3 ** 10**7 takes seconds to build as an integer; the refusal does not
+        with pytest.raises(EnumerationBudgetError) as err:
+            check_table_budget(VBS, 10**7)
+        msg = str(err.value)
+        assert msg.startswith("3^10000000 = ") and " GB at " in msg
+        assert msg.endswith(f"budget of {ENUMERATION_BUDGET} rows; "
+                            "use sample_outcomes or p_sum_transfer instead")
+
+    def test_plain_mode_counts_four_outcomes_per_node(self):
+        n = int(math.log(ENUMERATION_BUDGET, 4))
+        check_table_budget(PLAIN, n)
+        with pytest.raises(EnumerationBudgetError, match=rf"^4\^{n + 1} = "):
+            check_table_budget(PLAIN, n + 1)
 
 
 class TestChainValidation:

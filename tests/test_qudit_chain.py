@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bondswap.qubit import SwapChain, bell_state, enumerate_outcomes
 from bondswap.qudit import (
     QUDIT_ENUMERATION_BUDGET,
     QuditChain,
+    check_qudit_table_budget,
     enumerate_qudit_outcomes,
     gen_pauli,
     omega_power,
@@ -187,6 +189,28 @@ class TestEnumerateQuditOutcomes:
             assert drec.prob == qrec.prob
             assert drec.concurrence == qrec.concurrence
         assert qudit.constant == qubit.constant
+
+    def test_singular_filters_give_zero_concurrence(self):
+        # g·X^m Z^n·g with g = diag(√3, 0, 0) survives only for m = 0, as
+        # diag(3ω^0, 0, 0): weight 3, prob 1/3 and |det| = 0; the other six
+        # outcomes have zero weight and get concurrence 0 without a 0/0
+        g = make_filter([1, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = enumerate_qudit_outcomes(QuditChain(3, (g, g)))
+        for rec in report.records:
+            (m, _n), = rec.indices
+            assert rec.weight == pytest.approx(3.0 if m == 0 else 0.0, abs=1e-12)
+            assert rec.prob == pytest.approx(1 / 3 if m == 0 else 0.0, abs=1e-12)
+            assert rec.concurrence == 0.0
+        assert report.constant == 0.0 and report.max_residual == 0.0
+
+    def test_budget_from_the_dimension_alone(self):
+        check_qudit_table_budget(6, 4)  # 36^4 rows: the budget itself
+        with pytest.raises(EnumerationBudgetError, match=r"^36\^5 = "):
+            check_qudit_table_budget(6, 5)
+        with pytest.raises(EnumerationBudgetError, match=r"^4\^1000000 = "):
+            check_qudit_table_budget(2, 10**6)
 
     def test_budget_guard(self):
         f = make_filter([1] * 5)
