@@ -30,7 +30,7 @@ from .qubit import (
     scan_log_constants,
 )
 from .qudit import QuditChain, check_qudit_table_budget, enumerate_qudit_outcomes
-from .vbs import cross_check
+from .vbs import _check_oracle_bonds, cross_check
 
 QUDIT = "qudit"
 MODES = (PLAIN, VBS, QUDIT)
@@ -76,28 +76,35 @@ def _parse_filter_list(key: str, raw) -> list[list[complex]]:
     return [_parse_diag(key, group) for group in _split(key, raw, ";")]
 
 
-def _number(kind):
-    """Checker for an int or a finite float given as a number or a numeric
-    string; a bool, and for int a fractional part, are usage errors."""
+def _number(kind, lo=-math.inf, hi=math.inf):
+    """Checker for an int or a finite float in lo..hi, given as a number or a
+    numeric string; a bool, and for int a fractional part, are usage errors."""
     def check(key: str, value):
+        x = None
         if isinstance(value, (int, float, str)) and not isinstance(value, bool):
             try:
-                x = float(value)
-                if math.isfinite(x) and (kind is float or x.is_integer()):
-                    return kind(value)
+                f = float(value)
+                if math.isfinite(f) and (kind is float or f.is_integer()):
+                    x = kind(value)
             except (OverflowError, ValueError):
                 pass
-        what = "an integer" if kind is int else "a finite number"
-        raise UsageError(f"{key} must be {what}, got {json.dumps(value)}")
+        if x is None:
+            what = "an integer" if kind is int else "a finite number"
+            raise UsageError(f"{key} must be {what}, got {json.dumps(value)}")
+        if not lo <= x <= hi:  # named as parsed, so a flag and a file value agree
+            bound = f"at least {lo}" if x < lo else f"at most {hi}"
+            raise UsageError(f"{key} must be {bound}, got {x}")
+        return x
     return check
 
 
-def _parse_n_range(key: str, raw) -> tuple[int, int]:
+def _parse_n_range(bound, key: str, raw) -> tuple[int, int]:
+    """LO:HI or a pair [LO, HI], each passing the checker ``bound``, with LO <= HI."""
     parts = raw.split(":") if isinstance(raw, str) else raw
     if not isinstance(parts, list) or len(parts) != 2:
         raise UsageError(f"{key} must be LO:HI or a pair of integers, got {json.dumps(raw)}")
-    lo, hi = (_number(int)(key, part) for part in parts)
-    if lo < 1 or hi < lo:
+    lo, hi = (bound(key, part) for part in parts)
+    if hi < lo:
         raise UsageError(f"bad N range {lo}:{hi}")
     return lo, hi
 
@@ -135,18 +142,20 @@ def _check_budget(command: str, count: int, budget: int, unit: str, unit_bytes: 
 # None (it returns the value parsed), and the argparse keywords of the flag.
 _Option = namedtuple("_Option", "default check flag")
 _OPTIONS = {
-    "dim": _Option(2, _number(int), {"help": "local dimension (default 2)"}),
+    # D <= 8: each outcome digit m*D+n prints as one of the 64 symbols of _DIGITS
+    "dim": _Option(2, _number(int, 2, MAX_QUDIT_DIM), {"help": "local dimension (default 2)"}),
     "mode": _Option(None, _choice, {
         "choices": MODES, "help": "vbs (symmetric-subspace), plain, or qudit"}),
     "identical": _Option(None, _parse_diag, {
         "metavar": "a,b[,c...]", "help": "one diagonal reused for every bond"}),
     "filters": _Option(None, _parse_filter_list, {
         "metavar": "a0,b0;a1,b1;...", "help": "explicit per-bond diagonals, ';'-separated"}),
-    "bonds": _Option(None, _number(int), {"help": "number of bonds (internal nodes + 1)"}),
-    "seed": _Option(42, _number(int), {"help": "RNG seed (default 42)"}),
-    "samples": _Option(10000, _number(int), {"help": "sample count for the sample command"}),
-    "tolerance": _Option(1e-9, _number(float), {"help": "verification tolerance (default 1e-9)"}),
-    "n_range": _Option("1:8", _parse_n_range, {
+    "bonds": _Option(None, _number(int, 1), {"help": "number of bonds (internal nodes + 1)"}),
+    "seed": _Option(42, _number(int, 0), {"help": "RNG seed (default 42)"}),
+    "samples": _Option(10000, _number(int, 1), {"help": "sample count for the sample command"}),
+    "tolerance": _Option(1e-9, _number(float, 0), {
+        "help": "verification tolerance (default 1e-9)"}),
+    "n_range": _Option("1:8", functools.partial(_parse_n_range, _number(int, 1)), {
         "metavar": "LO:HI", "help": "scan range of internal-node counts (default 1:8)"}),
     "format": _Option("json", _choice, {"choices": ("json", "csv")}),
     "out": _Option(None, _file_name, {
@@ -183,11 +192,6 @@ def _resolve_config(args) -> dict:
         cfg["mode"] = VBS if cfg["dim"] == 2 else QUDIT
     if cfg["mode"] in (PLAIN, VBS) and cfg["dim"] != 2:
         raise UsageError(f"mode {cfg['mode']!r} is qubit-only; got --dim {cfg['dim']}")
-    if cfg["dim"] > MAX_QUDIT_DIM:
-        raise UsageError(
-            f"--dim is at most {MAX_QUDIT_DIM} (outcome digits m*D+n print as one "
-            f"of {len(_DIGITS)} symbols); got --dim {cfg['dim']}"
-        )
     modes = _COMMANDS[args.command].modes
     if cfg["mode"] not in modes:
         raise UsageError(f"{args.command} supports --mode {' or '.join(modes)} only, "
@@ -204,8 +208,6 @@ def _build_filters(cfg, table: bool = False) -> list[FilterOp]:
     if cfg["identical"] is not None:
         if cfg["bonds"] is None:
             raise UsageError("--identical needs --bonds (number of bonds, N+1)")
-        if cfg["bonds"] < 1:
-            raise UsageError("--bonds must be >= 1")
         diags = [cfg["identical"]]
     elif cfg["filters"] is not None:
         diags = cfg["filters"]
@@ -321,14 +323,12 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
 
 def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
     n = cfg["samples"]
-    if n < 1:
-        raise UsageError("--samples must be >= 1")
-    _check_budget("sample", n, _DRAW_BUDGET, "draw", _DRAW_BYTES)
     filters = _build_filters(cfg, table=True)
+    _check_budget("sample", n, _DRAW_BUDGET, "draw", _DRAW_BYTES)
     chain = SwapChain(tuple(filters), cfg["mode"])
     report = enumerate_outcomes(chain)
-    base, offset = len(chain.outcome_indices), chain.outcome_indices.start
-    per_row = np.bincount(row_index(_draw(chain, n, cfg["seed"]), base, offset),
+    digits = report.mode.digits
+    per_row = np.bincount(row_index(_draw(chain, n, cfg["seed"]), len(digits), digits.start),
                           minlength=len(report.digits))
     # the distinct counts ascending, as np.unique gives them, from a count of
     # counts (at most n + 1 long), and each row's place among them in the
@@ -364,6 +364,8 @@ def _default_verify_suite(seed: int) -> list[list[FilterOp]]:
 
 def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
     if cfg["identical"] is not None or cfg["filters"] is not None:
+        if cfg["bonds"] is not None:  # before --identical makes a filter per bond
+            _check_oracle_bonds(cfg["bonds"])
         chains = [_build_filters(cfg)]
     else:
         chains = _default_verify_suite(cfg["seed"])
@@ -389,24 +391,18 @@ def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
     return payload, chains[0], 0 if all_passed else 1
 
 
-# Every command: its runner, cfg -> (payload, filters, exit code), the payload
-# key of its table rows, its --help line and the modes it accepts.
-_Command = namedtuple("_Command", "run rows help modes")
+# Every command: its runner, cfg -> (payload, filters, exit code), the payload key
+# of its table rows, their CSV columns, its --help line and the modes it accepts.
+_Command = namedtuple("_Command", "run rows columns help modes")
 _COMMANDS = {
-    "swap": _Command(_run_swap, "outcomes", "enumerate every Bell outcome of one chain",
-                     MODES),
-    "scan": _Command(_run_scan, "rows",
+    "swap": _Command(_run_swap, "outcomes", ("index", "weight", "prob", "concurrence",
+                     "prob_times_c"), "enumerate every Bell outcome of one chain", MODES),
+    "scan": _Command(_run_scan, "rows", ("n", "constant", "log_constant"),
                      "trade-off constant vs chain length for identical filters", (PLAIN, VBS)),
-    "sample": _Command(_run_sample, "outcomes", "draw Bell outcomes from the exact distribution",
-                       (PLAIN, VBS)),
-    "verify": _Command(_run_verify, "chains",
-                       "cross-check chains against the state-vector oracle", (VBS,)),
-}
-_CSV_COLUMNS = {
-    "swap": ("index", "weight", "prob", "concurrence", "prob_times_c"),
-    "sample": ("index", "count", "frequency", "prob"),
-    "scan": ("n", "constant", "log_constant"),
-    "verify": ("n_bonds", "worst_weight_dev", "worst_fidelity", "passed"),
+    "sample": _Command(_run_sample, "outcomes", ("index", "count", "frequency", "prob"),
+                       "draw Bell outcomes from the exact distribution", (PLAIN, VBS)),
+    "verify": _Command(_run_verify, "chains", ("n_bonds", "worst_weight_dev", "worst_fidelity",
+                       "passed"), "cross-check chains against the state-vector oracle", (VBS,)),
 }
 # rows rendered per block, so per-row strings exist for one block at a time
 _CHUNK_ROWS = 4096
@@ -478,7 +474,7 @@ def _render(fmt: str, command: str, document: dict):
         close, sep, trailer, encode, quote = "\n    }", ",\n", f"\n  ]{tail}\n", _json_tokens, '"'
         one_row = lambda row: "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
     else:
-        names = _CSV_COLUMNS[command]
+        names = _COMMANDS[command].columns
         cells = {k: ";".join(map(_csv_cell, v)) if isinstance(v, list) else _csv_cell(v)
                  for k, v in document.items() if k not in (rows_key, "config_echo")}
         yield "".join(f"# {k}={v}\n" for k, v in cells.items()) + ",".join(names) + "\n"

@@ -119,10 +119,6 @@ class SwapChain(_Chain):
         self._store(2)
         _mode(self.mode)
 
-    @property
-    def outcome_indices(self) -> range:
-        return _MODES[self.mode].digits
-
 
 # kept for bench/spans.py, whose counters read len(report.records) on traced runs
 @dataclass(frozen=True, eq=False)

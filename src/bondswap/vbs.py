@@ -43,6 +43,11 @@ def symmetric_projector() -> np.ndarray:
     return np.eye(4, dtype=complex) - np.outer(_SINGLET, _SINGLET.conj())
 
 
+def _check_oracle_bonds(n_bonds: int) -> None:
+    if not 2 <= n_bonds <= MAX_ORACLE_NODES + 1:
+        raise ValueError(f"oracle supports 2..{MAX_ORACLE_NODES + 1} bonds, got {n_bonds}")
+
+
 def build_vbs_state(filters) -> StateVector:
     """Normalized chain state: bond product, symmetrized on every site.
 
@@ -51,11 +56,8 @@ def build_vbs_state(filters) -> StateVector:
     acts on every internal pair.
     """
     filts = list(filters)
+    _check_oracle_bonds(len(filts))
     n_internal = len(filts) - 1
-    if not 1 <= n_internal <= MAX_ORACLE_NODES:
-        raise ValueError(
-            f"oracle supports 2..{MAX_ORACLE_NODES + 1} bonds, got {len(filts)}"
-        )
     if any(not isinstance(f, FilterOp) or f.dim != 2 for f in filts):
         raise ValueError("oracle filters must be qubit (dim 2) FilterOps")
     psi = np.ones(1, dtype=complex)

@@ -151,7 +151,7 @@ def render_reference(cfg, filters, payload) -> str:
         if isinstance(value, list):
             value = ";".join(cli._csv_cell(v) for v in value)
         lines.append(f"# {key}={cli._csv_cell(value)}")
-    cols = cli._CSV_COLUMNS[cfg["command"]]
+    cols = cli._COMMANDS[cfg["command"]].columns
     lines.append(",".join(cols))
     for row in document[rows_key]:
         lines.append(",".join(cli._csv_cell(row[c]) for c in cols))
@@ -549,6 +549,23 @@ class TestVerifyCommand:
         assert out == ""
         assert "2..9 bonds" in err
 
+    def test_oracle_size_is_checked_before_the_filters_are_built(self, capsys, monkeypatch):
+        def no_filters(*args, **kwargs):
+            raise AssertionError("_build_filters ran before the oracle size check")
+
+        monkeypatch.setattr(cli, "_build_filters", no_filters)
+        code, out, err = run_cli(capsys, "verify", "--identical", "2,1", "--bonds", "2000000")
+        assert (code, out) == (2, "")
+        assert err == "bondswap: error: oracle supports 2..9 bonds, got 2000000\n"
+
+    def test_tolerance_is_at_least_zero(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--tolerance", "-1")
+        assert (code, out) == (2, "")
+        assert err == "bondswap: error: tolerance must be at least 0, got -1.0\n"
+        code, out, _ = run_cli(capsys, "verify", *WORKED, "--tolerance", "0")
+        assert code in (0, 1)
+        assert json.loads(out)["tolerance"] == 0.0
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):
@@ -571,6 +588,36 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("bondswap: error"), argv
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("swap", *WORKED, "--seed", "-1"), "seed must be at least 0, got -1"),
+            (("swap", *WORKED, "--samples", "0"), "samples must be at least 1, got 0"),
+            (("scan", "--identical", "2,1", "--bonds", "0"), "bonds must be at least 1, got 0"),
+            (("swap", "--mode", "qudit", "--dim", "1", "--identical", "1", "--bonds", "2"),
+             "dim must be at least 2, got 1"),
+            (("scan", "--identical", "2,1", "--n-range", "0:3"),
+             "n_range must be at least 1, got 0"),
+        ],
+    )
+    def test_value_out_of_range_whatever_the_command(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"bondswap: error: {message}\n")
+
+    def test_sample_seed_is_checked_before_the_table(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("enumerate_outcomes ran before the seed check")
+
+        monkeypatch.setattr(cli, "enumerate_outcomes", no_table)
+        code, out, err = run_cli(capsys, "sample", *WORKED, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "bondswap: error: seed must be at least 0, got -1\n"
+
+    def test_usage_errors_come_before_the_draw_budget(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--samples", "20000000",
+                                 "--identical", "2,1,3", "--bonds", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("bondswap: error") and "but --dim is 2" in err
 
     def test_qudit_dim_above_the_digit_alphabet(self, capsys):
         code, out, err = run_cli(capsys, "swap", "--mode", "qudit", "--dim", "9",
@@ -812,7 +859,7 @@ def options(draw):
         cfg["filters"] = draw(st.lists(diag, min_size=1, max_size=3))
     choices = {
         "mode": [None, "plain", "vbs", "qudit"], "bonds": [2, 3] * 2 + [None, 0],
-        "seed": [None, 0, 7], "samples": [None, 50, 50, 0],
+        "seed": [None, 0, 7, -1], "samples": [None, 50, 50, 0],
         "n_range": [None, [1, 3], [2, 4], [3, 1]], "format": [None, "json", "csv"],
     }
     for key, values in choices.items():
