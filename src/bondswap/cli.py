@@ -3,7 +3,7 @@
 Every run emits a single JSON object (or CSV table) carrying the package
 version, the resolved config echo and the seed, so outputs are reproducible
 byte for byte.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 enumeration budget exceeded.
+error, 3 enumeration budget exceeded, 4 output closed early by its reader.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -122,7 +124,7 @@ def _file_name(key: str, value) -> str:
 
 
 # Scan rows (one per N up to HI) and sample draws admitted, with upper fits to the
-# peak bytes each adds: 217 B/row in scan, 59-73 B/draw in sample (N = 13 to 1).
+# peak bytes each adds: 217 B/row in scan, 66-67 B/draw in sample (N = 1 and 13).
 _SCAN_BUDGET = 600_000
 _SCAN_ROW_BYTES = 250
 _DRAW_BUDGET = 10_000_000
@@ -536,15 +538,17 @@ def main(argv=None) -> int:
     }
     document.update(payload)
     pieces = _render(cfg["format"], cfg["command"], document)
-    if cfg["out"]:
-        try:
-            with open(cfg["out"], "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
-        except OSError as exc:
-            print(f"bondswap: error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.writelines(pieces)
+    out = cfg["out"]
+    try:
+        with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+            fh.writelines(pieces)
+            fh.flush()  # a reader that closed early fails here, not at exit
+    except BrokenPipeError:  # as the Python docs advise: stdout to devnull, so that
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit is quiet
+        return 4
+    except OSError as exc:
+        print(f"bondswap: error: cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -386,10 +386,10 @@ def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarra
 
 
 def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, N) uint8 outcome digits, a row per draw as in digit_table,
-    by sequential sampling: suffix transfer vectors are precomputed right to
-    left, then each node's digit is drawn from its conditional given the
-    prefix, so no outcome table is ever materialized.  Fixed seed, same draws."""
+    """(n_samples, N) uint8 outcome digits, a row per draw as in digit_table (the
+    transposed view of a node-major buffer), by sequential sampling: suffix transfer
+    vectors are precomputed right to left, then each node's digit is drawn from its
+    conditional given the prefix.  Fixed seed, the draws of tests/reference.py."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -407,24 +407,35 @@ def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:
         g0, g1 = k * h0 + s * h1, s * h0 + k * h1
         suffix[j - 1] = (g0 / (g0 + g1), g1 / (g0 + g1))
 
-    # outcome c is drawn when t passes the weight n_keep·w_keep + n_swap·w_swap
-    # of the outcomes before it, with the counts as exact integers
-    swaps = np.array(mode.classes, dtype=bool)
-    before = [(c - sum(mode.classes[:c]), sum(mode.classes[:c])) for c in range(1, len(swaps))]
+    # outcome c is drawn when t passes the weight n_keep·w_keep + n_swap·w_swap of the
+    # outcomes before it, with the counts as exact integers; the odd digits (σx, σ3) swap
+    cl = mode.classes
+    before = [(c - sum(cl[:c]), sum(cl[:c])) for c in range(1, len(cl))]
     v = np.tile(np.array(mags[0])[:, None], n_samples)   # (2, n_samples)
-    draws = np.empty((n_samples, n), dtype=np.uint8)
-    for j in range(1, n + 1):
-        (a, b), (g0, g1) = mags[j], suffix[j]
-        w_keep = a * v[0] * g0 + b * v[1] * g1   # I / σz outcomes
-        w_swap = a * v[1] * g0 + b * v[0] * g1   # σx / σ3 outcomes
-        t = rng.random(n_samples) * (k * w_keep + s * w_swap)
-        c = sum(t >= nk * w_keep + ns * w_swap for nk, ns in before)
-        draws[:, j - 1] = mode.digits.start + c
-        v = np.where(swaps[c], v[::-1], v)
-        v[0] *= a
-        v[1] *= b
-        v /= v[0] + v[1]
-    return draws
+    p, (w_keep, w_swap), (t, tmp) = bufs = np.empty((3, 2, n_samples))  # p = (a·v1, b·v0)
+    v_bits, p_bits, mask = v.view(np.uint64), p.view(np.uint64), t.view(np.uint64)
+    ge = np.empty(n_samples, dtype=np.uint8)
+    draws = np.full((n, n_samples), mode.digits.start, dtype=np.uint8)
+
+    def weigh(ck, cs, out, spare=None):  # ck·w_keep + cs·w_swap, rounded as written:
+        # 1·w = w, and 0·w + w' = w' as every weight is finite and >= 0
+        terms = [w if c == 1 else np.multiply(w, c, out=o)
+                 for c, w, o in ((ck, w_keep, out), (cs, w_swap, spare)) if c]
+        return np.add(*terms, out=out) if len(terms) == 2 else terms[0]
+
+    # each node's (a, b) and (g0, g1) as columns, its floats rounded as the reference's
+    for row, ab, g in zip(draws, np.array(mags)[1:, :, None], np.array(suffix)[1:, :, None]):
+        np.multiply(v[::-1], ab, out=p)
+        v *= ab
+        np.add(*np.multiply(v, g, out=bufs[2]), out=w_keep)   # I / σz outcomes
+        np.add(*np.multiply(p, g, out=bufs[2]), out=w_swap)   # σx / σ3 outcomes
+        np.multiply(weigh(k, s, tmp, spare=t), rng.random(out=t), out=t)  # weigh, then u fills t
+        for nk, ns in before:
+            row += np.greater_equal(t, weigh(nk, ns, tmp), out=ge.view(bool)).view(np.uint8)
+        np.negative(np.bitwise_and(row, 1, out=ge), mask, dtype=np.uint64)  # all ones: v takes p
+        v_bits ^= np.bitwise_and(np.bitwise_xor(v_bits, p_bits, out=p_bits), mask, out=p_bits)
+        v /= np.add(*v, out=tmp)
+    return draws.T
 
 
 def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
@@ -434,5 +445,5 @@ def sample_outcomes(chain: SwapChain, n_samples: int, seed: int = 42) -> dict:
         return {(): int(n_samples)}
     # one n-byte string per draw: np.unique sorts these bytewise, which is the
     # row order np.unique(draws, axis=0) gives, at a fraction of its cost
-    uniq, cnt = np.unique(draws.view(f"V{n}").ravel(), return_counts=True)
+    uniq, cnt = np.unique(np.ascontiguousarray(draws).view(f"V{n}").ravel(), return_counts=True)
     return dict(zip(struct.Struct(f"{n}B").iter_unpack(uniq), cnt.tolist()))

@@ -38,6 +38,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def package_env() -> dict:
+    """The environment for ``python -m bondswap.cli`` in a child process."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -291,6 +296,29 @@ class TestSwapCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("bondswap: error: cannot write /dev/full")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_failing_is_a_usage_error(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "bondswap.cli", "swap", *WORKED],
+                                  env=package_env(), stdout=full, stderr=subprocess.PIPE,
+                                  text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("bondswap: error: cannot write stdout: ")
+
+    def test_reader_closing_early_ends_quietly(self):
+        # 6561 rows, about 1 MB of JSON: more than a pipe holds, so the writer
+        # is still writing when the reader goes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bondswap.cli", "swap", "--identical", "2,1", "--bonds", "9"],
+            env=package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 4
+        assert err == b""
+        assert head.startswith(b'{\n  "version": ')
 
     def test_budget_error_creates_no_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"
@@ -821,8 +849,7 @@ class TestParser:
         # two runs in one process write the bytes of two runs in processes of
         # their own, and the shared parser prints the same --help
         monkeypatch.setenv("COLUMNS", "80")
-        package_root = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": package_root}
+        env = package_env()
         argvs = (["swap", *WORKED, "--format", "csv"], ["scan", "--identical", "2,1"], ["--help"])
         alone = [subprocess.run([sys.executable, "-m", "bondswap.cli", *argv], env=env,
                                 capture_output=True, text=True, check=True).stdout

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kron, random_unitary
-from reference import bond_concurrence, reduced_density
+from reference import bond_concurrence, draw_reference, reduced_density
 
 from bondswap.filters import PLAIN, VBS, make_filter, random_filter
 from bondswap.linalg import (
@@ -34,6 +34,7 @@ from bondswap.qubit import (
     ENUMERATION_BUDGET,
     SwapChain,
     _Mode,
+    _draw,
     bell_state,
     bond_concurrences,
     chain_operator,
@@ -704,6 +705,126 @@ class TestSampling:
     def test_sample_size_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_outcomes(worked_chain(), 0)
+
+
+# the PINNED_DIAGS edge rows, a bond ratio |λ0/λ1| = 1e150, and the general case
+DRAW_DIAGS = {**{name: PINNED_DIAGS[name] for name in ("one-zero", "zero-one", "tiny")},
+              "ratio-1e150": [[1e150, 1]], "complex": PINNED_DIAGS["complex"]}
+
+
+class TieRng:
+    """Stands in for the sampler's generator and puts every draw on a tie.
+
+    It redoes the reference's float steps one draw at a time, in Python floats
+    (the same IEEE roundings), and at each node returns the u for which
+    t = u·total lands exactly on one of the node's thresholds, picked at random.
+    A draw then depends on every bit of the weights, thresholds and state, so a
+    sampler one ulp off the reference gives other digits.  ``digits`` holds the
+    draws these floats give, row by row."""
+
+    def __init__(self, chain, n_samples, pick_seed):
+        mode = _MODES[chain.mode]
+        self.k, self.s = k, s = mode.class_sizes
+        self.mags = mags = (np.abs(chain.diags) ** 2).tolist()
+        self.suffix = [(1.0, 1.0)] * len(mags)
+        for j in range(len(mags) - 1, 0, -1):
+            (a, b), (g0, g1) = mags[j], self.suffix[j]
+            h0, h1 = a * g0, b * g1
+            g0, g1 = k * h0 + s * h1, s * h0 + k * h1
+            self.suffix[j - 1] = (g0 / (g0 + g1), g1 / (g0 + g1))
+        self.mode, self.node, self.pick = mode, 0, np.random.Generator(np.random.PCG64(pick_seed))
+        self.state = [tuple(mags[0])] * n_samples
+        self.digits = [[] for _ in range(n_samples)]
+
+    @staticmethod
+    def tie(target, total):
+        u = target / total
+        for _ in range(8):  # step u until u·total rounds to the target
+            if u * total == target or u == 0.0:
+                break
+            u = math.nextafter(u, -math.inf if u * total > target else math.inf)
+        return min(u, math.nextafter(1.0, 0.0))
+
+    def random(self, size=None, out=None):
+        self.node += 1
+        (a, b), (g0, g1) = self.mags[self.node], self.suffix[self.node]
+        cl = self.mode.classes
+        uniforms = []
+        for lane, (v0, v1) in enumerate(self.state):
+            w_keep = a * v0 * g0 + b * v1 * g1
+            w_swap = a * v1 * g0 + b * v0 * g1
+            total = self.k * w_keep + self.s * w_swap
+            thresholds = [(c - sum(cl[:c])) * w_keep + sum(cl[:c]) * w_swap
+                          for c in range(1, len(cl))]
+            u = self.tie(thresholds[self.pick.integers(len(thresholds))], total)
+            c = sum(u * total >= x for x in thresholds)
+            self.digits[lane].append(self.mode.digits.start + c)
+            if cl[c]:
+                v0, v1 = v1, v0
+            v0, v1 = v0 * a, v1 * b
+            self.state[lane] = (v0 / (v0 + v1), v1 / (v0 + v1))
+            uniforms.append(u)
+        if out is None:
+            return np.array(uniforms)
+        out[:] = uniforms
+        return out
+
+
+class TestDrawMatchesReference:
+    """_draw's buffered node loop gives the digits of the reference loop bit for bit."""
+
+    def check(self, chain, n_samples, seed):
+        got = _draw(chain, n_samples, seed)
+        assert got.shape == (n_samples, chain.n_nodes)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, draw_reference(chain, n_samples, seed))
+        digits = _MODES[chain.mode].digits
+        assert got.size == 0 or digits.start <= got.min() <= got.max() < digits.stop
+
+    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    @pytest.mark.parametrize("name", list(DRAW_DIAGS))
+    @pytest.mark.parametrize("n_nodes", [0, 1, 2, 13, 200])
+    def test_equals_reference(self, mode, name, n_nodes):
+        filts = [make_filter(d) for d in DRAW_DIAGS[name]]
+        chain = SwapChain(tuple(filts[k % len(filts)] for k in range(n_nodes + 1)), mode)
+        for n_samples, seeds in ((1, (0, 1, 2009)), (3, (0, 1, 2009)), (10_000, (7, 2009))):
+            for seed in seeds:
+                self.check(chain, n_samples, seed)
+
+    # |λ| from 1e-170 to 1e170: bond ratios whose |λ|² fall to the subnormals or to 0
+    @given(mode=st.sampled_from([VBS, PLAIN]),
+           diags=st.lists(st.tuples(st.integers(-170, 170), st.integers(-170, 170),
+                                    st.floats(0, 2 * math.pi)), min_size=1, max_size=8),
+           n_samples=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_equals_reference_at_extreme_ratios(self, mode, diags, n_samples, seed):
+        filters = tuple(make_filter([10.0 ** e0, 10.0 ** e1 * cmath.exp(1j * ph)])
+                        for e0, e1, ph in diags)
+        self.check(SwapChain(filters, mode), n_samples, seed)
+
+    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    @pytest.mark.parametrize("name", list(DRAW_DIAGS))
+    def test_ties_give_the_reference_digits(self, monkeypatch, mode, name):
+        filts = [make_filter(d) for d in DRAW_DIAGS[name]]
+        chain = SwapChain(tuple(filts[k % len(filts)] for k in range(41)), mode)
+        for draw in (_draw, draw_reference):
+            rngs = []
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed: rngs.append(TieRng(chain, 16, seed)) or rngs[0])
+            got = draw(chain, 16, 5)
+            assert np.array_equal(got, np.array(rngs[0].digits, dtype=np.uint8))
+
+    def test_draw_memory_stays_in_budget(self):
+        # the node loop's buffers and the N-byte digit rows: (100 + N) B a draw
+        chain = pinned_chain("complex", VBS, 14)
+        tracemalloc.start()
+        try:
+            draws = _draw(chain, 200_000, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws.shape == (200_000, 13)
+        assert peak <= (100 + 13) * 200_000
 
 
 class TestPinnedOutputs:
