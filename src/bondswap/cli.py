@@ -124,7 +124,7 @@ def _file_name(key: str, value) -> str:
 
 
 # Scan rows (one per N up to HI) and sample draws admitted, with upper fits to the
-# peak bytes each adds: 217 B/row in scan, 66-67 B/draw in sample (N = 1 and 13).
+# peak bytes each adds: 217 B/row in scan, 74-75 B/draw in sample (N = 1 and 13).
 _SCAN_BUDGET = 600_000
 _SCAN_ROW_BYTES = 250
 _DRAW_BUDGET = 10_000_000
@@ -543,10 +543,11 @@ def main(argv=None) -> int:
         with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
             fh.writelines(pieces)
             fh.flush()  # a reader that closed early fails here, not at exit
-    except BrokenPipeError:  # as the Python docs advise: stdout to devnull, so that
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit is quiet
-        return 4
     except OSError as exc:
+        if not out:  # the unwritten bytes stay in stdout's buffer: point stdout at
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # devnull, as
+        if isinstance(exc, BrokenPipeError):  # the Python docs advise, so exit is quiet
+            return 4
         print(f"bondswap: error: cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
         return 2
     return code

@@ -412,26 +412,25 @@ def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:
     cl = mode.classes
     before = [(c - sum(cl[:c]), sum(cl[:c])) for c in range(1, len(cl))]
     v = np.tile(np.array(mags[0])[:, None], n_samples)   # (2, n_samples)
-    p, (w_keep, w_swap), (t, tmp) = bufs = np.empty((3, 2, n_samples))  # p = (a·v1, b·v0)
+    p, (w_keep, w_swap), (t, tmp) = bufs = np.empty((3, 2, n_samples))
+    spare = np.empty(n_samples)
     v_bits, p_bits, mask = v.view(np.uint64), p.view(np.uint64), t.view(np.uint64)
     ge = np.empty(n_samples, dtype=np.uint8)
+    # node-major: contiguous writes, and one transposed copy costs less than strided ones
     draws = np.full((n, n_samples), mode.digits.start, dtype=np.uint8)
 
-    def weigh(ck, cs, out, spare=None):  # ck·w_keep + cs·w_swap, rounded as written:
-        # 1·w = w, and 0·w + w' = w' as every weight is finite and >= 0
-        terms = [w if c == 1 else np.multiply(w, c, out=o)
-                 for c, w, o in ((ck, w_keep, out), (cs, w_swap, spare)) if c]
-        return np.add(*terms, out=out) if len(terms) == 2 else terms[0]
+    def weigh(ck, cs):  # ck·w_keep + cs·w_swap into tmp, rounded as the reference's
+        return np.add(np.multiply(w_keep, ck, out=tmp), np.multiply(w_swap, cs, out=spare), out=tmp)
 
     # each node's (a, b) and (g0, g1) as columns, its floats rounded as the reference's
     for row, ab, g in zip(draws, np.array(mags)[1:, :, None], np.array(suffix)[1:, :, None]):
-        np.multiply(v[::-1], ab, out=p)
+        np.multiply(v[::-1], ab, out=p)   # p = (a·v1, b·v0)
         v *= ab
         np.add(*np.multiply(v, g, out=bufs[2]), out=w_keep)   # I / σz outcomes
         np.add(*np.multiply(p, g, out=bufs[2]), out=w_swap)   # σx / σ3 outcomes
-        np.multiply(weigh(k, s, tmp, spare=t), rng.random(out=t), out=t)  # weigh, then u fills t
+        np.multiply(weigh(k, s), rng.random(out=t), out=t)
         for nk, ns in before:
-            row += np.greater_equal(t, weigh(nk, ns, tmp), out=ge.view(bool)).view(np.uint8)
+            row += np.greater_equal(t, weigh(nk, ns), out=ge.view(bool)).view(np.uint8)
         np.negative(np.bitwise_and(row, 1, out=ge), mask, dtype=np.uint64)  # all ones: v takes p
         v_bits ^= np.bitwise_and(np.bitwise_xor(v_bits, p_bits, out=p_bits), mask, out=p_bits)
         v /= np.add(*v, out=tmp)

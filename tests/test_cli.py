@@ -298,13 +298,19 @@ class TestSwapCommand:
         assert err.startswith("bondswap: error: cannot write /dev/full")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_stdout_failing_is_a_usage_error(self):
+    @pytest.mark.parametrize("bonds", ["2", "9"])  # 1 kB and 1 MB of JSON
+    def test_stdout_failing_is_a_usage_error(self, bonds):
+        # the unwritten bytes stay in sys.stdout's buffer, and the flush at exit
+        # must not fail a second time (which would print and exit 120)
         with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "bondswap.cli", "swap", *WORKED],
-                                  env=package_env(), stdout=full, stderr=subprocess.PIPE,
-                                  text=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "bondswap.cli", "swap", "--identical", "2,1",
+                 "--bonds", bonds], env=package_env(), stdout=full, stderr=subprocess.PIPE,
+                text=True)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("bondswap: error: cannot write stdout: ")
+        line, rest = proc.stderr.split("\n", 1)
+        assert line.startswith("bondswap: error: cannot write stdout: ")
+        assert rest == ""
 
     def test_reader_closing_early_ends_quietly(self):
         # 6561 rows, about 1 MB of JSON: more than a pipe holds, so the writer

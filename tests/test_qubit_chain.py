@@ -1020,6 +1020,8 @@ class TestClassKernel:
         assert m.classes == tuple(int(u[0, 0] == 0) for u in m.ops)
         assert m.class_sizes == ((1, 2) if mode == VBS else (2, 2))
         assert all(u is m.ops[m.classes.index(c)] for c, u in enumerate(m.class_ops))
+        # _draw swaps on the digit's parity: an odd digit is a class-1 (swap) outcome
+        assert all((d & 1) == c for d, c in zip(m.digits, m.classes))
 
     def test_class_sizes_must_be_powers_of_two(self):
         m = _Mode(2, range(4), _MODES[PLAIN].ops, tuple(range(4)), (0, 0, 0, 1))
