@@ -26,6 +26,7 @@ from .qubit import (
     SwapChain,
     _draw,
     bond_concurrences,
+    budget_error,
     check_table_budget,
     enumerate_outcomes,
     row_index,
@@ -131,14 +132,6 @@ _DRAW_BUDGET = 10_000_000
 _DRAW_BYTES = 130
 
 
-def _check_budget(command: str, count: int, budget: int, unit: str, unit_bytes: int) -> None:
-    """Refuse more than ``budget`` units of ``command``, naming the memory they need."""
-    if count > budget:
-        raise EnumerationBudgetError(
-            f"{count} {command} {unit}s (about {count / 1e9 * unit_bytes:.3g} GB at "
-            f"{unit_bytes} B/{unit}) exceed the {command} budget of {budget} {unit}s")
-
-
 # Every config key and its --flag (the key with "-" for "_"), in --help order:
 # its default, the checker each value passes unless it and the default are both
 # None (it returns the value parsed), and the argparse keywords of the flag.
@@ -162,15 +155,13 @@ _OPTIONS = {
     "format": _Option("json", _choice, {"choices": ("json", "csv")}),
     "out": _Option(None, _file_name, {
         "metavar": "FILE", "help": "write output here instead of stdout"}),
-    "corrupt_bell_order": _Option(False, None, {
-        "action": "store_true", "help": argparse.SUPPRESS}),
 }
-_DEFAULTS = {key: opt.default for key, opt in _OPTIONS.items()}
 
 
 def _resolve_config(args) -> dict:
-    """File config, overridden by explicit flags, topped with defaults."""
-    cfg = dict(_DEFAULTS)
+    """File config, overridden by explicit flags, topped with defaults.  Every
+    given value is checked, then any key the command does not read is refused."""
+    given = {}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -179,25 +170,29 @@ def _resolve_config(args) -> dict:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(_DEFAULTS)
+        unknown = set(file_cfg) - set(_OPTIONS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    cfg["command"] = args.command
+        given.update(file_cfg)
+    given.update((key, flag) for key in _OPTIONS if (flag := getattr(args, key)) is not None)
+    cfg = {"command": args.command}
     for key, opt in _OPTIONS.items():
-        flag = getattr(args, key)
-        if flag is not None and flag is not False:
-            cfg[key] = flag
-        if opt.check is not None and (cfg[key] is not None or opt.default is not None):
-            cfg[key] = opt.check(key, cfg[key])
+        value = given.get(key, opt.default)
+        cfg[key] = value if value is None and opt.default is None else opt.check(key, value)
+    command = _COMMANDS[args.command]
+    reads = [key for key in _OPTIONS if key in _SHARED_KEYS + command.keys]
+    foreign = [key for key in _OPTIONS if key in given and key not in reads]
+    if foreign:
+        flags = (", ".join("--" + key.replace("_", "-") for key in keys)
+                 for keys in (foreign, reads))
+        raise UsageError("{} does not read {}; it reads {}".format(args.command, *flags))
     if cfg["mode"] is None:
         cfg["mode"] = VBS if cfg["dim"] == 2 else QUDIT
     if cfg["mode"] in (PLAIN, VBS) and cfg["dim"] != 2:
         raise UsageError(f"mode {cfg['mode']!r} is qubit-only; got --dim {cfg['dim']}")
-    modes = _COMMANDS[args.command].modes
-    if cfg["mode"] not in modes:
-        raise UsageError(f"{args.command} supports --mode {' or '.join(modes)} only, "
-                         f"got {cfg['mode']}")
+    if cfg["mode"] not in command.modes:
+        raise UsageError(f"{args.command} supports --mode {' or '.join(command.modes)} "
+                         f"only, got {cfg['mode']}")
     return cfg
 
 
@@ -247,12 +242,8 @@ def _echo(cfg, filters) -> dict:
         "filters_normalized": _normalized(filters),
         "filter_scales": [f.scale for f in filters],
     }
-    if cfg["command"] == "scan":
-        echo["n_range"] = "%d:%d" % cfg["n_range"]
-    if cfg["command"] == "sample":
-        echo["samples"] = cfg["samples"]
-    if cfg["command"] == "verify":
-        echo["tolerance"] = cfg["tolerance"]
+    echo.update((key, "%d:%d" % cfg[key] if key == "n_range" else cfg[key])
+                for key in _COMMANDS[cfg["command"]].keys if key not in _FILTER_KEYS)
     return echo
 
 
@@ -299,7 +290,9 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
         raise UsageError("scan needs --identical (one diagonal reused for all bonds)")
     filters = _build_filters({**cfg, "bonds": 1})  # one filter serves every N
     lo, hi = cfg["n_range"]
-    _check_budget("scan", hi, _SCAN_BUDGET, "row", _SCAN_ROW_BYTES)
+    if hi > _SCAN_BUDGET:
+        raise budget_error(f"{hi} scan", math.log10(hi), "row", _SCAN_ROW_BYTES, "scan",
+                           _SCAN_BUDGET)
     logs = scan_log_constants(filters[0], hi, cfg["mode"])[lo - 1 :]
     ns = np.arange(lo, hi + 1)
     finite = np.isfinite(logs)
@@ -326,7 +319,9 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
 def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
     n = cfg["samples"]
     filters = _build_filters(cfg, table=True)
-    _check_budget("sample", n, _DRAW_BUDGET, "draw", _DRAW_BYTES)
+    if n > _DRAW_BUDGET:
+        raise budget_error(f"{n} sample", math.log10(n), "draw", _DRAW_BYTES, "sample",
+                           _DRAW_BUDGET)
     chain = SwapChain(tuple(filters), cfg["mode"])
     report = enumerate_outcomes(chain)
     digits = report.mode.digits
@@ -365,7 +360,7 @@ def _default_verify_suite(seed: int) -> list[list[FilterOp]]:
 
 
 def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
-    if cfg["identical"] is not None or cfg["filters"] is not None:
+    if any(cfg[key] is not None for key in _FILTER_KEYS):
         if cfg["bonds"] is not None:  # before --identical makes a filter per bond
             _check_oracle_bonds(cfg["bonds"])
         chains = [_build_filters(cfg)]
@@ -374,8 +369,7 @@ def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
     rows = []
     all_passed = True
     for filters in chains:
-        rep = cross_check(filters, tolerance=cfg["tolerance"],
-                          corrupt_bell_order=cfg["corrupt_bell_order"])
+        rep = cross_check(filters, tolerance=cfg["tolerance"])
         all_passed &= rep.passed
         rows.append({
             "n_bonds": len(filters),
@@ -394,17 +388,24 @@ def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
 
 
 # Every command: its runner, cfg -> (payload, filters, exit code), the payload key
-# of its table rows, their CSV columns, its --help line and the modes it accepts.
-_Command = namedtuple("_Command", "run rows columns help modes")
+# of its table rows, their CSV columns, its --help line, the modes it accepts and
+# the keys it reads beside the shared ones; a given key outside them is refused.
+_Command = namedtuple("_Command", "run rows columns help modes keys")
+_SHARED_KEYS = ("dim", "mode", "seed", "format", "out")
+_FILTER_KEYS = ("identical", "filters", "bonds")
 _COMMANDS = {
     "swap": _Command(_run_swap, "outcomes", ("index", "weight", "prob", "concurrence",
-                     "prob_times_c"), "enumerate every Bell outcome of one chain", MODES),
+                     "prob_times_c"), "enumerate every Bell outcome of one chain", MODES,
+                     _FILTER_KEYS),
     "scan": _Command(_run_scan, "rows", ("n", "constant", "log_constant"),
-                     "trade-off constant vs chain length for identical filters", (PLAIN, VBS)),
+                     "trade-off constant vs chain length for identical filters", (PLAIN, VBS),
+                     ("identical", "n_range")),
     "sample": _Command(_run_sample, "outcomes", ("index", "count", "frequency", "prob"),
-                       "draw Bell outcomes from the exact distribution", (PLAIN, VBS)),
+                       "draw Bell outcomes from the exact distribution", (PLAIN, VBS),
+                       (*_FILTER_KEYS, "samples")),
     "verify": _Command(_run_verify, "chains", ("n_bonds", "worst_weight_dev", "worst_fidelity",
-                       "passed"), "cross-check chains against the state-vector oracle", (VBS,)),
+                       "passed"), "cross-check chains against the state-vector oracle", (VBS,),
+                       (*_FILTER_KEYS, "tolerance")),
 }
 # rows rendered per block, so per-row strings exist for one block at a time
 _CHUNK_ROWS = 4096

@@ -200,6 +200,15 @@ def _approx(log10_x: float) -> str:
     return f"{10 ** (log10_x - exp):.2f}e+{exp}"
 
 
+def budget_error(count: str, log10_count: float, unit: str, unit_bytes: int, name: str,
+                 budget: int, hint: str = "") -> EnumerationBudgetError:
+    """Refusal of ``count`` (10**log10_count units) with the memory they need."""
+    log10_gb = log10_count + math.log10(unit_bytes) - 9
+    return EnumerationBudgetError(
+        f"{count} {unit}s (about {_approx(log10_gb)} GB at {unit_bytes} B/{unit}) "
+        f"exceed the {name} budget of {budget} {unit}s{hint}")
+
+
 def check_budget(base: int, n: int, dim: int, budget: int, hint: str = "") -> None:
     """Refuse a base^n-row table of D×D operators above ``budget`` rows.
 
@@ -211,12 +220,8 @@ def check_budget(base: int, n: int, dim: int, budget: int, hint: str = "") -> No
         return
     log10_rows = n * math.log10(base)
     row_bytes = _ROW_BYTES + _ROW_BYTES_PER_OP_ENTRY * dim * dim
-    log10_gb = log10_rows + math.log10(row_bytes) - 9
-    raise EnumerationBudgetError(
-        f"{base}^{n} = {_approx(log10_rows)} outcome rows (about "
-        f"{_approx(log10_gb)} GB at {row_bytes} B/row) exceed the enumeration "
-        f"budget of {budget} rows{hint}"
-    )
+    raise budget_error(f"{base}^{n} = {_approx(log10_rows)} outcome", log10_rows, "row",
+                       row_bytes, "enumeration", budget, hint)
 
 
 def check_table_budget(mode: str, n_nodes: int) -> None:

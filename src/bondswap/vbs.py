@@ -22,7 +22,7 @@ import numpy as np
 
 from .filters import VBS, FilterOp
 from .linalg import StateVector
-from .qubit import SwapChain, bell_state, enumerate_outcomes, row_index
+from .qubit import SwapChain, bell_state, enumerate_outcomes
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -32,10 +32,6 @@ MAX_ORACLE_NODES = 8
 # ⟨φ_i| of the symmetric Bell outcomes i = 1, 2, 3, one row each
 _BELL_BRAS = np.array([bell_state(VBS, i).amplitudes for i in (1, 2, 3)]).conj()
 _BELL_BRAS.flags.writeable = False
-
-# negative-control relabelling i -> _CORRUPT_MAP[i] of the Bell indices
-# (hidden debug hook; entry 0 is unused)
-_CORRUPT_MAP = np.array([0, 2, 3, 1])
 
 
 def symmetric_projector() -> np.ndarray:
@@ -175,29 +171,21 @@ class CrossCheckReport:
                 zip(self.digits.tolist(), *(col.tolist() for col in columns))]
 
 
-def cross_check(filters, tolerance: float = 1e-9,
-                corrupt_bell_order: bool = False) -> CrossCheckReport:
+def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
     """Compare every outcome of the state-vector oracle with the swap chain.
 
     The oracle's Born probabilities are matched against enumerate_outcomes
     probs, and each end-pair state against the chain-operator state
     (I ⊗ M)|Φ+⟩, both normalized.  The chain side is read only for this
     comparison.  Mismatches are reported, never raised.
-    ``corrupt_bell_order`` deliberately permutes the chain side's Bell
-    indices — a negative control that must produce visible failures.
     """
     filts = tuple(filters)
     weights, ends = measure_all_outcomes(build_vbs_state(filts))
     report = enumerate_outcomes(SwapChain(filts, VBS))
-    rows = slice(None)
-    if corrupt_bell_order:
-        # chain row of each outcome with its indices relabelled
-        rows = row_index(_CORRUPT_MAP[report.digits], 3, 1)
-    prob = report.prob[rows]
     # amplitude on |j⟩⊗|k⟩ is M[k, j], as in state_from_operator
-    pred = report.final_ops[rows].transpose(0, 2, 1).reshape(-1, 4)
+    pred = report.final_ops.transpose(0, 2, 1).reshape(-1, 4)
     oracle_zero = weights == 0.0
-    chain_zero = prob == 0.0
+    chain_zero = report.prob == 0.0
     fid = (oracle_zero & chain_zero).astype(float)
     live = ~(oracle_zero | chain_zero)
     # |⟨end|pred⟩|² / (‖end‖²‖pred‖²), with end normalized first so that
@@ -206,7 +194,7 @@ def cross_check(filters, tolerance: float = 1e-9,
     pred = pred[live]
     overlap = _abs_sq(np.sum(unit_end.conj() * pred, axis=1))
     fid[live] = np.clip(overlap / _abs_sq(pred).sum(axis=1), 0.0, 1.0)
-    dev = np.abs(weights - prob)
+    dev = np.abs(weights - report.prob)
     worst_dev, worst_fid, tol = float(dev.max()), float(fid.min()), float(tolerance)
-    return CrossCheckReport(report.digits, weights, prob, dev, fid, worst_dev, worst_fid, tol,
-                            passed=worst_dev <= tol and worst_fid >= 1.0 - tol)
+    return CrossCheckReport(report.digits, weights, report.prob, dev, fid, worst_dev,
+                            worst_fid, tol, passed=worst_dev <= tol and worst_fid >= 1.0 - tol)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from reference import bond_concurrence
 
-from bondswap import __version__, cli, qubit, qudit
+from bondswap import __version__, cli, qubit, qudit, vbs
 from bondswap.cli import main
 from bondswap.filters import make_filter
 from bondswap.qubit import (
@@ -569,8 +569,10 @@ class TestVerifyCommand:
         assert type(comparisons) is list and len(comparisons) == 3 ** 3
         assert all(type(c) is OutcomeComparison for c in comparisons)
 
-    def test_corrupted_projector_order_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", *WORKED, "--corrupt-bell-order")
+    def test_corrupted_projector_order_fails(self, capsys, monkeypatch):
+        # the oracle measures in a permuted Bell basis: a negative control
+        monkeypatch.setattr(vbs, "_BELL_BRAS", vbs._BELL_BRAS[[1, 2, 0]])
+        code, out, _ = run_cli(capsys, "verify", *WORKED)
         assert code == 1
         assert json.loads(out)["passed"] is False
 
@@ -828,6 +830,78 @@ class TestExitCodes:
         assert tiny["config_echo"]["filter_scales"] == [1e-200, 1e-200]
 
 
+class TestRefusals:
+    """A command refuses every option it does not read, from a flag or a config
+    file alike, after the values are checked and before any budget."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("swap", *WORKED, "--samples", "5"), "--samples"),
+        (("scan", "--identical", "2,1", "--bonds", "3"), "--bonds"),
+        (("sample", *WORKED, "--n-range", "1:3"), "--n-range"),
+        (("verify", "--n-range", "1:3"), "--n-range"),
+    ])
+    def test_option_the_command_does_not_read(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"bondswap: error: {argv[0]} does not read {flag}; it reads ")
+        assert err.count("\n") == 1
+
+    def test_message_lists_what_the_command_reads(self, capsys):
+        assert run_cli(capsys, "scan", "--identical", "2,1", "--filters", "1,1", "--bonds",
+                       "7") == (2, "", "bondswap: error: scan does not read --filters, --bonds; "
+                                "it reads --dim, --mode, --identical, --seed, --n-range, "
+                                "--format, --out\n")
+
+    def test_config_file_key_the_command_does_not_read(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"identical": "2,1", "n_range": "1:3", "samples": 5}))
+        code, out, err = run_cli(capsys, "scan", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("bondswap: error: scan does not read --samples; ")
+        path.write_text(json.dumps({"identical": "2,1", "bonds": 2, "n_range": "1:3"}))
+        assert run_cli(capsys, "swap", "--config", str(path))[0] == 2
+
+    @pytest.mark.parametrize("bonds", ["3", "20"])
+    def test_verify_bonds_alone_is_not_the_default_suite(self, capsys, bonds):
+        code, out, err = run_cli(capsys, "verify", "--bonds", bonds)
+        assert (code, out) == (2, "")
+        assert err.startswith("bondswap: error: ")
+
+    def test_negative_control_knob_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--corrupt-bell-order"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --corrupt-bell-order" in capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"corrupt_bell_order": "yes"}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert "corrupt_bell_order" in err
+
+    def test_refusal_comes_before_the_table_budget(self, capsys):
+        code, out, err = run_cli(capsys, "swap", "--identical", "2,1", "--bonds", "2000000",
+                                 "--samples", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("bondswap: error: swap does not read --samples; ")
+
+    def test_accepted_argv_echoes_the_keys_that_do_not_give_filters(self, capsys):
+        echoes = {argv[0]: run_json(capsys, *argv)["config_echo"] for argv in (
+            ("swap", *WORKED), ("scan", "--identical", "2,1"),
+            ("sample", *WORKED, "--samples", "10"), ("verify",))}
+        assert echoes["swap"].keys() == {"command", "dim", "mode", "format",
+                                         "filters_normalized", "filter_scales"}
+        assert echoes["scan"]["n_range"] == "1:8"
+        assert echoes["sample"]["samples"] == 10
+        assert echoes["verify"]["tolerance"] == 1e-9
+
+    def test_every_option_is_read_by_some_command(self):
+        # 4 commands share 5 keys and read 13 of their own: 33 settable pairs of 44
+        assert len(cli._OPTIONS) == 11
+        keys = [cli._SHARED_KEYS + command.keys for command in cli._COMMANDS.values()]
+        assert sum(map(len, keys)) == 33
+        assert set().union(*keys) == set(cli._OPTIONS)
+
+
 class TestParser:
     def test_help_lists_every_command_and_flag(self, capsys):
         pages = []
@@ -872,34 +946,46 @@ class TestParser:
         assert run_cli(capsys, *WORKED, "swap") == after
 
 
-ENTRIES = st.sampled_from([0, 1, 2, 0.5, -0.25, "0.6+0.8j", "-1j"])
+ENTRIES = st.sampled_from([1, 2, 0.5, -0.25, "0.6+0.8j", "-1j", 0])
 
 
 @st.composite
 def options(draw):
-    """A command and config values of every kind the CLI reads; most draws
-    hold a value or a combination the CLI rejects, about one in five runs."""
+    """A command and config values of every kind the CLI reads.  Most keys the
+    command reads get a valid value, a few a value or a combination the CLI
+    rejects, and now and then a key the command does not read is given; about
+    a third of the draws run."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    reads = cli._SHARED_KEYS + cli._COMMANDS[command].keys
     cfg = {}
-    dim = draw(st.sampled_from([None, 2, 3]))
-    if dim is not None:
-        cfg["dim"] = dim
-    width = draw(st.sampled_from([dim or 2] * 3 + [5 - (dim or 2)]))
+
+    def pick(key, good, bad=()):
+        # not given, good, or bad; a key the command does not read given one time in ten
+        values = [None, *good * (6 // len(good)), *bad] if key in reads else [None] * 9 + good[:1]
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            cfg[key] = value
+        return value
+
+    dim = pick("dim", [2], [3])
+    pick("mode", list(cli._COMMANDS[command].modes), [cli.VBS, cli.PLAIN, cli.QUDIT])
+    width = draw(st.sampled_from([dim or 2] * 5 + [5 - (dim or 2)]))
     diag = st.lists(ENTRIES, min_size=width, max_size=width)
-    source = draw(st.sampled_from(["identical", "filters"] * 2 + ["both", "neither"]))
+    sources = ["identical", "filters"] * 4 + ["both", "neither"]
+    if "filters" not in reads:
+        sources = ["identical"] * 4 + ["filters", "neither"]
+    source = draw(st.sampled_from(sources))
     if source in ("identical", "both"):
         cfg["identical"] = draw(diag)
     if source in ("filters", "both"):
         cfg["filters"] = draw(st.lists(diag, min_size=1, max_size=3))
-    choices = {
-        "mode": [None, "plain", "vbs", "qudit"], "bonds": [2, 3] * 2 + [None, 0],
-        "seed": [None, 0, 7, -1], "samples": [None, 50, 50, 0],
-        "n_range": [None, [1, 3], [2, 4], [3, 1]], "format": [None, "json", "csv"],
-    }
-    for key, values in choices.items():
-        value = draw(st.sampled_from(values))
-        if value is not None:
-            cfg[key] = value
-    return draw(st.sampled_from(list(cli._COMMANDS))), cfg
+    pick("bonds", [len(cfg["filters"])] if "filters" in cfg else [2, 3], [0])
+    pick("seed", [0, 7], [-1])
+    pick("samples", [50], [0])
+    pick("tolerance", [1e-6], [-1])
+    pick("n_range", [[1, 3], [2, 4]], [[3, 1]])
+    pick("format", ["json", "csv"])
+    return command, cfg
 
 
 def as_flag(key, value) -> str:

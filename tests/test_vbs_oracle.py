@@ -14,6 +14,7 @@ import pytest
 from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
 from bondswap.qubit import SwapChain, bell_state, chain_operator, enumerate_outcomes
+from bondswap import vbs
 from bondswap.vbs import (
     MAX_ORACLE_NODES,
     build_vbs_state,
@@ -213,16 +214,17 @@ class TestBatchedOracle:
             assert type(val) is float
         assert type(report.passed) is bool
 
-    def test_negative_control_on_longer_chain(self, rng):
+    def test_negative_control_on_longer_chain(self, rng, monkeypatch):
         filters = tuple(random_filter(rng) for _ in range(4))
         honest = cross_check(filters)
         assert honest.passed
-        report = cross_check(filters, corrupt_bell_order=True)
+        monkeypatch.setattr(vbs, "_BELL_BRAS", vbs._BELL_BRAS[[1, 2, 0]])
+        report = cross_check(filters)
         assert not report.passed
         assert report.worst_fidelity < 1.0 - 1e-9
-        # the oracle side is untouched; only the chain side was relabelled
-        assert [c.oracle_weight for c in report.comparisons] == [
-            c.oracle_weight for c in honest.comparisons
+        # the chain side is untouched; only the oracle's Bell basis was permuted
+        assert [c.chain_prob for c in report.comparisons] == [
+            c.chain_prob for c in honest.comparisons
         ]
 
     def test_cross_check_at_the_size_limit(self, rng):
@@ -265,10 +267,11 @@ class TestAgainstOperatorRoute:
         report = cross_check(filters)
         assert report.passed
 
-    def test_negative_control_trips_the_comparison(self):
+    def test_negative_control_trips_the_comparison(self, monkeypatch):
         # re-labelling the projector outcomes must be caught immediately
+        monkeypatch.setattr(vbs, "_BELL_BRAS", vbs._BELL_BRAS[[1, 2, 0]])
         f = make_filter([2, 1])
-        report = cross_check((f, f), corrupt_bell_order=True)
+        report = cross_check((f, f))
         assert not report.passed
         assert report.worst_fidelity < 1.0 - 1e-9
 
