@@ -27,12 +27,13 @@ from .qubit import (
     _draw,
     bond_concurrences,
     budget_error,
+    check_budget,
     check_table_budget,
     enumerate_outcomes,
     row_index,
     scan_log_constants,
 )
-from .qudit import QuditChain, check_qudit_table_budget, enumerate_qudit_outcomes
+from .qudit import QuditChain, enumerate_qudit_outcomes
 from .vbs import _check_oracle_bonds, cross_check
 
 QUDIT = "qudit"
@@ -222,7 +223,7 @@ def _build_filters(cfg, table: bool = False) -> list[FilterOp]:
     filters = [make_filter(d) for d in diags]
     n_bonds = cfg["bonds"] if cfg["filters"] is None else len(filters)
     if table and cfg["mode"] == QUDIT:
-        check_qudit_table_budget(cfg["dim"], n_bonds - 1)
+        check_budget(cfg["dim"] ** 2, n_bonds - 1)
     elif table:
         check_table_budget(cfg["mode"], n_bonds - 1)
     return filters if cfg["filters"] is not None else filters * n_bonds
@@ -435,14 +436,14 @@ def _segments(rows: dict, names, opens, encode, quote: str):
     """The text before each segment of a row, and a function from a slice of rows
     to its tokens.  Row b of a column (values, index) holds values[index[b]],
     and columns with one index join their tokens once per value.  A float
-    column with no fewer values than rows (plain, or qudit, whose outcomes are
-    classes of one) is factored first by its bits (-0.0 apart from 0.0)."""
+    column without an index (scan's, whose underflowed constants repeat) is
+    factored first by its bits (-0.0 apart from 0.0)."""
     texts, parts = [], []  # (index, tokens per value) or (None, column)
     for name, text in zip(names, opens):
         values, index = rows[name] if isinstance(rows[name], tuple) else (rows[name], None)
-        if values.dtype.kind == "f" and (index is None or len(values) >= len(index)):
-            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-            values, index = bits.view(np.float64), inverse if index is None else inverse[index]
+        if values.dtype.kind == "f" and index is None:
+            bits, index = np.unique(values.view(np.int64), return_inverse=True)
+            values = bits.view(np.float64)
         tokens = values if index is None else np.array(encode(values), dtype=object)
         if index is not None and parts and parts[-1][0] is index:
             parts[-1] = (index, parts[-1][1] + text + tokens)

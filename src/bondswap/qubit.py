@@ -39,51 +39,53 @@ for _p in PAULI:
 
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
-#: Largest outcome table enumerate_outcomes will materialize, in rows.  It
-#: admits vbs N <= 13 and plain N <= 10; a JSON CLI swap of those peaks at
-#: about 0.21 GB and 0.15 GB of resident memory.
-ENUMERATION_BUDGET = 3 ** 13
+#: Largest outcome table any mode will materialize, in rows: 6^8 = 36^4.  It
+#: admits vbs N <= 13, plain N <= 10 and qudit D = 2..8 up to N = 10, 6, 5, 4,
+#: 4, 3, 3; a CLI swap of the largest (qudit D = 6, N = 4) peaks at about 80 MiB.
+ENUMERATION_BUDGET = 6 ** 8
 
-# Peak resident bytes per row of a CLI swap or sample, an upper fit to the
-# largest admitted tables: 60-67 B/row for a qubit swap and 89-99 for a sample,
-# set by its count arrays, and 294-1686 for qudit D = 3-8, by each D×D operator.
-_ROW_BYTES = 150
-_ROW_BYTES_PER_OP_ENTRY = 32
+# Peak resident bytes per row of a CLI swap or sample, an upper fit to the tables
+# of 10^6 rows and more in every mode: 50-67 B/row with the interpreter's 31 MiB,
+# 31-40 B/row above it.  No row holds an operator, so one figure serves every D.
+_ROW_BYTES = 70
 
 
 @dataclass(frozen=True, eq=False)
 class _Mode:
     """A measurement mode as data: outcome ``digits[j]`` applies the node
-    operator ``ops[j]``, is recorded as ``labels[digits[j]]`` and lies in class
-    ``classes[j]``; ``end`` (σ3 for vbs, else None) multiplies every chain
-    operator from the left.  Products over one string of classes differ only
-    by signs, so they share weight, |det| and concurrence bit for bit.  Qubit
-    class 0 keeps |0⟩, |1⟩ (I, σz) and class 1 swaps them (σx, σ3)."""
+    operator ``ops[j]`` and is recorded as ``labels[digits[j]]``; ``end`` (σ3
+    for vbs, else None) multiplies every chain operator from the left.  Each
+    node operator is a shift times a diagonal, and its class is the shift:
+    products over one string of classes differ only by phases, so they share
+    weight, |det| and concurrence, which _table takes from class_ops."""
 
     dim: int
     digits: range
     ops: tuple[np.ndarray, ...]
     labels: tuple
-    classes: tuple[int, ...]
     end: np.ndarray | None = None
 
     @cached_property
+    def classes(self) -> tuple[int, ...]:
+        """Each outcome's class: its operator's shift, the row of the nonzero entry
+        in column 0.  σx and σ3 (class 1) swap |0⟩, |1⟩; U_mn lies in class m."""
+        return tuple(int(np.flatnonzero(u[:, 0])[0]) for u in self.ops)
+
+    @cached_property
     def class_sizes(self) -> tuple[int, ...]:
-        """Outcomes per class, each a power of two; for qubits (k, s), so that
+        """Outcomes per class; for qubits (k, s), so that
         Σ_i σ_i diag(p, r) σ_i = diag(k·p + s·r, s·p + k·r) over all outcomes."""
-        sizes = tuple(map(self.classes.count, range(max(self.classes) + 1)))
-        assert all(m & (m - 1) == 0 for m in sizes), f"class sizes {sizes}"
-        return sizes
+        return tuple(map(self.classes.count, range(max(self.classes) + 1)))
 
     @cached_property
     def class_ops(self) -> tuple[np.ndarray, ...]:
-        """One representative node operator per class: its first outcome's."""
+        """One node operator per class, its first outcome's: X^m alone for class m of U_mn."""
         return tuple(self.ops[self.classes.index(c)] for c in range(len(self.class_sizes)))
 
 
 _MODES = {
-    VBS: _Mode(2, range(1, 4), PAULI[1:], tuple(range(4)), (1, 0, 1), PAULI[3]),
-    PLAIN: _Mode(2, range(0, 4), PAULI, tuple(range(4)), (0, 1, 0, 1)),
+    VBS: _Mode(2, range(1, 4), PAULI[1:], tuple(range(4)), PAULI[3]),
+    PLAIN: _Mode(2, range(0, 4), PAULI, tuple(range(4))),
 }
 
 
@@ -137,11 +139,11 @@ class TradeoffReport:
     """Outcome table held per class, plus the outcome-independent prob × C.
 
     Row b belongs to the outcome whose per-node digits are ``digits[b]``
-    (little-endian, node 1 first; the digit the CLI prints) and shares the
-    values of class ``class_index[b]`` (see _table) bit for bit; ``weight``,
+    (little-endian, node 1 first; the digit the CLI prints) and takes the
+    values of its shift class ``class_index[b]`` (see _table); ``weight``,
     ``prob`` and ``concurrence`` gather them on each read.  ``final_ops``
-    multiplies out every row's operator of ``chain`` on each read, and
-    ``records``, the per-row view, labels a digit with ``mode.labels``.
+    multiplies out every row's own operator on each read, and ``records``,
+    the per-row view, labels a digit with ``mode.labels``.
     """
 
     constant: float
@@ -209,24 +211,24 @@ def budget_error(count: str, log10_count: float, unit: str, unit_bytes: int, nam
         f"exceed the {name} budget of {budget} {unit}s{hint}")
 
 
-def check_budget(base: int, n: int, dim: int, budget: int, hint: str = "") -> None:
-    """Refuse a base^n-row table of D×D operators above ``budget`` rows.
+def check_budget(base: int, n: int, hint: str = "") -> None:
+    """Refuse a base^n-row outcome table above ENUMERATION_BUDGET rows, the one
+    row budget of every mode.
 
     Runs before anything is allocated; the error gives the row count and the
     estimated peak memory of a CLI run that renders the table.
     """
     # past its bit length, base^n > 2^n > budget: never build a huge base ** n
-    if n <= budget.bit_length() and base ** n <= budget:
+    if n <= ENUMERATION_BUDGET.bit_length() and base ** n <= ENUMERATION_BUDGET:
         return
     log10_rows = n * math.log10(base)
-    row_bytes = _ROW_BYTES + _ROW_BYTES_PER_OP_ENTRY * dim * dim
     raise budget_error(f"{base}^{n} = {_approx(log10_rows)} outcome", log10_rows, "row",
-                       row_bytes, "enumeration", budget, hint)
+                       _ROW_BYTES, "enumeration", ENUMERATION_BUDGET, hint)
 
 
 def check_table_budget(mode: str, n_nodes: int) -> None:
     """enumerate_outcomes's budget check, from the mode and node count alone."""
-    check_budget(len(_mode(mode).digits), n_nodes, 2, ENUMERATION_BUDGET,
+    check_budget(len(_mode(mode).digits), n_nodes,
                  "; use sample_outcomes or p_sum_transfer instead")
 
 
@@ -271,8 +273,8 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
 
     weight = Tr(M M†)/dim, |det M| and concurrence are reduced once per class
     string, over the products of mode.class_ops; a row's class index Σ_k
-    class(d_k)·C^k takes the smallest unsigned dtype.  prob = weight / P_sum;
-    max_residual is the worst deviation of prob × concurrence from Π_j C_j / P_sum.
+    class(d_k)·C^k takes the smallest unsigned dtype.  prob = weight / P_sum (Σ
+    over rows, correctly rounded); max_residual is the worst |prob × C − Π_j C_j / P_sum|.
     """
     batch = _operators(chain, [mode.class_ops] * chain.n_nodes, mode.end)
     hs_sq = (np.abs(batch) ** 2).sum(axis=(1, 2))
@@ -281,8 +283,12 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     classes, n_classes = np.array(mode.classes, index.dtype), len(mode.class_ops)
     for k in range(chain.n_nodes):
         index = (classes[:, None] * n_classes ** k + index).ravel()
-    # w·(rows of its class) is exact (a power of two): fsum over all rows
-    p_sum = math.fsum((weights * np.bincount(index, minlength=len(weights))).tolist())
+    # Σ_c w_c·m_c over the classes' row counts m_c < 2^26, exactly: Veltkamp's split
+    # w_c = hi + lo leaves 26 and 27 bits, so hi·m_c and lo·m_c are exact; one fsum
+    counts = np.bincount(index, minlength=len(weights))
+    hi = weights * 134217729.0  # 2^27 + 1
+    hi -= hi - weights
+    p_sum = math.fsum(np.concatenate((hi * counts, (weights - hi) * counts)).tolist())
     probs = weights / p_sum
     abs_dets = np.abs(batched_determinant(batch))
     conc = np.zeros(len(batch))

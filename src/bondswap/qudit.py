@@ -17,11 +17,6 @@ import numpy as np
 from .filters import FilterOp, _Chain
 from .qubit import TradeoffReport, _Mode, _table, check_budget
 
-#: Largest qudit outcome table enumerate_qudit_outcomes will materialize, in
-#: rows.  Its largest table, D = 6 with N = 4, peaks at about 1.5 GB in a CLI
-#: swap; up to D = 8 (the CLI's digit alphabet) none it admits needs more.
-QUDIT_ENUMERATION_BUDGET = 36 ** 4
-
 
 def omega_power(dim: int, k: int) -> complex:
     """exp(2πi·k/dim), exact at the quarter-circle angles.
@@ -51,10 +46,11 @@ def gen_pauli(dim: int, m: int, n: int) -> np.ndarray:
 
 @cache
 def _weyl_mode(dim: int) -> _Mode:
-    """The D² Weyl-Bell outcomes: digit m·D + n applies U_mn, labelled (m, n), its own class."""
+    """The D² Weyl-Bell outcomes: digit m·D + n applies U_mn, labelled (m, n), in
+    shift class m, whose D members share their moduli with X^m."""
     labels = tuple(divmod(digit, dim) for digit in range(dim * dim))
     ops = tuple(gen_pauli(dim, m, n) for m, n in labels)
-    return _Mode(dim, range(dim * dim), ops, labels, tuple(range(dim * dim)))
+    return _Mode(dim, range(dim * dim), ops, labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +65,6 @@ class QuditChain(_Chain):
         self._store(self.dim)
 
 
-def check_qudit_table_budget(dim: int, n_nodes: int) -> None:
-    """enumerate_qudit_outcomes's budget check, from the dimension and node count alone."""
-    check_budget(dim ** 2, n_nodes, dim, QUDIT_ENUMERATION_BUDGET)
-
-
 def enumerate_qudit_outcomes(chain: QuditChain) -> TradeoffReport:
     """Exact table over all D^(2N) Weyl-Bell outcomes.
 
@@ -81,7 +72,8 @@ def enumerate_qudit_outcomes(chain: QuditChain) -> TradeoffReport:
     little-endian base-D² integer with per-node digit m·D + n.  Weights are
     (1/D)Tr(M M†) and sum to D^(2N); prob = weight / P_sum, and
     prob × concurrence equals Π_k C_k / P_sum on every non-singular
-    record (the trade-off constant of the report).
+    record (the trade-off constant of the report).  The table is reduced over
+    the D^N shift-class products, and each row shares its class's values.
     """
-    check_qudit_table_budget(chain.dim, chain.n_nodes)
+    check_budget(chain.dim ** 2, chain.n_nodes)
     return _table(chain, _weyl_mode(chain.dim))

@@ -1,5 +1,9 @@
 """Independent per-bond and per-state routes that the tests compare the package against."""
 
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -63,3 +67,91 @@ def draw_reference(chain, n_samples: int, seed: int) -> np.ndarray:
         v[1] *= b
         v /= v[0] + v[1]
     return draws
+
+
+def full_route_columns(report):
+    """weight, prob, concurrence, p_sum, constant and max_residual reduced
+    from every row's own operator (``report.final_ops``), with fsum over every
+    row: the table route that multiplies out each outcome on its own."""
+    from bondswap.linalg import batched_determinant, det_concurrence
+    from bondswap.qubit import bond_concurrences
+
+    dim = report.mode.dim
+    batch = report.final_ops
+    hs_sq = (np.abs(batch) ** 2).sum(axis=(1, 2))
+    weights = hs_sq / dim
+    p_sum = math.fsum(weights.tolist())
+    probs = weights / p_sum
+    abs_dets = np.abs(batched_determinant(batch))
+    conc = np.zeros(len(batch))
+    nz = hs_sq > 0.0
+    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], dim))
+    cs = bond_concurrences(report.chain)
+    constant = 0.0 if any(c == 0.0 for c in cs) else math.prod(cs) / p_sum
+    max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
+    return weights, probs, conc, p_sum, constant, max_residual
+
+
+# the shift of each qubit node operator σ_i (i = 0..3: I, σx, σz, σx·σz): 1 iff it holds σx
+PAULI_SHIFTS = np.array([0, 1, 0, 1])
+
+
+def digit_shifts(digits: np.ndarray, dim: int) -> np.ndarray:
+    """Each node's shift for a table's digits: σ_i's at D = 2 (vbs and plain
+    digits name the Pauli), m for the Weyl digit m·D + n of U_mn = X^m Z^n."""
+    return PAULI_SHIFTS[digits] if dim == 2 else digits // dim
+
+
+def exact_monomial_table(chain, shifts: np.ndarray):
+    """Exact weights, as Fractions, of the monomial chain operators
+    M = [end·]T_N U_N ··· U_1 T_0: (the distinct weights, each row's index
+    into them, the common |det M|²).
+
+    Row r's node k applies U_k, which sends |j⟩ to a unimodular multiple of
+    |j + shifts[r, k] mod D⟩, so column j of M has the squared modulus
+    Π_k |λ_k(j + m_1 + ··· + m_k)|² with |λ|² = re² + im² of the stored
+    diagonal, exactly.  The weight Tr(M M†)/D is the mean of these over j, a
+    function of the row's shifts alone, and |det M|² = Π_k Π_i |λ_k,i|² for
+    every row."""
+    mags = [[Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in row]
+            for row in chain.diags.tolist()]
+    dim = len(mags[0])
+    strings, index = np.unique(shifts, axis=0, return_inverse=True)
+    weights = []
+    for row in strings.tolist():
+        total = Fraction(0)
+        for j in range(dim):
+            w = mags[0][j]
+            for m, lam in zip(row, mags[1:]):
+                j = (j + m) % dim
+                w *= lam[j]
+            total += w
+        weights.append(total / dim)
+    return weights, index.ravel(), math.prod(math.prod(row) for row in mags)
+
+
+def decimal_concurrences(weights, det_sq: Fraction, dim: int, prec: int = 50) -> list[Decimal]:
+    """D·|det M|^(2/D) / Tr(M M†) = (|det M|²)^(1/D) / weight for each weight,
+    at most 1 and 0 for a zero weight, as ``prec``-digit Decimals."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        def dec(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+        root = (dec(det_sq).ln() / dim).exp() if det_sq else Decimal(0)
+        return [min(Decimal(1), root / dec(w)) if w else Decimal(0) for w in weights]
+
+
+def ulp_errors(got: np.ndarray, exact: list, index: np.ndarray) -> np.ndarray:
+    """|got[r] − exact[index[r]]| per row r in units in the last place of the
+    float nearest the exact value (a Fraction or a Decimal).  Taken as
+    (got − nearest)/ulp, exact in floats while got lies within a factor two of
+    it, plus the nearest float's own offset from the exact value."""
+    near, ulp, offset = np.empty((3, len(exact)))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for k, e in enumerate(exact):
+            near[k] = f = float(e)
+            ulp[k] = u = math.ulp(f)
+            kind = Decimal if isinstance(e, Decimal) else Fraction
+            offset[k] = float((kind(f) - e) / kind(u))
+    return np.abs((np.asarray(got) - near[index]) / ulp[index] + offset[index])

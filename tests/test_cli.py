@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from reference import bond_concurrence
 
-from bondswap import __version__, cli, qubit, qudit, vbs
+from bondswap import __version__, cli, qubit, vbs
 from bondswap.cli import main
 from bondswap.filters import make_filter
 from bondswap.qubit import (
@@ -440,15 +440,19 @@ PINNED_VBS9 = ("0.9,0.3;-0.5,0.7;0.6+0.2j,0.4;1,-1e-3;0.8,0.8j;0.35,1;-0.7-0.1j,
                "2,1;0.45,-0.95;0.3+0.3j,0.6-0.2j")
 PINNED_PLAIN7 = "1,0.5;0.2-0.9j,0.7;-1,0.35;0.6,0.6+0.1j;1e-3,1;0.75,-0.4;0.5j,0.9;0.8,0.3-0.3j"
 PINNED_QUDIT5 = "1,2,0.5,0.3+0.4j,0.8;0.7,1,-0.5,0.2,1.5;0.9j,0.4,1,0.6,-1;1,0.25,0.75,2,0.5-0.1j"
+PINNED_QUDIT4 = "1,2,0.5,0.3+0.4j;0.7,-1,0.5j,0.2;0.9j,0.4,1,-0.6;1,0.25,0.75,2-0.1j"
 PINNED_CHAINS = {
     "vbs": ("--mode=vbs", f"--filters={PINNED_VBS9}"),
     "plain": ("--mode=plain", f"--filters={PINNED_PLAIN7}"),
     "qudit": ("--mode=qudit", "--dim=5", f"--filters={PINNED_QUDIT5}"),
+    "qudit4": ("--mode=qudit", "--dim=4", f"--filters={PINNED_QUDIT4}"),
     "identical": ("--identical=2,1", "--bonds=7"),
 }
 # sha256 of whole documents, recorded from the per-row table route (the last
-# four from the column renderer that preceded class tokens); the reference
-# renderer above reads the same tables, so these pins guard the table bits
+# four from the column renderer that preceded class tokens; qudit D = 5 from the
+# shift-class route, whose last bits differ from the per-row one at odd D);
+# the reference renderer above reads the same tables, so these pins guard the
+# table bits
 PINNED_DOCUMENTS = {
     ("swap", "vbs", "json"): "e443a41a2267d0895af99378e20284891025f3a0c638b682e96f9ee67e05d49b",
     ("swap", "vbs", "csv"): "2cb6906a618455343a016aa4960cd541a73d093676a7385ea436c62a9eeceedd",
@@ -457,7 +461,8 @@ PINNED_DOCUMENTS = {
     ("sample", "vbs", "json"): "04776fbfc45fbd80dd3aeaad7c50ab1d000d367d9bdc7de8326fa6985f846be7",
     ("sample", "vbs", "csv"): "a0e591335ddbdf1439b31b81d5774930e00938bbf94203be07bdd285e954042d",
     ("sample", "plain", "csv"): "c51726c1e744f780faa0910fde875c4b63bc47db6720dac30d43937fe5b95dab",
-    ("swap", "qudit", "json"): "4b0ad71e8bf16345ba9aa712579f54312ca048cfc2e765986740904cce775d98",
+    ("swap", "qudit", "json"): "7c4c8563935c055ad39a0a5c828295a41c9632ecde6fa7797882faaa94003b8b",
+    ("swap", "qudit4", "json"): "ac1ed824b9a1c7fdc96a289e039d5b829fa8babdf26a1311b4737018a0d766b3",
     ("sample", "identical", "json"):
         "a5846173ee490052d7c562f6814e5776bbfd988c3213c7f000663dc78cc17f7e",
 }
@@ -699,8 +704,8 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == ("bondswap: budget exceeded: 3^1999999 = 1.08e+954242 outcome rows "
-                       "(about 2.99e+954235 GB at 278 B/row) exceed the enumeration budget "
-                       "of 1594323 rows; use sample_outcomes or p_sum_transfer instead\n")
+                       "(about 7.54e+954234 GB at 70 B/row) exceed the enumeration budget "
+                       "of 1679616 rows; use sample_outcomes or p_sum_transfer instead\n")
 
     @pytest.mark.parametrize("command", ["swap", "sample"])
     def test_usage_errors_come_before_the_table_budget(self, capsys, command):
@@ -779,8 +784,8 @@ class TestExitCodes:
             (qubit, "ENUMERATION_BUDGET", ("sample", "--mode", "plain",
                                            "--identical", "1,1", "--bonds", "4"),
              "4^3 = 64 outcome rows"),
-            (qudit, "QUDIT_ENUMERATION_BUDGET", ("swap", "--mode", "qudit", "--dim", "3",
-                                                 "--identical", "1,1,1", "--bonds", "3"),
+            (qubit, "ENUMERATION_BUDGET", ("swap", "--mode", "qudit", "--dim", "3",
+                                           "--identical", "1,1,1", "--bonds", "3"),
              "9^2 = 81 outcome rows"),
             (cli, "_SCAN_BUDGET", ("scan", "--identical", "1,1", "--n-range", "1:30"),
              "30 scan rows"),

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,20 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kron, random_unitary
-from reference import bond_concurrence, draw_reference, reduced_density
-
-from bondswap.filters import PLAIN, VBS, make_filter, random_filter
-from bondswap.linalg import (
-    EnumerationBudgetError,
-    batched_determinant,
-    det_concurrence,
-    state_from_operator,
+from reference import (
+    bond_concurrence,
+    draw_reference,
+    full_route_columns,
+    reduced_density,
 )
+
+from bondswap import qubit
+from bondswap.filters import PLAIN, VBS, make_filter, random_filter
+from bondswap.linalg import EnumerationBudgetError, state_from_operator
 from bondswap.qubit import (
     _MODES,
     ENUMERATION_BUDGET,
     SwapChain,
-    _Mode,
     _draw,
     bell_state,
     bond_concurrences,
@@ -50,7 +51,7 @@ from bondswap.qubit import (
     scan_log_constants,
     tradeoff_constant,
 )
-from bondswap.qudit import QuditChain
+from bondswap.qudit import QuditChain, _weyl_mode, enumerate_qudit_outcomes
 
 # local copies so the oracle below shares nothing with the implementation
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -861,20 +862,23 @@ class TestPinnedOutputs:
 
 
 def refused(base, n, budget):
-    try:
-        check_budget(base, n, 2, budget)
-    except EnumerationBudgetError:
-        return True
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qubit, "ENUMERATION_BUDGET", budget)
+        try:
+            check_budget(base, n)
+        except EnumerationBudgetError:
+            return True
     return False
 
 
 class TestCheckBudget:
     """A table is refused from its row count base^n alone, before any allocation."""
 
-    def test_boundary(self):
+    def test_boundary(self, monkeypatch):
         assert not refused(3, 13, 3**13)  # exactly the budget: allowed
+        monkeypatch.setattr(qubit, "ENUMERATION_BUDGET", 3**13 - 1)
         with pytest.raises(EnumerationBudgetError, match=r"^3\^13 = 1\.59e\+06 outcome rows"):
-            check_budget(3, 13, 2, 3**13 - 1)
+            check_budget(3, 13)
 
     def test_agrees_with_the_full_row_count(self):
         # past the budget's bit length the check skips base ** n: it must still
@@ -971,24 +975,6 @@ def qubit_chains(draw, max_nodes):
     return SwapChain(tuple(filters), mode)
 
 
-def full_route_columns(report):
-    """weight, prob, concurrence, p_sum, constant and max_residual reduced
-    from every row's own operator, with fsum over every row."""
-    batch = report.final_ops
-    hs_sq = (np.abs(batch) ** 2).sum(axis=(1, 2))
-    weights = hs_sq / 2
-    p_sum = math.fsum(weights.tolist())
-    probs = weights / p_sum
-    abs_dets = np.abs(batched_determinant(batch))
-    conc = np.zeros(len(batch))
-    nz = hs_sq > 0.0
-    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], 2))
-    cs = bond_concurrences(report.chain)
-    constant = 0.0 if any(c == 0.0 for c in cs) else math.prod(cs) / p_sum
-    max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
-    return weights, probs, conc, p_sum, constant, max_residual
-
-
 class TestClassKernel:
     """Qubit tables are reduced once per keep/swap class and gathered to the
     rows; every column must equal the full per-row route bit for bit."""
@@ -1013,20 +999,34 @@ class TestClassKernel:
         for op, digits in zip(ops, report.digits.tolist()):
             assert np.array_equal(op, chain_operator(chain, digits))
 
-    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    @pytest.mark.parametrize("mode", [VBS, PLAIN, *(pytest.param(d, id=f"weyl{d}")
+                                                    for d in range(2, 9))])
     def test_classes_are_keep_and_swap(self, mode):
-        m = _MODES[mode]
-        # class 1 holds exactly the Paulis with a zero diagonal (σx, σ3)
-        assert m.classes == tuple(int(u[0, 0] == 0) for u in m.ops)
-        assert m.class_sizes == ((1, 2) if mode == VBS else (2, 2))
+        m = _MODES[mode] if mode in _MODES else _weyl_mode(mode)
+        shifts = [np.roll(np.eye(m.dim), c, axis=0) for c in range(m.dim)]  # X^c
+        # every node operator is X^c times a diagonal, and c is its class
+        assert all(np.array_equal(u != 0, shifts[c] != 0) for u, c in zip(m.ops, m.classes))
+        assert m.class_sizes == {VBS: (1, 2), PLAIN: (2, 2)}.get(mode, (m.dim,) * m.dim)
         assert all(u is m.ops[m.classes.index(c)] for c, u in enumerate(m.class_ops))
-        # _draw swaps on the digit's parity: an odd digit is a class-1 (swap) outcome
-        assert all((d & 1) == c for d, c in zip(m.digits, m.classes))
+        if m.dim == 2:  # qubit class 1 holds exactly the Paulis with a zero diagonal (σx, σ3)
+            assert m.classes == tuple(int(u[0, 0] == 0) for u in m.ops)
+            assert all(np.array_equal(abs(u), shifts[c]) for c, u in enumerate(m.class_ops))
+        if mode in _MODES:  # _draw swaps on the digit's parity: an odd digit is a swap
+            assert all((d & 1) == c for d, c in zip(m.digits, m.classes))
+        else:  # the Weyl digit m·D + n lies in class m, represented by X^m alone
+            assert m.classes == tuple(d // m.dim for d in m.digits)
+            assert all(np.array_equal(u, x) for u, x in zip(m.class_ops, shifts))
 
-    def test_class_sizes_must_be_powers_of_two(self):
-        m = _Mode(2, range(4), _MODES[PLAIN].ops, tuple(range(4)), (0, 0, 0, 1))
-        with pytest.raises(AssertionError, match="class sizes"):
-            m.class_sizes
+    @pytest.mark.parametrize("dim, n", [(3, 3), (5, 2), (7, 2)])
+    def test_p_sum_is_exact_for_odd_class_sizes(self, dim, n):
+        # a shift class holds D^N rows, odd at odd D; p_sum must still be the
+        # correctly rounded sum of every row's weight
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            chain = QuditChain(dim, tuple(random_filter(rng, dim) for _ in range(n + 1)))
+            report = enumerate_qudit_outcomes(chain)
+            assert set(np.bincount(report.class_index)) == {dim ** n}
+            assert report.p_sum == float(sum(map(Fraction, report.weight.tolist())))
 
     def test_table_holds_no_operator_batch(self):
         # 59049 rows: the table peaks near 44 B/row; holding every row's

@@ -1,22 +1,38 @@
 """Weyl shift-clock operators and qudit swap chains of arbitrary dimension."""
 
 import cmath
+import functools
 import itertools
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from reference import bond_concurrence
+from reference import (
+    bond_concurrence,
+    decimal_concurrences,
+    digit_shifts,
+    exact_monomial_table,
+    full_route_columns,
+    ulp_errors,
+)
 
-from bondswap.filters import PLAIN, make_filter, random_filter
+from bondswap.filters import PLAIN, VBS, make_filter, random_filter
 from bondswap.linalg import EnumerationBudgetError, state_from_operator
-from bondswap.qubit import SwapChain, bell_state, enumerate_outcomes
+from bondswap.qubit import (
+    ENUMERATION_BUDGET,
+    SwapChain,
+    bell_state,
+    check_budget,
+    check_table_budget,
+    enumerate_outcomes,
+    row_index,
+)
 from bondswap.qudit import (
-    QUDIT_ENUMERATION_BUDGET,
     QuditChain,
-    check_qudit_table_budget,
     enumerate_qudit_outcomes,
     gen_pauli,
     omega_power,
@@ -175,20 +191,26 @@ class TestEnumerateQuditOutcomes:
                     report.constant, rel=1e-9
                 )
 
-    def test_qubit_chain_is_the_two_level_special_case(self, rng):
-        # same filters, same numbers, bit for bit
-        filters = tuple(random_filter(rng, dim=2) for _ in range(3))
-        qudit = enumerate_qudit_outcomes(QuditChain(2, filters))
-        qubit = enumerate_outcomes(SwapChain(filters, PLAIN))
-        digit_of = {0: 0, 1: 2, 2: 1, 3: 3}  # sigma label -> m*2+n
-        for code, qrec in enumerate(qubit.records):
-            digits = [digit_of[i] for i in qrec.indices]
-            qd_code = sum(dig * 4**k for k, dig in enumerate(digits))
-            drec = qudit.records[qd_code]
-            assert drec.weight == qrec.weight
-            assert drec.prob == qrec.prob
-            assert drec.concurrence == qrec.concurrence
-        assert qudit.constant == qubit.constant
+    def test_qubit_chain_is_the_two_level_special_case(self):
+        # same filters, same numbers, bit for bit: complex, signed and
+        # near-singular bonds; the Weyl digit of σ_i is (0, 2, 1, 3)[i]
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            filters = []
+            for k in range(seed % 7 + 1):
+                diag = random_filter(rng, 2, complex_phases=k % 2 == 0).diag
+                diag = diag * rng.choice([-1, 1], 2)
+                if k % 3 == 2:
+                    diag[k % 2] *= 10.0 ** -rng.uniform(0, 150)
+                filters.append(make_filter(diag))
+            plain = enumerate_outcomes(SwapChain(tuple(filters), PLAIN))
+            qudit = enumerate_qudit_outcomes(QuditChain(2, tuple(filters)))
+            rows = row_index(np.array([0, 2, 1, 3], np.uint8)[plain.digits], 4)
+            for name in ("weight", "prob", "concurrence"):
+                want, got = getattr(plain, name), getattr(qudit, name)[rows]
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+            for name in ("p_sum", "constant"):
+                assert getattr(qudit, name).hex() == getattr(plain, name).hex(), name
 
     def test_singular_filters_give_zero_concurrence(self):
         # g·X^m Z^n·g with g = diag(√3, 0, 0) survives only for m = 0, as
@@ -206,18 +228,43 @@ class TestEnumerateQuditOutcomes:
         assert report.constant == 0.0 and report.max_residual == 0.0
 
     def test_budget_from_the_dimension_alone(self):
-        check_qudit_table_budget(6, 4)  # 36^4 rows: the budget itself
+        check_budget(6 ** 2, 4)  # 36^4 rows: the budget itself
         with pytest.raises(EnumerationBudgetError, match=r"^36\^5 = "):
-            check_qudit_table_budget(6, 5)
+            check_budget(6 ** 2, 5)
         with pytest.raises(EnumerationBudgetError, match=r"^4\^1000000 = "):
-            check_qudit_table_budget(2, 10**6)
+            check_budget(2 ** 2, 10**6)
 
     def test_budget_guard(self):
         f = make_filter([1] * 5)
         chain = QuditChain(5, (f,) * 7)  # 25**6 outcomes
-        assert 25**6 > QUDIT_ENUMERATION_BUDGET
+        assert 25**6 > ENUMERATION_BUDGET
         with pytest.raises(EnumerationBudgetError):
             enumerate_qudit_outcomes(chain)
+
+    def test_largest_admitted_node_counts(self):
+        # one row budget admits vbs N <= 13, plain N <= 10 and qudit D = 2..8 up
+        # to N = 10, 6, 5, 4, 4, 3, 3: exactly the tables two budgets admitted
+        largest = {VBS: 13, PLAIN: 10, 2: 10, 3: 6, 4: 5, 5: 4, 6: 4, 7: 3, 8: 3}
+        for mode, n in largest.items():
+            check = (functools.partial(check_budget, mode ** 2) if isinstance(mode, int)
+                     else functools.partial(check_table_budget, mode))
+            check(n)
+            with pytest.raises(EnumerationBudgetError, match=f"\\^{n + 1} = "):
+                check(n + 1)
+
+    def test_table_memory_per_row(self):
+        # 390625 rows over 625 shift-class products: about 31 B/row at the peak,
+        # where multiplying out every row's 5×5 operator took 608 B/row
+        rng = np.random.default_rng(4)
+        chain = QuditChain(5, tuple(random_filter(rng, 5) for _ in range(5)))
+        tracemalloc.start()
+        try:
+            report = enumerate_qudit_outcomes(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.digits) == 5 ** 8
+        assert peak <= 64 * len(report.digits)
 
 
 class TestStateVectorOracle:
@@ -281,3 +328,104 @@ class TestQuditChainValidation:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
             QuditChain(3, (make_filter([1, 1, 1]), make_filter([1, 1])))
+
+
+# (mode, N) cells of at most 10^4 rows, a qudit mode named by its D
+EXACT_CELLS = [(mode, n) for mode, n_max in ((VBS, 6), (PLAIN, 5), (3, 4), (4, 3), (5, 2),
+                                             (6, 2), (7, 2), (8, 2))
+               for n in range(1, n_max + 1)]
+QUDIT_CELLS = [cell for cell in EXACT_CELLS if cell[0] not in (VBS, PLAIN)]
+EXACT_CHAINS = 6  # random complex chains per cell
+
+
+@functools.cache
+def ulp_error_table() -> dict:
+    """(mode, N) -> {quantity: (class-route errors, full-route errors)}: the ulp
+    errors of weight, prob and concurrence on every row of EXACT_CHAINS random
+    complex chains, against exact rationals (weight, prob) and 50-digit
+    Decimals (concurrence).  The full route multiplies out each row's own operator."""
+    rng = np.random.default_rng(1717)
+    table = {}
+    for mode, n in EXACT_CELLS:
+        d = 2 if mode in (VBS, PLAIN) else mode
+        filters = tuple(random_filter(rng, d) for _ in range(EXACT_CHAINS * (n + 1)))
+        cell = {name: ([], []) for name in ("weight", "prob", "concurrence")}
+        for chain_filters in (filters[k :: EXACT_CHAINS] for k in range(EXACT_CHAINS)):
+            report = (enumerate_outcomes(SwapChain(chain_filters, mode)) if d == 2
+                      else enumerate_qudit_outcomes(QuditChain(d, chain_filters)))
+            weights, index, det_sq = exact_monomial_table(report.chain,
+                                                          digit_shifts(report.digits, d))
+            p_sum = sum(w * m for w, m in zip(weights, np.bincount(index).tolist()))
+            exact = {"weight": weights, "prob": [w / p_sum for w in weights],
+                     "concurrence": decimal_concurrences(weights, det_sq, d)}
+            full = dict(zip(("weight", "prob", "concurrence"), full_route_columns(report)))
+            for name, (by_class, by_row) in cell.items():
+                by_class.append(ulp_errors(getattr(report, name), exact[name], index))
+                by_row.append(ulp_errors(full[name], exact[name], index))
+        table[mode, n] = {name: tuple(map(np.concatenate, pair)) for name, pair in cell.items()}
+    return table
+
+
+def pooled(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The class-route and full-route errors of ``name`` over every qudit cell."""
+    return tuple(map(np.concatenate, zip(*(ulp_error_table()[c][name] for c in QUDIT_CELLS))))
+
+
+class TestExactReference:
+    """The shift-class route is judged in ulps against exact arithmetic: it must
+    be no less accurate than multiplying out every row's own operator.
+
+    A class's weight and concurrence are those of its clock-free row (n = 0 at
+    every node), bit for bit, so their worst error in a cell cannot exceed the
+    full route's.  prob also carries p_sum's error, a mean of the class weights'
+    errors, so it is compared over the pooled qudit cells: a single cell's
+    worst prob error can exceed the full route's (about 1 cell in 150 over
+    other draws), and the pooled concurrence means lie within a few hundredths
+    of an ulp of each other (the class route's is the larger in about 1 draw
+    in 12), so neither is asserted."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_class_values_are_the_clock_free_rows(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (1, 2):
+            report = enumerate_qudit_outcomes(
+                QuditChain(dim, tuple(random_filter(rng, dim) for _ in range(n + 1))))
+            clock_free = np.all(report.digits % dim == 0, axis=1)
+            weight, _, conc, *_ = full_route_columns(report)
+            for got, want in ((report.weight, weight), (report.concurrence, conc)):
+                assert np.array_equal(got[clock_free].view(np.int64),
+                                      want[clock_free].view(np.int64))
+
+    @pytest.mark.parametrize("mode, n", EXACT_CELLS)
+    def test_worst_weight_and_concurrence_error_per_cell(self, mode, n):
+        for name in ("weight", "concurrence"):
+            by_class, by_row = ulp_error_table()[mode, n][name]
+            assert np.max(by_class) <= np.max(by_row), name
+        if mode in (VBS, PLAIN):  # qubit classes are equal bit for bit on every row
+            for by_class, by_row in ulp_error_table()[mode, n].values():
+                assert np.array_equal(by_class, by_row)
+
+    @pytest.mark.parametrize("name", ["weight", "prob", "concurrence"])
+    def test_worst_error_over_the_qudit_cells(self, name):
+        by_class, by_row = pooled(name)
+        assert np.max(by_class) <= np.max(by_row)
+
+    @pytest.mark.parametrize("name", ["weight", "prob"])
+    def test_mean_error_over_the_qudit_cells(self, name):
+        by_class, by_row = pooled(name)
+        assert np.mean(by_class) <= np.mean(by_row)
+
+    def test_reference_agrees_with_a_hand_computed_chain(self):
+        # qutrit, one node applying X Z^n: column j of M picks λ0(j), then
+        # λ1(j + 1), so the weight is the mean of |λ0(j)|²·|λ1(j + 1)|² over j
+        f0, f1 = make_filter([1, 2j, 3]), make_filter([0.5, 1, -2])
+        a, b = ([Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in f.diag] for f in (f0, f1))
+        weights, index, det_sq = exact_monomial_table(QuditChain(3, (f0, f1)),
+                                                      np.array([[1], [0], [1]]))
+        assert weights == [(a[0] * b[0] + a[1] * b[1] + a[2] * b[2]) / 3,
+                           (a[0] * b[1] + a[1] * b[2] + a[2] * b[0]) / 3]
+        assert index.tolist() == [1, 0, 1]
+        assert det_sq == math.prod(a) * math.prod(b)
+        report = enumerate_qudit_outcomes(QuditChain(3, (f0, f1)))
+        assert report.weight[0] == pytest.approx(float(weights[0]), rel=1e-15)
+        assert report.weight[3] == pytest.approx(float(weights[1]), rel=1e-15)
