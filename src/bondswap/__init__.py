@@ -16,18 +16,12 @@ from .filters import (
     make_filter,
     random_filter,
 )
-from .linalg import (
-    EnumerationBudgetError,
-    StateVector,
-    fidelity_up_to_phase,
-    state_from_operator,
-)
+from .linalg import EnumerationBudgetError, StateVector
 from .qubit import (
     OutcomeRecord,
     SwapChain,
     TradeoffReport,
     bell_state,
-    chain_operator,
     enumerate_outcomes,
     log_p_sum_transfer,
     p_sum_transfer,
@@ -45,7 +39,6 @@ from .vbs import (
     build_vbs_state,
     cross_check,
     measure_all_outcomes,
-    measure_internal_sites,
     symmetric_projector,
 )
 
@@ -63,21 +56,17 @@ __all__ = [
     "TradeoffReport",
     "bell_state",
     "build_vbs_state",
-    "chain_operator",
     "cross_check",
     "enumerate_outcomes",
     "enumerate_qudit_outcomes",
-    "fidelity_up_to_phase",
     "gen_pauli",
     "log_p_sum_transfer",
     "make_filter",
     "measure_all_outcomes",
-    "measure_internal_sites",
     "p_sum_transfer",
     "random_filter",
     "sample_outcomes",
     "scan_log_constants",
-    "state_from_operator",
     "symmetric_projector",
     "tradeoff_constant",
 ]

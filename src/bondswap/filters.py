@@ -94,15 +94,11 @@ def make_filter(diag) -> FilterOp:
     return op
 
 
-def random_filter(rng, dim: int = 2, lo: float = 0.35, hi: float = 1.0,
-                  complex_phases: bool = True) -> FilterOp:
-    """Random non-singular filter with pre-normalization magnitudes in [lo, hi]."""
-    if not 0.0 < lo <= hi:
-        raise ValueError("need 0 < lo <= hi")
-    mags = rng.uniform(lo, hi, dim)
-    if complex_phases:
-        mags = mags * np.exp(2j * np.pi * rng.random(dim))
-    return make_filter(mags)
+def random_filter(rng, dim: int = 2) -> FilterOp:
+    """Random non-singular filter: magnitudes uniform in [0.35, 1] before
+    normalization, then uniform phases (drawn in that order)."""
+    mags = rng.uniform(0.35, 1.0, dim)
+    return make_filter(mags * np.exp(2j * np.pi * rng.random(dim)))
 
 
 class _Chain:

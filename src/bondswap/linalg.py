@@ -13,10 +13,6 @@ from math import prod
 
 import numpy as np
 
-# Absolute tolerance for identities that hold exactly in real arithmetic
-# (norms, traces, projector algebra).
-ATOL_EXACT = 1e-12
-
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when an outcome enumeration would exceed its size guard."""
@@ -65,15 +61,9 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, atol: float = ATOL_EXACT) -> bool:
+    def is_normalized(self, atol: float) -> bool:
         """Squared 2-norm within ``atol`` of one."""
         return abs(self.norm() ** 2 - 1.0) <= atol
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.dims, self.amplitudes / n)
 
 
 # kept for bench/spans.py, which wraps it: no caller in the package
@@ -118,13 +108,16 @@ def batched_products(first, layers) -> np.ndarray:
 
 
 def batched_determinant(batch: np.ndarray) -> np.ndarray:
-    """Determinants of a (B, d, d) stack; closed form at d = 2."""
+    """Determinants of a (B, d, d) stack; closed form at d = 2.  Above it, LU
+    gives 0 or NaN, without a warning, where a product underflows to a zero
+    pivot: the caller checks the range."""
     if batch.shape[-1] == 2:
         return (
             batch[..., 0, 0] * batch[..., 1, 1]
             - batch[..., 0, 1] * batch[..., 1, 0]
         )
-    return np.linalg.det(batch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.linalg.det(batch)
 
 
 def det_concurrence(abs_det, hs_norm_sq, dim: int):

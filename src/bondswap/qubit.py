@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -249,11 +250,17 @@ def bond_concurrences(chain: _Chain) -> list[float]:
     and Σ|λ|² in one pass over the diagonals, then Python's ``**`` per bond
     (np.power can round differently)."""
     mags = np.abs(chain.diags)
-    dim = mags.shape[1]
-    return [
-        0.0 if a == 0.0 else min(1.0, det_concurrence(a, s, dim))
-        for a, s in zip(np.prod(mags, axis=1).tolist(), np.sum(mags ** 2, axis=1).tolist())
-    ]
+    dim, dets = mags.shape[1], np.prod(mags, axis=1)
+    ssqs = np.sum(mags ** 2, axis=1).tolist()
+    cs = [0.0 if a == 0.0 else min(1.0, det_concurrence(a, s, dim))
+          for a, s in zip(dets.tolist(), ssqs)]
+    # below the normal range Π|λ| loses bits: |det|^(2/D) is Π|λ|^(2/D) there
+    lost = np.flatnonzero(dets < sys.float_info.min)
+    if lost.size:
+        roots = np.prod(mags[lost] ** (2.0 / dim), axis=1).tolist()
+        for j, root in zip(lost.tolist(), roots):
+            cs[j] = min(1.0, dim * root / ssqs[j])
+    return cs
 
 
 def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
@@ -293,7 +300,15 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     abs_dets = np.abs(batched_determinant(batch))
     conc = np.zeros(len(batch))
     nz = hs_sq > 0.0
-    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], mode.dim))
+    # |det M| <= 1 (bond-normalized filters); below the normal range it has lost bits,
+    # or LU met a zero pivot (0 or NaN).  There, as every operator is monomial,
+    # |det M|^(2/D) is Π_j Π_i |λ_j,i|^(2/D), the same in every class
+    ok = nz & (abs_dets >= sys.float_info.min)
+    conc[ok] = np.minimum(1.0, det_concurrence(abs_dets[ok], hs_sq[ok], mode.dim))
+    lost = nz ^ ok
+    if np.count_nonzero(lost):
+        root = np.prod(np.abs(chain.diags) ** (2.0 / mode.dim))
+        conc[lost] = np.minimum(1.0, mode.dim * root / hs_sq[lost])
     bond_cs = bond_concurrences(chain)
     constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
     max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))

@@ -17,6 +17,14 @@ def bond_concurrence(f) -> float:
     return min(1.0, f.dim * abs_det ** (2.0 / f.dim) / ssq)
 
 
+def unit_state(state):
+    """``state`` divided by its norm; the zero state has none and is refused."""
+    n = state.norm()
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return type(state)(state.dims, state.amplitudes / n)
+
+
 def reduced_density(state, keep: int) -> np.ndarray:
     """Reduced density matrix of party ``keep`` (0 or 1) of a two-party pure state."""
     amps = state.amplitudes.reshape(state.dims)
@@ -130,14 +138,21 @@ def exact_monomial_table(chain, shifts: np.ndarray):
     return weights, index.ravel(), math.prod(math.prod(row) for row in mags)
 
 
-def decimal_concurrences(weights, det_sq: Fraction, dim: int, prec: int = 50) -> list[Decimal]:
+def decimal_concurrences(weights, det_sq: Fraction, dim: int, prec: int = 50,
+                         exponent: float | None = None) -> list[Decimal]:
     """D·|det M|^(2/D) / Tr(M M†) = (|det M|²)^(1/D) / weight for each weight,
-    at most 1 and 0 for a zero weight, as ``prec``-digit Decimals."""
+    at most 1 and 0 for a zero weight, as ``prec``-digit Decimals.  A float
+    ``exponent`` replaces 2/D by its exact value (the code's ``2.0 / D``)."""
     with localcontext() as ctx:
         ctx.prec = prec
         def dec(f):
             return Decimal(f.numerator) / Decimal(f.denominator)
-        root = (dec(det_sq).ln() / dim).exp() if det_sq else Decimal(0)
+        if not det_sq:
+            root = Decimal(0)
+        elif exponent is None:
+            root = (dec(det_sq).ln() / dim).exp()
+        else:
+            root = (dec(det_sq).ln() * Decimal(exponent) / 2).exp()
         return [min(Decimal(1), root / dec(w)) if w else Decimal(0) for w in weights]
 
 

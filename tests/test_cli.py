@@ -226,6 +226,23 @@ class TestSwapCommand:
         assert len(doc["outcomes"]) == 81
         assert doc["p_sum"] == pytest.approx(81.0, rel=1e-12)
 
+    @pytest.mark.parametrize("t, live", [("1e-155", False), ("1e-100", True)])
+    def test_qudit_determinant_below_the_float_range(self, t, live):
+        # |det| of every class product underflows, and LU meets a zero pivot;
+        # at 1e-155 even the product of roots underflows, so C = 0 there
+        proc = subprocess.run(
+            [sys.executable, "-m", "bondswap.cli", "swap", "--mode", "qudit", "--dim", "3",
+             "--identical", f"1,{t},{t}", "--bonds", "2"],
+            env=package_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def strict(constant):
+            raise ValueError(f"{constant} in the document")
+
+        doc = json.loads(proc.stdout, parse_constant=strict)
+        assert (min(o["concurrence"] for o in doc["outcomes"]) > 0.0) == live
+        assert doc["max_residual"] <= 1e-12 * doc["tradeoff_constant"]
+
     def test_explicit_filters_with_phases(self, capsys):
         doc = run_json(capsys, "swap", "--filters", "0.6+0.8j,1;1,1")
         assert doc["n_bonds"] == 2
@@ -669,6 +686,31 @@ class TestExitCodes:
         doc = run_json(capsys, "swap", "--mode", "qudit", "--dim", "8",
                        "--identical", ",".join("1" * 8), "--bonds", "2")
         assert len(doc["outcomes"]) == 64
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (("swap", "--identical", ",", "--bonds", "2"), None, "identical is empty"),
+            (("scan", "--identical", "2,1", "--n-range", "1:2:3"), None,
+             'n_range must be LO:HI or a pair of integers, got "1:2:3"'),
+            (("swap", *WORKED, "--config", "{cfg}"), {"mode": "x"}, "unknown mode 'x'"),
+            (("swap", *WORKED, "--config", "{cfg}"), None,  # no file at the path
+             "cannot read config file {cfg}: [Errno 2] No such file or directory"),
+            (("swap", *WORKED, "--config", "{cfg}"), [1, 2],
+             "config file must hold a JSON object"),
+            (("swap", "--filters", "1,2;3,4", "--bonds", "3"), None,
+             "--bonds 3 contradicts 2 --filters entries"),
+            (("scan", "--n-range", "1:3"), None,
+             "scan needs --identical (one diagonal reused for all bonds)"),
+        ],
+    )
+    def test_usage_error_message(self, capsys, tmp_path, argv, config, message):
+        path = tmp_path / "cfg.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *(arg.format(cfg=path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("bondswap: error: " + message.format(cfg=path)), err
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

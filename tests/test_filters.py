@@ -229,7 +229,7 @@ class TestBondConcurrence:
         # (I ⊗ T)|Φ+⟩, or (I ⊗ σ3 T)|Φ+⟩ in the vbs convention
         end = np.array([[0, -1], [1, 0]]) if convention == VBS else np.eye(2)
         for _ in range(100):
-            f = random_filter(rng, dim=2, lo=0.1)
+            f = make_filter(rng.uniform(0.1, 1.0, 2) * np.exp(2j * np.pi * rng.random(2)))
             rho = reduced_density(state_from_operator(end @ f.matrix, 2), 0)
             want = 2.0 * math.sqrt(max(np.linalg.det(rho).real, 0.0))
             assert one_bond_concurrence(f) == pytest.approx(want, abs=1e-12)
@@ -269,6 +269,14 @@ class TestBondValidation:
             scan_log_constants(f, 2, "twisted")
         with pytest.raises(ValueError, match="unknown mode 'twisted'"):
             check_table_budget("twisted", 1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FilterOp(3, np.ones(2)), "need a diagonal of length dim >= 2, got 2"),
+        (lambda: QuditChain(1, (make_filter([1, 1]),)), "dim must be >= 2"),
+    ])
+    def test_rejects(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     def test_random_filter_is_normalized_and_regular(self, rng):
         for _ in range(30):

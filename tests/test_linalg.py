@@ -1,12 +1,14 @@
 """Low-level linear algebra: kron, states, batched products, fidelity, concurrence."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kron, random_complex_matrix, random_unitary
-from reference import reduced_density
+from reference import reduced_density, unit_state
 
 from bondswap.linalg import (
     StateVector,
@@ -64,14 +66,19 @@ class TestStateVector:
     def test_norm_and_normalized(self):
         psi = StateVector((2,), np.array([3.0, 4.0], dtype=complex))
         assert psi.norm() == pytest.approx(5.0)
-        unit = psi.normalized()
-        assert unit.is_normalized()
+        unit = unit_state(psi)
+        assert unit.is_normalized(1e-12)
         assert np.allclose(unit.amplitudes, [0.6, 0.8])
 
-    def test_normalized_rejects_null(self):
-        psi = StateVector((2,), np.zeros(2, dtype=complex))
-        with pytest.raises(ValueError):
-            psi.normalized()
+    @pytest.mark.parametrize("build, message", [
+        (lambda: state_from_operator(np.ones(2), 2), "expected a 2-D matrix, got shape (2,)"),
+        (lambda: state_from_operator([[1.0, np.nan], [0.0, 1.0]], 2),
+         "matrix entries must be finite"),
+        (lambda: StateVector((0,), []), "invalid subsystem dimensions (0,)"),
+    ])
+    def test_rejects(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     def test_amplitudes_read_only(self):
         psi = StateVector((2,), np.array([1.0, 0.0], dtype=complex))
@@ -103,7 +110,7 @@ class TestStateFromOperator:
         # keep=[0] must give M^T conj(M) / tr, keep=[1] gives M M† / tr
         for _ in range(12):
             m = random_complex_matrix(rng, d)
-            psi = state_from_operator(m, d).normalized()
+            psi = unit_state(state_from_operator(m, d))
             tr = np.trace(m @ m.conj().T).real
             first = reduced_density(psi, 0)
             second = reduced_density(psi, 1)

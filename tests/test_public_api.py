@@ -16,21 +16,17 @@ PUBLIC = [
     "TradeoffReport",
     "bell_state",
     "build_vbs_state",
-    "chain_operator",
     "cross_check",
     "enumerate_outcomes",
     "enumerate_qudit_outcomes",
-    "fidelity_up_to_phase",
     "gen_pauli",
     "log_p_sum_transfer",
     "make_filter",
     "measure_all_outcomes",
-    "measure_internal_sites",
     "p_sum_transfer",
     "random_filter",
     "sample_outcomes",
     "scan_log_constants",
-    "state_from_operator",
     "symmetric_projector",
     "tradeoff_constant",
 ]

@@ -26,6 +26,7 @@ from reference import (
     draw_reference,
     full_route_columns,
     reduced_density,
+    unit_state,
 )
 
 from bondswap import qubit
@@ -516,7 +517,7 @@ class TestEnumerateOutcomes:
 
 def final_state(chain, indices):
     """Normalized end-pair state (I ⊗ M)|Φ+⟩/‖·‖ of one outcome."""
-    return state_from_operator(chain_operator(chain, indices), 2).normalized()
+    return unit_state(state_from_operator(chain_operator(chain, indices), 2))
 
 
 class TestFinalStates:
@@ -922,6 +923,11 @@ class TestChainValidation:
         with pytest.raises(ValueError, match="unknown mode 'diagonal'"):
             scan_log_constants(make_filter([1, 1]), 3, "diagonal")
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_scan_rejects_an_empty_range(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            scan_log_constants(make_filter([2, 1]), n_max)
+
     def test_scan_rejects_qudit_filter(self):
         with pytest.raises(ValueError, match="FilterOps of dim 2"):
             scan_log_constants(make_filter([1, 1, 1]), 3, PLAIN)
@@ -944,8 +950,11 @@ class TestBondConcurrencesBits:
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_matches_per_bond_route(self, rng, dim):
-        filters = [random_filter(rng, dim, lo=0.01, complex_phases=i % 2 == 0)
-                   for i in range(300)]
+        def draw(i):  # |λ| down to 0.01, complex phases on every other bond
+            mags = rng.uniform(0.01, 1.0, dim)
+            return make_filter(mags * np.exp(2j * np.pi * rng.random(dim)) if i % 2 == 0 else mags)
+
+        filters = [draw(i) for i in range(300)]
         filters[7] = make_filter([0] + [1] * (dim - 1))  # singular: C = 0
         filters[8] = make_filter([1] * dim)  # maximal: C = 1
         filts = tuple(filters)

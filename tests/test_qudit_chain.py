@@ -26,6 +26,7 @@ from bondswap.qubit import (
     ENUMERATION_BUDGET,
     SwapChain,
     bell_state,
+    bond_concurrences,
     check_budget,
     check_table_budget,
     enumerate_outcomes,
@@ -198,7 +199,8 @@ class TestEnumerateQuditOutcomes:
             rng = np.random.default_rng(seed)
             filters = []
             for k in range(seed % 7 + 1):
-                diag = random_filter(rng, 2, complex_phases=k % 2 == 0).diag
+                f = random_filter(rng, 2) if k % 2 == 0 else make_filter(rng.uniform(0.35, 1.0, 2))
+                diag = f.diag
                 diag = diag * rng.choice([-1, 1], 2)
                 if k % 3 == 2:
                     diag[k % 2] *= 10.0 ** -rng.uniform(0, 150)
@@ -429,3 +431,36 @@ class TestExactReference:
         report = enumerate_qudit_outcomes(QuditChain(3, (f0, f1)))
         assert report.weight[0] == pytest.approx(float(weights[0]), rel=1e-15)
         assert report.weight[3] == pytest.approx(float(weights[1]), rel=1e-15)
+
+
+class TestConcurrenceBelowTheNormalRange:
+    """Once Π|λ| leaves the normal float range, |det|^(2/D) is taken as the
+    product of the entries' roots Π|λ|^(2/D).  Bond and class concurrences then
+    stay within 4 ulps of a 60-digit evaluation with the code's own exponent
+    2.0/D, where |det| itself is subnormal (11.7 ulps off), loses 7·10¹⁰ ulps,
+    or underflows to 0 (and LU's determinant to NaN)."""
+
+    @staticmethod
+    def exact(weights, det_sq, dim):
+        return decimal_concurrences(weights, det_sq, dim, prec=60, exponent=2.0 / dim)
+
+    @pytest.mark.parametrize("dim, t", [(3, 1e-155), (3, 1e-160), (3, 1e-170),
+                                        (5, 1e-120), (8, 1e-50)])
+    def test_bond(self, dim, t):
+        f = make_filter([1.0] + [t] * (dim - 1))
+        mags = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in f.diag.tolist()]
+        want = self.exact([sum(mags) / dim], math.prod(mags), dim)
+        got = bond_concurrences(QuditChain(dim, (f, f)))
+        assert np.max(ulp_errors(got, want, np.zeros(2, dtype=int))) <= 4
+
+    @pytest.mark.parametrize("dim, t", [(3, 1e-100), (5, 1e-60), (8, 1e-30)])
+    def test_classes(self, dim, t):
+        f = make_filter([1.0] + [t] * (dim - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = enumerate_qudit_outcomes(QuditChain(dim, (f, f)))
+        weights, index, det_sq = exact_monomial_table(report.chain,
+                                                      digit_shifts(report.digits, dim))
+        want = self.exact(weights, det_sq, dim)
+        assert np.max(ulp_errors(report.concurrence, want, index)) <= 4
+        assert 0.0 < report.max_residual <= 1e-12 * report.constant

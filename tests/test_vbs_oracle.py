@@ -7,9 +7,12 @@ the chain modules.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+
+from reference import unit_state
 
 from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
@@ -137,6 +140,15 @@ class TestMeasurement:
         assert w == 0.0
         assert end is None
 
+    @pytest.mark.parametrize("state, message", [
+        (StateVector((2, 2, 2), np.ones(8) / np.sqrt(8)),
+         "expected a 2N+2 qubit chain state, got dims (2, 2, 2)"),
+        (StateVector((2,) * 4, np.ones(16)), "the oracle expects a normalized chain state"),
+    ])
+    def test_all_outcomes_reject(self, state, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            measure_all_outcomes(state)
+
     def test_outcome_validation(self, rng):
         psi = build_vbs_state(tuple(random_filter(rng) for _ in range(3)))
         with pytest.raises(ValueError):
@@ -167,7 +179,7 @@ class TestBatchedOracle:
             assert idx == [(b // 3 ** k) % 3 + 1 for k in range(n_internal)]
             w_ref, end_ref = measure_internal_sites(psi, idx)
             assert abs(weights[b] - w_ref) <= 1e-15
-            end = StateVector((2, 2), ends[b]).normalized()
+            end = unit_state(StateVector((2, 2), ends[b]))
             assert fidelity_up_to_phase(end, end_ref) >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("n_internal", [1, 2, 3])
@@ -245,7 +257,7 @@ class TestAgainstOperatorRoute:
             w, end = measure_internal_sites(psi, rec.indices)
             assert w == pytest.approx(rec.prob, abs=1e-12)
             m = chain_operator(chain, rec.indices)
-            target = state_from_operator(m, 2).normalized()
+            target = unit_state(state_from_operator(m, 2))
             assert fidelity_up_to_phase(end, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_check_passes_on_worked_instance(self):
