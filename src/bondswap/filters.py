@@ -8,7 +8,6 @@ the stored diagonal is √2·(α, β) with |α|² + |β|² = 1.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -33,12 +32,12 @@ class FilterOp:
 
     def __post_init__(self):
         d = int(self.dim)
-        entries = np.asarray(self.diag, dtype=complex).reshape(-1)
+        entries = np.array(self.diag, dtype=complex).reshape(-1)  # a copy the caller cannot alter
         if d < 2 or entries.size != d:
             raise ValueError(f"need a diagonal of length dim >= 2, got {entries.size}")
         if not np.isfinite(entries).all():
             raise ValueError("filter diagonal must be finite")
-        ssq = float(np.sum(np.abs(entries) ** 2))
+        ssq = _sum_of_squares(np.abs(entries))
         if abs(ssq - d) > 1e-9:
             raise ValueError(
                 f"diagonal not bond-normalized (Σ|λ|² = {ssq}, expected {d}); "
@@ -54,6 +53,22 @@ class FilterOp:
         return np.diag(self.diag)
 
 
+def _sum_of_squares(mags: np.ndarray) -> float:
+    """Σ m² with the bits of numpy's ``(mags * mags).sum()``, in Python floats up to 8
+    terms, added in numpy's order (fewer left to right from 0.0, 8 as one tree) and
+    with no overflow warning.  Not the builtin sum: it is compensated from 3.12 on."""
+    if mags.size > 8:
+        with np.errstate(over="ignore"):
+            return float((mags * mags).sum())
+    if mags.size == 8:
+        q = [m * m for m in mags.tolist()]
+        return ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]))
+    ssq = 0.0
+    for m in mags.tolist():
+        ssq += m * m
+    return ssq
+
+
 def make_filter(diag) -> FilterOp:
     """Build a FilterOp from any diagonal, rescaling so Σ|λ_j|² = dim.
 
@@ -64,14 +79,11 @@ def make_filter(diag) -> FilterOp:
     magnitude then joins ``scale``.
     """
     raw = diag if isinstance(diag, np.ndarray) else list(diag)
-    entries = np.asarray(raw, dtype=complex).reshape(-1)
+    entries = np.asarray(raw, dtype=complex).ravel()
     if entries.size < 2:
         raise ValueError("a filter needs at least two diagonal entries")
-    mags = np.abs(entries)  # inf, with no warning, where |λ| overflows
-    # an errstate costs a third of the call: only where a square can overflow
-    big = max(mags.tolist()) >= 1e150
-    with np.errstate(over="ignore") if big else contextlib.nullcontext():
-        ssq = float((mags * mags).sum())
+    # numpy's |λ| (abs(complex) can differ in the last bit); inf, with no warning, on overflow
+    ssq = _sum_of_squares(np.abs(entries))
     peak = 1.0
     # a NaN or inf entry makes ssq NaN or inf, so a normal ssq proves every
     # entry finite and the normalized diagonal needs no second check
@@ -85,10 +97,10 @@ def make_filter(diag) -> FilterOp:
         if peak == 0.0:
             raise ValueError("all-zero filter diagonal has no bond state")
         entries = (parts / peak).view(complex)
-        ssq = float(np.sum(np.abs(entries) ** 2))
+        ssq = _sum_of_squares(np.abs(entries))
     scale = math.sqrt(ssq / entries.size)
     normalized = entries / scale
-    normalized.flags.writeable = False
+    normalized.setflags(write=False)
     op = object.__new__(FilterOp)  # skips __post_init__: checked above
     op.__dict__.update(dim=entries.size, diag=normalized, scale=peak * scale)
     return op

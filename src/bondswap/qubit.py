@@ -250,17 +250,12 @@ def bond_concurrences(chain: _Chain) -> list[float]:
     and Σ|λ|² in one pass over the diagonals, then Python's ``**`` per bond
     (np.power can round differently)."""
     mags = np.abs(chain.diags)
-    dim, dets = mags.shape[1], np.prod(mags, axis=1)
+    dim, dets = mags.shape[1], np.prod(mags, axis=1).tolist()
     ssqs = np.sum(mags ** 2, axis=1).tolist()
-    cs = [0.0 if a == 0.0 else min(1.0, det_concurrence(a, s, dim))
-          for a, s in zip(dets.tolist(), ssqs)]
     # below the normal range Π|λ| loses bits: |det|^(2/D) is Π|λ|^(2/D) there
-    lost = np.flatnonzero(dets < sys.float_info.min)
-    if lost.size:
-        roots = np.prod(mags[lost] ** (2.0 / dim), axis=1).tolist()
-        for j, root in zip(lost.tolist(), roots):
-            cs[j] = min(1.0, dim * root / ssqs[j])
-    return cs
+    roots = np.prod(mags ** (2.0 / dim), axis=1).tolist()
+    return [min(1.0, det_concurrence(a, s, dim) if a >= sys.float_info.min else dim * r / s)
+            for a, s, r in zip(dets, ssqs, roots)]
 
 
 def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
@@ -300,15 +295,16 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     abs_dets = np.abs(batched_determinant(batch))
     conc = np.zeros(len(batch))
     nz = hs_sq > 0.0
-    # |det M| <= 1 (bond-normalized filters); below the normal range it has lost bits,
-    # or LU met a zero pivot (0 or NaN).  There, as every operator is monomial,
-    # |det M|^(2/D) is Π_j Π_i |λ_j,i|^(2/D), the same in every class
+    # every operator is monomial: |det M|^(2/D) is Π_j Π_i |λ_j,i|^(2/D) in every class.
+    # As a power of two times the product of its factors' mantissas in [0.5, 1) (32 at
+    # most for D <= 8 under the row budget; over 1000 could underflow) it does not
+    # underflow where C does not
+    m, k = np.frexp((np.abs(chain.diags) ** (2.0 / mode.dim)).ravel())
+    hs_m, hs_e = np.frexp(hs_sq[nz])
+    conc[nz] = np.minimum(1.0, np.ldexp(mode.dim * np.prod(m) / hs_m, k.sum() - hs_e))
+    # |det M| <= 1 itself where normal; below, it lost bits or LU met a zero pivot (0, NaN)
     ok = nz & (abs_dets >= sys.float_info.min)
     conc[ok] = np.minimum(1.0, det_concurrence(abs_dets[ok], hs_sq[ok], mode.dim))
-    lost = nz ^ ok
-    if np.count_nonzero(lost):
-        root = np.prod(np.abs(chain.diags) ** (2.0 / mode.dim))
-        conc[lost] = np.minimum(1.0, mode.dim * root / hs_sq[lost])
     bond_cs = bond_concurrences(chain)
     constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
     max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))

@@ -1,6 +1,7 @@
 """Independent per-bond and per-state routes that the tests compare the package against."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -80,7 +81,8 @@ def draw_reference(chain, n_samples: int, seed: int) -> np.ndarray:
 def full_route_columns(report):
     """weight, prob, concurrence, p_sum, constant and max_residual reduced
     from every row's own operator (``report.final_ops``), with fsum over every
-    row: the table route that multiplies out each outcome on its own."""
+    row: the table route that multiplies out each outcome on its own, one row
+    at a time in Python scalars where |det M| leaves the normal range."""
     from bondswap.linalg import batched_determinant, det_concurrence
     from bondswap.qubit import bond_concurrences
 
@@ -93,7 +95,20 @@ def full_route_columns(report):
     abs_dets = np.abs(batched_determinant(batch))
     conc = np.zeros(len(batch))
     nz = hs_sq > 0.0
-    conc[nz] = np.minimum(1.0, det_concurrence(abs_dets[nz], hs_sq[nz], dim))
+    ok = nz & (abs_dets >= sys.float_info.min)
+    conc[ok] = np.minimum(1.0, det_concurrence(abs_dets[ok], hs_sq[ok], dim))
+    # below the normal range |det M| has lost bits (or LU gave NaN): such a row
+    # takes D·Π|λ|^(2/D) / Tr(M M†), the product renormalized by exact powers of
+    # two at every step (TestConcurrenceBelowTheNormalRange checks this rule
+    # against 60-digit values)
+    m, e = 1.0, 0
+    for x in (np.abs(report.chain.diags) ** (2.0 / dim)).ravel().tolist():
+        x, k = math.frexp(x)
+        m, j = math.frexp(m * x)
+        e += j + k
+    for r in np.flatnonzero(nz & ~ok).tolist():
+        hm, he = math.frexp(float(hs_sq[r]))
+        conc[r] = min(1.0, float(np.ldexp(dim * m / hm, e - he)))
     cs = bond_concurrences(report.chain)
     constant = 0.0 if any(c == 0.0 for c in cs) else math.prod(cs) / p_sum
     max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ def bit_identical(got: FilterOp, want: FilterOp) -> bool:
     )
 
 
+def assert_same_result(raw):
+    """make_filter returns the bits of two_check_make_filter, or its error."""
+    try:
+        want = two_check_make_filter(raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            make_filter(raw)
+    else:
+        assert bit_identical(make_filter(raw), want)
+
+
 OUT_OF_RANGE = [[1e-200, 1e-200], [1e-170, 1e-170], [1e200, 1e200], [1e160, 1], [1e-160, 0],
                 [1e-320, 0], [5e-324, 5e-324], [1.5e308 + 1.5e308j, 1], [1e-150, 1], [1e150, 1]]
 SIGNED_ZEROS = [[-0.0, 1], [1, -0.0j], [complex(-0.0, -0.0), 2], [0.0, -1], [1, 0]]
@@ -140,7 +152,7 @@ class TestMakeFilterBits:
     def test_edge_inputs(self, raw, kind):
         assert bit_identical(make_filter(kind(raw)), two_check_make_filter(kind(raw)))
 
-    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("dim", range(2, 17))
     def test_random_inputs(self, rng, dim):
         for _ in range(200):
             raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -158,11 +170,62 @@ class TestMakeFilterBits:
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             make_filter(raw)
 
+    # Σ|λ|² is added in Python floats in numpy's order: left to right below 8
+    # terms, one tree at 8, numpy itself above; sizes 2..16 pin all three (as
+    # test_random_inputs does for normal rows)
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_log_uniform_moduli(self, dim):
+        rng = np.random.default_rng(dim)
+        mags = 10.0 ** rng.uniform(-160, 160, (60, dim))
+        for raw in mags * np.exp(2j * np.pi * rng.random((60, dim))):
+            assert_same_result(raw)
+            assert_same_result(raw.real)
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_moduli_either_side_of_the_square_overflow(self, dim):
+        # m·m first overflows above √DBL_MAX; a sum can overflow below it
+        rng = np.random.default_rng(100 + dim)
+        edge = math.sqrt(sys.float_info.max)
+        steps = [edge * (1 + k * sys.float_info.epsilon) for k in range(-3, 4)]
+        steps += [edge / math.sqrt(n) for n in range(2, dim + 1)]
+        for _ in range(40):
+            raw = rng.choice(steps, dim) * np.exp(2j * np.pi * rng.random(dim))
+            raw[rng.random(dim) < 0.3] = rng.uniform(0.5, 2.0)
+            assert_same_result(raw)
+            assert_same_result(np.abs(raw))
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_subnormal_sums_of_squares(self, dim):
+        # moduli about 1e-160 give Σ|λ|² below the normal range, or 0
+        rng = np.random.default_rng(200 + dim)
+        for raw in 10.0 ** rng.uniform(-170, -154, (60, dim)) * rng.choice([1, -1, 1j], (60, dim)):
+            assert_same_result(raw)
+
+    def test_strided_input_outside_the_normal_range(self):
+        # a column of a complex array: make_filter reads it as the same diagonal
+        raw = np.array([[1e-200, 0], [1e-200, 0]], dtype=complex)[:, 0]
+        assert bit_identical(make_filter(raw), two_check_make_filter(raw))
+
     def test_direct_filterop_keeps_its_check(self):
         with pytest.raises(ValueError, match="not bond-normalized"):
             FilterOp(2, np.array([1.0, 0.5], dtype=complex))
         with pytest.raises(ValueError, match="finite"):
             FilterOp(2, np.array([np.nan, 1.0], dtype=complex))
+
+    def test_direct_filterop_holds_its_own_diagonal(self):
+        raw = np.array([1.0, 1.0], dtype=complex)
+        f = FilterOp(2, raw)
+        raw[0] = 5.0
+        assert f.diag.tolist() == [1.0, 1.0] and raw.flags.writeable
+
+    @pytest.mark.parametrize("dim", [2, 8, 9])
+    def test_direct_filterop_with_an_overflowing_square(self, dim):
+        # Σ|λ|² is inf: the error, and no overflow warning before it
+        diag = np.array([1e200] + [1.0] * (dim - 1), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not bond-normalized"):
+                FilterOp(dim, diag)
 
 
 def bond_state(f, convention=PLAIN):

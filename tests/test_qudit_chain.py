@@ -464,3 +464,17 @@ class TestConcurrenceBelowTheNormalRange:
         want = self.exact(weights, det_sq, dim)
         assert np.max(ulp_errors(report.concurrence, want, index)) <= 4
         assert 0.0 < report.max_residual <= 1e-12 * report.constant
+
+    def test_classes_whose_root_underflows(self):
+        # swap --mode qudit --dim 3 --identical 1,1e-100,1e-100 --bonds 3: Π|λ|^(2/3)
+        # is about 2.7e-399, yet a class concurrence is 3.0e-200.  Rows whose
+        # weight rounds to 0.0 read 0 by the zero-weight rule, and the class whose
+        # true value is 3e-400 reads 0.0, as does the trade-off constant
+        f = make_filter([1.0, 1e-100, 1e-100])
+        report = enumerate_qudit_outcomes(QuditChain(3, (f, f, f)))
+        weights, index, det_sq = exact_monomial_table(report.chain,
+                                                      digit_shifts(report.digits, 3))
+        live = report.weight > 0.0
+        errors = ulp_errors(report.concurrence[live], self.exact(weights, det_sq, 3), index[live])
+        assert np.max(errors) <= 4
+        assert np.count_nonzero(report.concurrence) == 54 and report.constant == 0.0
