@@ -54,15 +54,11 @@ class FilterOp:
 
 
 def _sum_of_squares(mags: np.ndarray) -> float:
-    """Σ m² with the bits of numpy's ``(mags * mags).sum()``, in Python floats up to 8
-    terms, added in numpy's order (fewer left to right from 0.0, 8 as one tree) and
-    with no overflow warning.  Not the builtin sum: it is compensated from 3.12 on."""
-    if mags.size > 8:
+    """Σ m² with the bits of ``(mags * mags).sum()``, no overflow warning: below 8 terms
+    numpy's order, left to right from 0.0 in Python floats (the builtin sum compensates)."""
+    if mags.size >= 8:
         with np.errstate(over="ignore"):
             return float((mags * mags).sum())
-    if mags.size == 8:
-        q = [m * m for m in mags.tolist()]
-        return ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]))
     ssq = 0.0
     for m in mags.tolist():
         ssq += m * m

@@ -295,10 +295,8 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     abs_dets = np.abs(batched_determinant(batch))
     conc = np.zeros(len(batch))
     nz = hs_sq > 0.0
-    # every operator is monomial: |det M|^(2/D) is Π_j Π_i |λ_j,i|^(2/D) in every class.
-    # As a power of two times the product of its factors' mantissas in [0.5, 1) (32 at
-    # most for D <= 8 under the row budget; over 1000 could underflow) it does not
-    # underflow where C does not
+    # every operator is monomial: |det M|^(2/D) = Π_j Π_i |λ_j,i|^(2/D) in every class, held
+    # as 2^Σk·Π m by frexp (≤ 32 mantissas in [0.5, 1) under the row budget): no underflow before C
     m, k = np.frexp((np.abs(chain.diags) ** (2.0 / mode.dim)).ravel())
     hs_m, hs_e = np.frexp(hs_sq[nz])
     conc[nz] = np.minimum(1.0, np.ldexp(mode.dim * np.prod(m) / hs_m, k.sum() - hs_e))

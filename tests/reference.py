@@ -81,8 +81,10 @@ def draw_reference(chain, n_samples: int, seed: int) -> np.ndarray:
 def full_route_columns(report):
     """weight, prob, concurrence, p_sum, constant and max_residual reduced
     from every row's own operator (``report.final_ops``), with fsum over every
-    row: the table route that multiplies out each outcome on its own, one row
-    at a time in Python scalars where |det M| leaves the normal range."""
+    row: the table route that multiplies out each outcome on its own.  Where
+    |det M| is no positive normal float it has lost bits (or LU met a zero
+    pivot), so this route has no concurrence there: such a row reads NaN, and
+    max_residual is taken over the other rows."""
     from bondswap.linalg import batched_determinant, det_concurrence
     from bondswap.qubit import bond_concurrences
 
@@ -97,21 +99,10 @@ def full_route_columns(report):
     nz = hs_sq > 0.0
     ok = nz & (abs_dets >= sys.float_info.min)
     conc[ok] = np.minimum(1.0, det_concurrence(abs_dets[ok], hs_sq[ok], dim))
-    # below the normal range |det M| has lost bits (or LU gave NaN): such a row
-    # takes D·Π|λ|^(2/D) / Tr(M M†), the product renormalized by exact powers of
-    # two at every step (TestConcurrenceBelowTheNormalRange checks this rule
-    # against 60-digit values)
-    m, e = 1.0, 0
-    for x in (np.abs(report.chain.diags) ** (2.0 / dim)).ravel().tolist():
-        x, k = math.frexp(x)
-        m, j = math.frexp(m * x)
-        e += j + k
-    for r in np.flatnonzero(nz & ~ok).tolist():
-        hm, he = math.frexp(float(hs_sq[r]))
-        conc[r] = min(1.0, float(np.ldexp(dim * m / hm, e - he)))
+    conc[nz & ~ok] = np.nan
     cs = bond_concurrences(report.chain)
     constant = 0.0 if any(c == 0.0 for c in cs) else math.prod(cs) / p_sum
-    max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
+    max_residual = float(np.max(np.abs(probs[ok] * conc[ok] - constant), initial=0.0))
     return weights, probs, conc, p_sum, constant, max_residual
 
 

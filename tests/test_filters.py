@@ -170,8 +170,8 @@ class TestMakeFilterBits:
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             make_filter(raw)
 
-    # Σ|λ|² is added in Python floats in numpy's order: left to right below 8
-    # terms, one tree at 8, numpy itself above; sizes 2..16 pin all three (as
+    # Σ|λ|² is added in Python floats in numpy's order, left to right, below 8
+    # terms and by numpy itself from 8 on; sizes 2..16 pin both (as
     # test_random_inputs does for normal rows)
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_log_uniform_moduli(self, dim):

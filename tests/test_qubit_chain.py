@@ -12,6 +12,7 @@ import cmath
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -23,9 +24,11 @@ from hypothesis import strategies as st
 from conftest import kron, random_unitary
 from reference import (
     bond_concurrence,
+    decimal_concurrences,
     draw_reference,
     full_route_columns,
     reduced_density,
+    ulp_errors,
     unit_state,
 )
 
@@ -966,38 +969,72 @@ class TestBondConcurrencesBits:
 
 
 @st.composite
-def qubit_chains(draw, max_nodes):
-    """A vbs or plain chain of 0..max_nodes nodes; each bond's diagonal is
-    complex, real with random signs, or near-singular (|λ0/λ1| up to 1e150)."""
+def qubit_chains(draw, max_nodes, min_nodes=0, depth=None):
+    """A vbs or plain chain of min_nodes..max_nodes nodes; each bond's diagonal
+    is complex, real with random signs, or near-singular (|λ0/λ1| up to 1e150).
+    A ``depth`` (lo, hi) makes every bond near-singular, with |λ0/λ1| or
+    |λ1/λ0| between 10^-hi and 10^-lo."""
     mode = draw(st.sampled_from([VBS, PLAIN]))
     filters = []
-    for _ in range(draw(st.integers(0, max_nodes)) + 1):
+    for _ in range(draw(st.integers(min_nodes, max_nodes)) + 1):
         kind = draw(st.sampled_from(["complex", "signed", "near-singular"]))
         diag = [draw(st.floats(0.35, 1.0)) for _ in range(2)]
         if kind == "complex":
             diag = [m * cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0))) for m in diag]
         else:
             diag = [m * draw(st.sampled_from([-1.0, 1.0])) for m in diag]
-        if kind == "near-singular":
-            diag[draw(st.integers(0, 1))] *= 10.0 ** -draw(st.floats(0.0, 150.0))
+        if kind == "near-singular" or depth:
+            diag[draw(st.integers(0, 1))] *= 10.0 ** -draw(st.floats(*(depth or (0.0, 150.0))))
         filters.append(make_filter(diag))
     return SwapChain(tuple(filters), mode)
 
 
+def assert_lost_rows_to_60_digits(report, lost):
+    """On the rows ``lost`` (|det M| below the normal range) of normal weight, the
+    concurrence 2·Π|λ| / Tr(M M†) is within 3F ulps of its 60-digit value over the
+    row's own float weight: F = 2(N+1) moduli within an ulp each, F − 1 products
+    and one division within half an ulp each.  The weight is checked elsewhere;
+    rows of subnormal weight keep that weight's lost bits."""
+    rows = lost & (report.weight >= sys.float_info.min)
+    weights, index = np.unique(report.weight[rows], return_inverse=True)
+    det_sq = math.prod(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+                       for z in report.chain.diags.ravel().tolist())
+    want = decimal_concurrences(list(map(Fraction, weights.tolist())), det_sq, 2, prec=60,
+                                exponent=1.0)
+    errors = ulp_errors(report.concurrence[rows], want, index.ravel())
+    assert np.max(errors, initial=0.0) <= 3 * report.chain.diags.size
+
+
 class TestClassKernel:
     """Qubit tables are reduced once per keep/swap class and gathered to the
-    rows; every column must equal the full per-row route bit for bit."""
+    rows; every column must equal the full per-row route bit for bit, except
+    a concurrence whose |det M| has lost bits, held to 60 digits instead."""
 
     @given(chain=qubit_chains(8))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_class_route_matches_full_route_bit_for_bit(self, chain):
         report = enumerate_outcomes(chain)
-        weights, probs, conc, *scalars = full_route_columns(report)
+        weights, probs, conc, p_sum, constant, max_residual = full_route_columns(report)
+        lost = np.isnan(conc)  # |det M| below the normal range: no full-route value
+        if lost.any():
+            assert_lost_rows_to_60_digits(report, lost)
+            conc[lost] = report.concurrence[lost]
+            lost_max = float(np.max(np.abs(probs[lost] * conc[lost] - constant)))
+            max_residual = max(max_residual, lost_max)
         for got, want in ((report.weight, weights), (report.prob, probs),
                           (report.concurrence, conc)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         got = (report.p_sum, report.constant, report.max_residual)
-        assert list(map(float.hex, got)) == list(map(float.hex, scalars))
+        assert list(map(float.hex, got)) == list(map(float.hex, (p_sum, constant, max_residual)))
+
+    # every bond 10^-80 or deeper: |det M| is far below the normal range on every row
+    @given(chain=qubit_chains(5, min_nodes=3, depth=(80.0, 160.0)))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_concurrence_below_the_normal_range(self, chain):
+        report = enumerate_outcomes(chain)
+        lost = np.isnan(full_route_columns(report)[2])
+        assert lost.any() and lost[report.weight > 0.0].all()
+        assert_lost_rows_to_60_digits(report, lost)
 
     @given(chain=qubit_chains(4))
     @settings(max_examples=50, deadline=None, derandomize=True)
