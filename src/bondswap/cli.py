@@ -25,7 +25,6 @@ from .linalg import EnumerationBudgetError
 from .qubit import (
     SwapChain,
     _draw,
-    bond_concurrences,
     budget_error,
     check_budget,
     check_table_budget,
@@ -43,6 +42,7 @@ MODES = (PLAIN, VBS, QUDIT)
 # character always suffices (digits reach D²−1 = 63 at D = 8)
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+/"
 MAX_QUDIT_DIM = math.isqrt(len(_DIGITS))
+_DIGIT_CODES = np.array([ord(c) for c in _DIGITS], dtype=np.uint32)
 
 
 class UsageError(ValueError):
@@ -253,10 +253,12 @@ def _index_strings(digits: np.ndarray, quote: str) -> np.ndarray:
     rows, n = digits.shape
     if n == 0 and not quote:
         return np.full(rows, "")
-    codes = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8).astype(np.uint32)[digits]
-    if quote:
-        codes = np.pad(codes, ((0, 0), (1, 1)), constant_values=ord(quote))
-    # the code points of a row read as one numpy U<width> string each
+    q = len(quote)
+    # the code points of a row, filled in place, read as one numpy U<width> string each
+    codes = np.empty((rows, n + 2 * q), dtype=np.uint32)
+    codes[:, q : n + q] = _DIGIT_CODES[digits]
+    if q:
+        codes[:, 0] = codes[:, -1] = ord(quote)
     return codes.view(f"U{codes.shape[1]}").ravel()
 
 
@@ -278,7 +280,7 @@ def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
         "mode": cfg["mode"],
         "n_bonds": len(filters),
         "p_sum": report.p_sum,
-        "bond_concurrences": bond_concurrences(chain),
+        "bond_concurrences": report.bond_concurrences,
         "tradeoff_constant": report.constant,
         "max_residual": report.max_residual,
         "outcomes": outcomes,

@@ -137,7 +137,7 @@ class OutcomeRecord:
 
 @dataclass(frozen=True, eq=False)
 class TradeoffReport:
-    """Outcome table held per class, plus the outcome-independent prob × C.
+    """Outcome table held per class, the bond concurrences and the outcome-independent prob × C.
 
     Row b belongs to the outcome whose per-node digits are ``digits[b]``
     (little-endian, node 1 first; the digit the CLI prints) and takes the
@@ -150,6 +150,7 @@ class TradeoffReport:
     constant: float
     p_sum: float
     max_residual: float
+    bond_concurrences: list[float]
     digits: np.ndarray
     class_index: np.ndarray
     class_weight: np.ndarray
@@ -263,10 +264,11 @@ def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
     ``node_ops[k - 1]``, in digit-table order (node 1 least significant)."""
     if len(node_ops) != chain.n_nodes:
         raise ValueError(f"expected {chain.n_nodes} outcome labels, got {len(node_ops)}")
-    mats = [f.matrix for f in chain.filters]
+    mats = np.zeros(chain.diags.shape + chain.diags.shape[1:], dtype=complex)
+    mats.reshape(len(mats), -1)[:, :: mats.shape[2] + 1] = chain.diags  # each bond's diagonal
     if end is not None:  # a signed permutation (σ3): exact in the last factor
         mats[-1] = end @ mats[-1]
-    layers = [[m @ u for u in ops] for m, ops in zip(mats[1:], node_ops)]
+    layers = [m @ np.array(ops) for m, ops in zip(mats[1:], node_ops)]
     return batched_products(mats[0], layers)
 
 
@@ -307,8 +309,8 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
     max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
     digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
-    return TradeoffReport(constant, p_sum, max_residual, digits, index, weights, probs, conc,
-                          chain, mode)
+    return TradeoffReport(constant, p_sum, max_residual, bond_cs, digits, index, weights, probs,
+                          conc, chain, mode)
 
 
 def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:

@@ -39,6 +39,11 @@ def symmetric_projector() -> np.ndarray:
     return np.eye(4, dtype=complex) - np.outer(_SINGLET, _SINGLET.conj())
 
 
+# the projector's |01⟩, |10⟩ block (0.5000000000000001, 0.4999999999999999); rows 0 and 3
+# are unit rows, so build_vbs_state updates only these two amplitudes of each internal pair
+_SYM_BLOCK = symmetric_projector()[1:3, 1:3]
+
+
 def _check_oracle_bonds(n_bonds: int) -> None:
     if not 2 <= n_bonds <= MAX_ORACLE_NODES + 1:
         raise ValueError(f"oracle supports 2..{MAX_ORACLE_NODES + 1} bonds, got {n_bonds}")
@@ -56,17 +61,17 @@ def build_vbs_state(filters) -> StateVector:
     n_internal = len(filts) - 1
     if any(not isinstance(f, FilterOp) or f.dim != 2 for f in filts):
         raise ValueError("oracle filters must be qubit (dim 2) FilterOps")
+    bonds = np.zeros((len(filts), 4), dtype=complex)
+    bonds[:, 1:3] = np.array([f.diag for f in filts]) / np.sqrt(2.0)
+    np.negative(bonds[:, 2], out=bonds[:, 2])
     psi = np.ones(1, dtype=complex)
-    for f in filts:
-        bond = np.zeros(4, dtype=complex)
-        bond[1] = f.diag[0] / np.sqrt(2.0)
-        bond[2] = -f.diag[1] / np.sqrt(2.0)
+    for bond in bonds:
         psi = np.outer(psi, bond).ravel()  # np.kron's products, without its overhead
-    proj = symmetric_projector()
+    (p11, p12), (p21, p22) = _SYM_BLOCK
     for k in range(1, n_internal + 1):
-        left = 2 ** (2 * k - 1)
-        block = psi.reshape(left, 4, -1)
-        psi = np.einsum("pq,aqb->apb", proj, block).reshape(-1)
+        pair = psi.reshape(2 ** (2 * k - 1), 4, -1)
+        x1, x2 = pair[:, 1], pair[:, 2]
+        pair[:, 1], pair[:, 2] = p11 * x1 + p12 * x2, p21 * x1 + p22 * x2
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ValueError("chain state vanished (incompatible singular filters)")
@@ -93,9 +98,9 @@ def _peel_pairs(amps: np.ndarray, bras) -> np.ndarray:
     """
     batch = amps.reshape(1, -1)
     for bra in bras:
-        # (outcomes so far, qubit 0, pair k, pairs k+1.. and qubit 2N+1)
-        block = batch.reshape(len(batch), 2, 4, -1)
-        batch = np.tensordot(bra, block, axes=([1], [2])).reshape(-1, 2 * block.shape[3])
+        # (pair k; outcomes so far, qubit 0, pairs k+1.. and qubit 2N+1): np.tensordot's operands
+        pairs_first = batch.reshape(len(batch), 2, 4, -1).transpose(2, 0, 1, 3).reshape(4, -1)
+        batch = np.dot(bra, pairs_first).reshape(-1, batch.shape[1] // 4)
     return batch.reshape(-1, 2, 2)
 
 
@@ -184,8 +189,9 @@ def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
     report = enumerate_outcomes(SwapChain(filts, VBS))
     # amplitude on |j⟩⊗|k⟩ is M[k, j], as in state_from_operator
     pred = report.final_ops.transpose(0, 2, 1).reshape(-1, 4)
+    prob = report.prob
     oracle_zero = weights == 0.0
-    chain_zero = report.prob == 0.0
+    chain_zero = prob == 0.0
     fid = (oracle_zero & chain_zero).astype(float)
     live = ~(oracle_zero | chain_zero)
     # |⟨end|pred⟩|² / (‖end‖²‖pred‖²), with end normalized first so that
@@ -194,7 +200,7 @@ def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
     pred = pred[live]
     overlap = _abs_sq(np.sum(unit_end.conj() * pred, axis=1))
     fid[live] = np.clip(overlap / _abs_sq(pred).sum(axis=1), 0.0, 1.0)
-    dev = np.abs(weights - report.prob)
+    dev = np.abs(weights - prob)
     worst_dev, worst_fid, tol = float(dev.max()), float(fid.min()), float(tolerance)
-    return CrossCheckReport(report.digits, weights, report.prob, dev, fid, worst_dev,
+    return CrossCheckReport(report.digits, weights, prob, dev, fid, worst_dev,
                             worst_fid, tol, passed=worst_dev <= tol and worst_fid >= 1.0 - tol)

@@ -78,6 +78,36 @@ def draw_reference(chain, n_samples: int, seed: int) -> np.ndarray:
     return draws
 
 
+def vbs_state_reference(filters) -> np.ndarray:
+    """The oracle's chain amplitudes as ``vbs.build_vbs_state`` was first written:
+    a zeroed bond vector per filter, multiplied out by ``np.outer``, then the
+    4×4 symmetric projector on every internal pair by ``np.einsum``.  The package
+    must equal these bit for bit, up to the signs of zeros."""
+    from bondswap.vbs import symmetric_projector
+
+    psi = np.ones(1, dtype=complex)
+    for f in filters:
+        bond = np.zeros(4, dtype=complex)
+        bond[1] = f.diag[0] / np.sqrt(2.0)
+        bond[2] = -f.diag[1] / np.sqrt(2.0)
+        psi = np.outer(psi, bond).ravel()
+    proj = symmetric_projector()
+    for k in range(1, len(filters)):
+        block = psi.reshape(2 ** (2 * k - 1), 4, -1)
+        psi = np.einsum("pq,aqb->apb", proj, block).reshape(-1)
+    return psi / np.linalg.norm(psi)
+
+
+def peel_pairs_reference(amps: np.ndarray, bras) -> np.ndarray:
+    """``vbs._peel_pairs`` by ``np.tensordot``, as first written: the pair-k
+    rows ``bras[k-1]`` contracted against the leftmost remaining pair."""
+    batch = amps.reshape(1, -1)
+    for bra in bras:
+        block = batch.reshape(len(batch), 2, 4, -1)
+        batch = np.tensordot(bra, block, axes=([1], [2])).reshape(-1, 2 * block.shape[3])
+    return batch.reshape(-1, 2, 2)
+
+
 def full_route_columns(report):
     """weight, prob, concurrence, p_sum, constant and max_residual reduced
     from every row's own operator (``report.final_ops``), with fsum over every

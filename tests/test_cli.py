@@ -464,12 +464,15 @@ PINNED_CHAINS = {
     "qudit": ("--mode=qudit", "--dim=5", f"--filters={PINNED_QUDIT5}"),
     "qudit4": ("--mode=qudit", "--dim=4", f"--filters={PINNED_QUDIT4}"),
     "identical": ("--identical=2,1", "--bonds=7"),
+    "suite": ("--seed=7",),
+    "identical9": ("--identical=2,1", "--bonds=9"),
 }
 # sha256 of whole documents, recorded from the per-row table route (the last
 # four from the column renderer that preceded class tokens; qudit D = 5 from the
 # shift-class route, whose last bits differ from the per-row one at odd D);
 # the reference renderer above reads the same tables, so these pins guard the
-# table bits
+# table bits; the verify documents, from the per-bond np.einsum oracle build and
+# its np.tensordot peel, guard the oracle's
 PINNED_DOCUMENTS = {
     ("swap", "vbs", "json"): "e443a41a2267d0895af99378e20284891025f3a0c638b682e96f9ee67e05d49b",
     ("swap", "vbs", "csv"): "2cb6906a618455343a016aa4960cd541a73d093676a7385ea436c62a9eeceedd",
@@ -482,6 +485,12 @@ PINNED_DOCUMENTS = {
     ("swap", "qudit4", "json"): "ac1ed824b9a1c7fdc96a289e039d5b829fa8babdf26a1311b4737018a0d766b3",
     ("sample", "identical", "json"):
         "a5846173ee490052d7c562f6814e5776bbfd988c3213c7f000663dc78cc17f7e",
+    ("verify", "suite", "json"): "a9699473223627c67aa613de920a15fc2f54feb187f9bca75ccc7d6a9506f1cb",
+    ("verify", "suite", "csv"): "b2ae829d4beb4556672cbb41b7d2f213d7b25e646b3ac4e07fd0a56d716d5895",
+    ("verify", "identical9", "json"):
+        "adebc23a5ba72c3a6bbc578d1734b49718782f51f89d9a3c12039beffb15f430",
+    ("verify", "identical9", "csv"):
+        "2c5d8a761923c7445b4a1095e56b917dd8ae4e86c05b55bd898472f0150715d7",
 }
 
 

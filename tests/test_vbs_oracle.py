@@ -5,6 +5,7 @@ double as an independent confirmation of the 2x2 operator calculus used by
 the chain modules.
 """
 
+import hashlib
 import itertools
 import math
 import re
@@ -12,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from reference import unit_state
+from reference import peel_pairs_reference, unit_state, vbs_state_reference
 
 from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
@@ -43,6 +44,14 @@ class TestSymmetricProjector:
         s = symmetric_projector()
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
         assert np.allclose(s @ singlet, 0.0, atol=1e-12)
+
+    def test_outer_rows_are_exact_unit_rows(self):
+        # build_vbs_state updates only the |01⟩, |10⟩ amplitudes of each pair,
+        # by the projector's own middle block
+        s = symmetric_projector()
+        assert np.array_equal(s[0], [1, 0, 0, 0])
+        assert np.array_equal(s[3], [0, 0, 0, 1])
+        assert vbs._SYM_BLOCK.tobytes() == s[1:3, 1:3].copy().tobytes()
 
     def test_fixes_the_measurement_basis(self):
         s = symmetric_projector()
@@ -239,6 +248,16 @@ class TestBatchedOracle:
             c.chain_prob for c in honest.comparisons
         ]
 
+    def test_negative_control_unprojected_sites(self, rng, monkeypatch):
+        # the identity in place of the projector's middle block keeps every
+        # site's singlet part, which the symmetric Bell outcomes never see
+        filters = tuple(random_filter(rng) for _ in range(3))
+        assert cross_check(filters).passed
+        monkeypatch.setattr(vbs, "_SYM_BLOCK", np.eye(2, dtype=complex))
+        report = cross_check(filters)
+        assert not report.passed
+        assert report.worst_weight_dev > 1e-9
+
     def test_cross_check_at_the_size_limit(self, rng):
         # N = 8 internal nodes, 18 qubits, 6561 outcomes
         filters = tuple(random_filter(rng) for _ in range(9))
@@ -294,3 +313,61 @@ class TestAgainstOperatorRoute:
         # one node past the limit; the message names the limit
         with pytest.raises(ValueError, match=f"2..{MAX_ORACLE_NODES + 1} bonds"):
             cross_check((f,) * (MAX_ORACLE_NODES + 2))
+
+
+def oracle_corpus():
+    """Derandomized chains of N = 1..8 nodes: random complex filters, real-only
+    diagonals, and chains with one bond of moduli 1e±150, of real entries of
+    both signs or with a zero entry."""
+    rng = np.random.default_rng(2009)
+    specials = ([1.0, 1e-150], [1e150, 1j], [0.6, -0.8], [1.0, 0.0])
+    chains = []
+    for n in range(1, MAX_ORACLE_NODES + 1):
+        chains.append(tuple(random_filter(rng) for _ in range(n + 1)))
+        chains.append(tuple(make_filter(rng.uniform(-1.0, 1.0, 2)) for _ in range(n + 1)))
+        for diag in specials:
+            filters = [random_filter(rng) for _ in range(n + 1)]
+            filters[int(rng.integers(n + 1))] = make_filter(diag)
+            chains.append(tuple(filters))
+    return chains
+
+
+def report_digest(reports) -> str:
+    """sha256 over every column and summary of a sequence of CrossCheckReports."""
+    h = hashlib.sha256()
+    for r in reports:
+        for col in (r.digits, r.oracle_weight, r.chain_prob, r.weight_dev, r.fidelity):
+            h.update(np.ascontiguousarray(col).tobytes())
+        h.update(repr((r.worst_weight_dev, r.worst_fidelity, r.tolerance, r.passed)).encode())
+    return h.hexdigest()
+
+
+# recorded from the per-bond np.zeros/np.einsum build and the np.tensordot peel
+ORACLE_CORPUS_DIGEST = "d258ea8bb20d5fe731a1ea2da98a5d65b82cd677fe9e0f37a92ecd5e96e29a02"
+
+
+class TestOracleBits:
+    """The oracle's arithmetic is pinned bit for bit against its first-written
+    numpy routes (tests/reference.py) and against report digests recorded from
+    them."""
+
+    def test_amplitudes_equal_the_einsum_build(self):
+        for filters in oracle_corpus():
+            got = build_vbs_state(filters).amplitudes
+            # array_equal: only the signs of zeros may differ
+            assert np.array_equal(got, vbs_state_reference(filters)), len(filters)
+
+    def test_peeled_ends_equal_the_tensordot_peel(self):
+        for filters in oracle_corpus():
+            amps = build_vbs_state(filters).amplitudes
+            n = len(filters) - 1
+            bras = (vbs._BELL_BRAS,) * n
+            assert vbs._peel_pairs(amps, bras).tobytes() == \
+                peel_pairs_reference(amps, bras).tobytes(), n
+            one = [vbs._BELL_BRAS[k % 3 : k % 3 + 1] for k in range(n)]
+            assert vbs._peel_pairs(amps, one).tobytes() == \
+                peel_pairs_reference(amps, one).tobytes(), n
+
+    def test_report_columns_keep_their_bits(self):
+        assert report_digest(map(cross_check, oracle_corpus())) == ORACLE_CORPUS_DIGEST
+
