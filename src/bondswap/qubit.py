@@ -142,25 +142,30 @@ class TradeoffReport:
     Row b belongs to the outcome whose per-node digits are ``digits[b]``
     (little-endian, node 1 first; the digit the CLI prints) and takes the
     values of its shift class ``class_index[b]`` (see _table); ``weight``,
-    ``prob`` and ``concurrence`` gather them on each read.  ``final_ops``
-    multiplies out every row's own operator on each read, and ``records``,
-    the per-row view, labels a digit with ``mode.labels``.
+    ``prob`` and ``concurrence`` gather them on each read.  The first read of any
+    concurrence, ``constant`` or ``max_residual`` runs _concurrences once, on the class
+    chain operators ``class_final_ops`` and their Tr(M M†), ``class_hs_sq``.
+    ``final_ops`` multiplies out every row's own operator on each read, and
+    ``records``, the per-row view, labels a digit with ``mode.labels``.
     """
 
-    constant: float
     p_sum: float
-    max_residual: float
-    bond_concurrences: list[float]
     digits: np.ndarray
     class_index: np.ndarray
     class_weight: np.ndarray
     class_prob: np.ndarray
-    class_concurrence: np.ndarray
+    class_final_ops: np.ndarray
+    class_hs_sq: np.ndarray
     chain: _Chain
     mode: _Mode
     weight = property(lambda self: self.class_weight[self.class_index])
     prob = property(lambda self: self.class_prob[self.class_index])
     concurrence = property(lambda self: self.class_concurrence[self.class_index])
+    _stage = cached_property(lambda self: _concurrences(self))
+    class_concurrence = property(lambda self: self._stage[0])
+    bond_concurrences = property(lambda self: self._stage[1])
+    constant = property(lambda self: self._stage[2])
+    max_residual = property(lambda self: self._stage[3])
 
     @property
     def final_ops(self) -> np.ndarray:
@@ -275,10 +280,10 @@ def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
 def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
 
-    weight = Tr(M M†)/dim, |det M| and concurrence are reduced once per class
-    string, over the products of mode.class_ops; a row's class index Σ_k
-    class(d_k)·C^k takes the smallest unsigned dtype.  prob = weight / P_sum (Σ
-    over rows, correctly rounded); max_residual is the worst |prob × C − Π_j C_j / P_sum|.
+    weight = Tr(M M†)/dim is reduced once per class string, over the products M of
+    mode.class_ops, which the report keeps with their Tr(M M†) for _concurrences; a
+    row's class index Σ_k class(d_k)·C^k takes the smallest unsigned dtype.  prob =
+    weight / P_sum (Σ over rows, correctly rounded).
     """
     batch = _operators(chain, [mode.class_ops] * chain.n_nodes, mode.end)
     hs_sq = (np.abs(batch) ** 2).sum(axis=(1, 2))
@@ -293,7 +298,15 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     hi = weights * 134217729.0  # 2^27 + 1
     hi -= hi - weights
     p_sum = math.fsum(np.concatenate((hi * counts, (weights - hi) * counts)).tolist())
-    probs = weights / p_sum
+    digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
+    return TradeoffReport(p_sum, digits, index, weights, weights / p_sum, batch, hs_sq, chain, mode)
+
+
+def _concurrences(report: TradeoffReport) -> tuple[np.ndarray, list[float], float, float]:
+    """A report's class concurrences, bond concurrences, constant Π_j C_j / P_sum and
+    max_residual, the worst |prob × C − constant|, from its class operators."""
+    chain, mode, p_sum, probs = report.chain, report.mode, report.p_sum, report.class_prob
+    batch, hs_sq = report.class_final_ops, report.class_hs_sq
     abs_dets = np.abs(batched_determinant(batch))
     conc = np.zeros(len(batch))
     nz = hs_sq > 0.0
@@ -308,9 +321,7 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     bond_cs = bond_concurrences(chain)
     constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
     max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
-    digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
-    return TradeoffReport(constant, p_sum, max_residual, bond_cs, digits, index, weights, probs,
-                          conc, chain, mode)
+    return conc, bond_cs, constant, max_residual
 
 
 def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:

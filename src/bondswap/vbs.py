@@ -181,8 +181,8 @@ def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
 
     The oracle's Born probabilities are matched against enumerate_outcomes
     probs, and each end-pair state against the chain-operator state
-    (I ⊗ M)|Φ+⟩, both normalized.  The chain side is read only for this
-    comparison.  Mismatches are reported, never raised.
+    (I ⊗ M)|Φ+⟩, both normalized.  It reads no concurrence, so the table's
+    concurrence stage never runs.  Mismatches are reported, never raised.
     """
     filts = tuple(filters)
     weights, ends = measure_all_outcomes(build_vbs_state(filts))

@@ -634,6 +634,38 @@ class TestVerifyCommand:
         assert json.loads(out)["tolerance"] == 0.0
 
 
+class TestConcurrenceStage:
+    """A report runs qubit._concurrences on the first read of a concurrence column,
+    the constant or max_residual, and never again; verify and sample read none."""
+
+    @pytest.mark.parametrize("argv", [("verify",), ("verify", "--identical", "2,1", "--bonds", "9"),
+                                      ("sample", *WORKED), ("sample", "--mode", "plain", *WORKED)])
+    def test_commands_that_read_no_concurrence(self, capsys, monkeypatch, argv):
+        def no_stage(report):
+            raise AssertionError(f"{argv[0]} ran the concurrence stage")
+
+        monkeypatch.setattr(qubit, "_concurrences", no_stage)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+    def test_stage_runs_once_per_report(self, capsys, monkeypatch):
+        calls, stage = [], qubit._concurrences
+
+        def counted(report):
+            calls.append(report)
+            return stage(report)
+        monkeypatch.setattr(qubit, "_concurrences", counted)
+        report = enumerate_outcomes(SwapChain((make_filter([2, 1]),) * 3))
+        assert calls == []
+        for name in ("class_concurrence", "concurrence", "bond_concurrences", "constant",
+                     "max_residual", "records"):
+            getattr(report, name)
+        assert calls == [report]
+        assert run_cli(capsys, "swap", *WORKED)[0] == 0
+        assert len(calls) == 2
+
+
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         cases = [

@@ -1088,6 +1088,59 @@ class TestClassKernel:
         assert peak < 99 * len(report.prob)
 
 
+def report_corpus():
+    """Derandomized vbs, plain and qudit D = 3..8 chains for every N the corpus
+    admits: random complex, real with random signs, with a zero entry, and the
+    qudit extremes whose |det| or product of roots leaves the float range."""
+    rng = np.random.default_rng(2009)
+    cells = [(VBS, 6), (PLAIN, 5), (3, 3), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2)]
+    chains = []
+    for mode, n_max in cells:
+        dim = 2 if mode in (VBS, PLAIN) else mode
+        for n in range(n_max + 1):
+            for kind in ("complex", "signed", "zero"):
+                if kind == "complex":
+                    filters = [random_filter(rng, dim) for _ in range(n + 1)]
+                else:
+                    filters = [make_filter(rng.uniform(-1.0, 1.0, dim)) for _ in range(n + 1)]
+                if kind == "zero":
+                    diag = rng.uniform(0.35, 1.0, dim)
+                    diag[rng.integers(dim)] = 0.0
+                    filters[rng.integers(n + 1)] = make_filter(diag)
+                filts = tuple(filters)
+                chains.append(SwapChain(filts, mode) if dim == 2 else QuditChain(dim, filts))
+    for diag, n_bonds in (([1, 1e-100, 1e-100], 3), ([1, 1e-155, 1e-155], 2)):
+        chains.append(QuditChain(3, (make_filter(diag),) * n_bonds))
+    for diag in ([1, 1e-160], [1, 1e-155]):
+        chains += [SwapChain((make_filter(diag),) * 3, mode) for mode in (VBS, PLAIN)]
+    return chains
+
+
+def tradeoff_digest(reports) -> str:
+    """sha256 over every column and summary value of a sequence of TradeoffReports."""
+    h = hashlib.sha256()
+    for r in reports:
+        for col in (r.weight, r.prob, r.concurrence, r.digits, r.class_index):
+            h.update(np.ascontiguousarray(col).tobytes())
+        summary = (*r.bond_concurrences, r.constant, r.max_residual, r.p_sum)
+        h.update(" ".join(map(float.hex, summary)).encode())
+    return h.hexdigest()
+
+
+def table_of(chain):
+    return enumerate_qudit_outcomes(chain) if isinstance(chain, QuditChain) else \
+        enumerate_outcomes(chain)
+
+
+# recorded from the eager _table, which computed every concurrence column on build
+REPORT_CORPUS_DIGEST = "4afe755b3da10a471ab35123cf5111923ef16aa0f2789833f586fb309dc5b0cc"
+
+
+class TestReportBits:
+    def test_report_columns_keep_their_bits(self):
+        assert tradeoff_digest(map(table_of, report_corpus())) == REPORT_CORPUS_DIGEST
+
+
 class TestRowIndex:
     @pytest.mark.parametrize("base, n, offset", [(3, 0, 1), (3, 5, 1), (4, 4, 0), (2, 9, 0)])
     def test_inverts_digit_table(self, base, n, offset):

@@ -18,7 +18,7 @@ from reference import peel_pairs_reference, unit_state, vbs_state_reference
 from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
 from bondswap.qubit import SwapChain, bell_state, chain_operator, enumerate_outcomes
-from bondswap import vbs
+from bondswap import qubit, vbs
 from bondswap.vbs import (
     MAX_ORACLE_NODES,
     build_vbs_state,
@@ -305,6 +305,15 @@ class TestAgainstOperatorRoute:
         report = cross_check((f, f))
         assert not report.passed
         assert report.worst_fidelity < 1.0 - 1e-9
+
+    def test_cross_check_reads_no_concurrence(self, rng, monkeypatch):
+        # the chain side is compared on probs and operators only
+        def no_stage(report):
+            raise AssertionError("cross_check ran the concurrence stage")
+
+        monkeypatch.setattr(qubit, "_concurrences", no_stage)
+        for n in range(1, MAX_ORACLE_NODES + 1):
+            assert cross_check(tuple(random_filter(rng) for _ in range(n + 1))).passed, n
 
     def test_chain_size_guard(self):
         f = make_filter([1, 1])
