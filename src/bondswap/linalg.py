@@ -107,6 +107,7 @@ def batched_products(first, layers) -> np.ndarray:
     return batch
 
 
+# kept for bench/spans.py, which wraps it: no caller in the package
 def batched_determinant(batch: np.ndarray) -> np.ndarray:
     """Determinants of a (B, d, d) stack; closed form at d = 2.  Above it, LU
     gives 0 or NaN, without a warning, where a product underflows to a zero
@@ -118,13 +119,3 @@ def batched_determinant(batch: np.ndarray) -> np.ndarray:
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.linalg.det(batch)
-
-
-def det_concurrence(abs_det, hs_norm_sq, dim: int):
-    """Entanglement of (I ⊗ M)|Φ+⟩ from |det M| and Σ|M_ij|².
-
-    Equals dim·|det M|^(2/dim) / Tr(M M†): the concurrence 2|det M|/Tr(M M†)
-    at dim = 2 and its determinant-based generalization above.  Accepts
-    scalars or arrays; the caller must exclude zero matrices.
-    """
-    return dim * abs_det ** (2.0 / dim) / hs_norm_sq

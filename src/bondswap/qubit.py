@@ -16,20 +16,13 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .filters import PLAIN, VBS, FilterOp, _Chain
-from .linalg import (
-    EnumerationBudgetError,
-    StateVector,
-    batched_determinant,
-    batched_products,
-    det_concurrence,
-)
+from .linalg import EnumerationBudgetError, StateVector, batched_products
 
 _ID = np.eye(2, dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -58,7 +51,7 @@ class _Mode:
     for vbs, else None) multiplies every chain operator from the left.  Each
     node operator is a shift times a diagonal, and its class is the shift:
     products over one string of classes differ only by phases, so they share
-    weight, |det| and concurrence, which _table takes from class_ops."""
+    weight, |det| and concurrence, which _table computes once per class string."""
 
     dim: int
     digits: range
@@ -77,11 +70,6 @@ class _Mode:
         """Outcomes per class; for qubits (k, s), so that
         Σ_i σ_i diag(p, r) σ_i = diag(k·p + s·r, s·p + k·r) over all outcomes."""
         return tuple(map(self.classes.count, range(max(self.classes) + 1)))
-
-    @cached_property
-    def class_ops(self) -> tuple[np.ndarray, ...]:
-        """One node operator per class, its first outcome's: X^m alone for class m of U_mn."""
-        return tuple(self.ops[self.classes.index(c)] for c in range(len(self.class_sizes)))
 
 
 _MODES = {
@@ -142,9 +130,10 @@ class TradeoffReport:
     Row b belongs to the outcome whose per-node digits are ``digits[b]``
     (little-endian, node 1 first; the digit the CLI prints) and takes the
     values of its shift class ``class_index[b]`` (see _table); ``weight``,
-    ``prob`` and ``concurrence`` gather them on each read.  The first read of any
-    concurrence, ``constant`` or ``max_residual`` runs _concurrences once, on the class
-    chain operators ``class_final_ops`` and their Tr(M M†), ``class_hs_sq``.
+    ``prob`` and ``concurrence`` gather them on each read.  ``class_trace`` holds
+    each class's Tr(M M†) as (m, e), m·2^e.  The first read of any concurrence,
+    ``constant`` or ``max_residual`` runs _concurrences once, from the chain's
+    diagonals and ``class_trace``; no operator is formed.
     ``final_ops`` multiplies out every row's own operator on each read, and
     ``records``, the per-row view, labels a digit with ``mode.labels``.
     """
@@ -154,8 +143,7 @@ class TradeoffReport:
     class_index: np.ndarray
     class_weight: np.ndarray
     class_prob: np.ndarray
-    class_final_ops: np.ndarray
-    class_hs_sq: np.ndarray
+    class_trace: tuple
     chain: _Chain
     mode: _Mode
     weight = property(lambda self: self.class_weight[self.class_index])
@@ -250,18 +238,36 @@ def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     return _operators(chain, [[mode.ops[i - mode.digits.start]] for i in idx], mode.end)[0]
 
 
+def _squares(diags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|λ|² = re² + im² of each entry as m·2^e, m in [0.25, 2), from its parts scaled by
+    frexp of the larger: no square underflows.  A zero's e lies below any path's."""
+    parts = diags.view(float).reshape(*diags.shape, 2)
+    e = np.frexp(np.abs(parts).max(axis=-1))[1]
+    m = np.square(np.ldexp(parts, -e[..., None])).sum(axis=-1)
+    return m, np.where(m > 0.0, 2 * e, -(1 << 20))
+
+
+def _root(mags: np.ndarray, exps: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """D·(Π mags·2^exps)^(1/D) along the last axis as (g, q), g·2^q: mantissas multiply
+    512 at a time, with D^D's (exact below 2^53), and the exponent splits as q·D + r,
+    |r| <= D/2, so Python's ``**`` (np.power can round differently) roots g·2^r ≈ 1."""
+    (m, e), power = np.frexp(mags), dim ** dim
+    g = np.full(m.shape[:-1], power / (1 << power.bit_length()))  # D^D's mantissa
+    e = (e + exps).sum(axis=-1) + power.bit_length()
+    for k in range(0, m.shape[-1], 512):
+        g, shift = np.frexp(g * np.prod(m[..., k:k + 512], axis=-1))
+        e += shift
+    q = (e + dim // 2) // dim
+    return np.array([x ** (1.0 / dim) for x in np.ldexp(g, e - q * dim).tolist()]), q
+
+
 def bond_concurrences(chain: _Chain) -> list[float]:
-    """Per-bond entanglement C_j = D·|det T_j|^(2/D) / Tr(T_j T_j†) of every bond
-    of a qubit or qudit chain (2|αβ| for qubits; 0 for a singular filter): |det|
-    and Σ|λ|² in one pass over the diagonals, then Python's ``**`` per bond
-    (np.power can round differently)."""
-    mags = np.abs(chain.diags)
-    dim, dets = mags.shape[1], np.prod(mags, axis=1).tolist()
-    ssqs = np.sum(mags ** 2, axis=1).tolist()
-    # below the normal range Π|λ| loses bits: |det|^(2/D) is Π|λ|^(2/D) there
-    roots = np.prod(mags ** (2.0 / dim), axis=1).tolist()
-    return [min(1.0, det_concurrence(a, s, dim) if a >= sys.float_info.min else dim * r / s)
-            for a, s, r in zip(dets, ssqs, roots)]
+    """Per-bond entanglement C_j = D·|det T_j|^(2/D) / Tr(T_j T_j†) of every bond of a
+    qubit or qudit chain (2|αβ| for qubits; 0 for a singular filter): _root on each
+    bond alone, over Σ|λ|²."""
+    mags, exps = _squares(chain.diags)
+    g, q = _root(mags, exps, mags.shape[1])
+    return np.minimum(1.0, np.ldexp(g / np.ldexp(mags, exps).sum(axis=1), q)).tolist()
 
 
 def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
@@ -277,19 +283,44 @@ def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
     return batched_products(mats[0], layers)
 
 
+def _traces(diags: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray | int]:
+    """Tr(M M†) of every class string as (m, e), m·2^e, node 1 least significant.
+
+    M is monomial: Tr(M M†) sums over r the product Π_k |λ_k|² along the path row
+    r takes back through the class shifts.  From bond N down, v ← roll(v, −c)·|λ_k|²
+    for every class c at once by one gather, the new node least significant.  If a
+    path could leave the normal range, _squares' mantissas enter, exponents alongside.
+    """
+    dim = diags.shape[1]
+    mags, exps = diags.real * diags.real + diags.imag * diags.imag, None
+    # a nonzero path is at least Π_k (least nonzero |λ_k|², ≤ 1): if that is above
+    # 2^-970 so is every product, and no square lost 2^-100 of itself to its parts'
+    if math.prod(np.where(diags == 0, 1.0, mags).min(axis=1).tolist()) < 2.0 ** -970:
+        mags, exps = _squares(diags)
+    gather = (np.arange(n_classes)[:, None] + np.arange(dim)) % dim  # class c: s takes s + c
+    v, e = mags[-1:], None if exps is None else exps[-1:]
+    for k in range(len(mags) - 2, -1, -1):
+        v = (v[:, gather] * mags[k]).reshape(-1, dim)
+        if exps is not None:
+            e = (e[:, gather] + exps[k]).reshape(-1, dim)
+    if exps is None:
+        return v.sum(axis=1), 0
+    top = e.max(axis=1)  # each class's paths aligned to its largest
+    return np.ldexp(v, e - top[:, None]).sum(axis=1), top
+
+
 def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
 
-    weight = Tr(M M†)/dim is reduced once per class string, over the products M of
-    mode.class_ops, which the report keeps with their Tr(M M†) for _concurrences; a
-    row's class index Σ_k class(d_k)·C^k takes the smallest unsigned dtype.  prob =
-    weight / P_sum (Σ over rows, correctly rounded).
+    weight = Tr(M M†)/dim is reduced once per class string by _traces, which the
+    report keeps for _concurrences; a row's class index Σ_k class(d_k)·C^k takes the
+    smallest unsigned dtype.  prob = weight / P_sum (Σ over rows, correctly rounded).
     """
-    batch = _operators(chain, [mode.class_ops] * chain.n_nodes, mode.end)
-    hs_sq = (np.abs(batch) ** 2).sum(axis=(1, 2))
-    weights = hs_sq / mode.dim
+    n_classes = len(mode.class_sizes)
+    traces = _traces(chain.diags, n_classes)
+    weights = np.ldexp(traces[0] / mode.dim, traces[1])
     index = np.zeros(1, dtype=np.min_scalar_type(len(weights) - 1))
-    classes, n_classes = np.array(mode.classes, index.dtype), len(mode.class_ops)
+    classes = np.array(mode.classes, index.dtype)
     for k in range(chain.n_nodes):
         index = (classes[:, None] * n_classes ** k + index).ravel()
     # Σ_c w_c·m_c over the classes' row counts m_c < 2^26, exactly: Veltkamp's split
@@ -299,28 +330,20 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     hi -= hi - weights
     p_sum = math.fsum(np.concatenate((hi * counts, (weights - hi) * counts)).tolist())
     digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
-    return TradeoffReport(p_sum, digits, index, weights, weights / p_sum, batch, hs_sq, chain, mode)
+    return TradeoffReport(p_sum, digits, index, weights, weights / p_sum, traces, chain, mode)
 
 
 def _concurrences(report: TradeoffReport) -> tuple[np.ndarray, list[float], float, float]:
     """A report's class concurrences, bond concurrences, constant Π_j C_j / P_sum and
-    max_residual, the worst |prob × C − constant|, from its class operators."""
-    chain, mode, p_sum, probs = report.chain, report.mode, report.p_sum, report.class_prob
-    batch, hs_sq = report.class_final_ops, report.class_hs_sq
-    abs_dets = np.abs(batched_determinant(batch))
-    conc = np.zeros(len(batch))
-    nz = hs_sq > 0.0
-    # every operator is monomial: |det M|^(2/D) = Π_j Π_i |λ_j,i|^(2/D) in every class, held
-    # as 2^Σk·Π m by frexp (≤ 32 mantissas in [0.5, 1) under the row budget): no underflow before C
-    m, k = np.frexp((np.abs(chain.diags) ** (2.0 / mode.dim)).ravel())
-    hs_m, hs_e = np.frexp(hs_sq[nz])
-    conc[nz] = np.minimum(1.0, np.ldexp(mode.dim * np.prod(m) / hs_m, k.sum() - hs_e))
-    # |det M| <= 1 itself where normal; below, it lost bits or LU met a zero pivot (0, NaN)
-    ok = nz & (abs_dets >= sys.float_info.min)
-    conc[ok] = np.minimum(1.0, det_concurrence(abs_dets[ok], hs_sq[ok], mode.dim))
+    max_residual, the worst |prob × C − constant|.  Every M is monomial, so |det M|^(2/D)
+    is G = (Π_k Π_i |λ_k,i|²)^(1/D) in every class: C = min(1, D·G / Tr(M M†)), from
+    mantissas and exponents, so that neither underflows first."""
+    chain, dim, (tr, top) = report.chain, report.mode.dim, report.class_trace
+    g, q = _root(*(x.reshape(1, -1) for x in _squares(chain.diags)), dim)
+    conc = np.minimum(1.0, np.ldexp(g / tr, q - top)) if g[0] else np.zeros(len(tr))
     bond_cs = bond_concurrences(chain)
-    constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / p_sum
-    max_residual = float(np.max(np.abs(probs[nz] * conc[nz] - constant), initial=0.0))
+    constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / report.p_sum
+    max_residual = float(np.max(np.abs(report.class_prob * conc - constant), initial=0.0))
     return conc, bond_cs, constant, max_residual
 
 

@@ -111,12 +111,12 @@ def peel_pairs_reference(amps: np.ndarray, bras) -> np.ndarray:
 def full_route_columns(report):
     """weight, prob, concurrence, p_sum, constant and max_residual reduced
     from every row's own operator (``report.final_ops``), with fsum over every
-    row: the table route that multiplies out each outcome on its own.  Where
-    |det M| is no positive normal float it has lost bits (or LU met a zero
+    row: the table route that multiplies out each outcome on its own, with its
+    own determinant concurrence D·|det M|^(2/D) / Tr(M M†) and bond_concurrence.
+    Where |det M| is no positive normal float it has lost bits (or LU met a zero
     pivot), so this route has no concurrence there: such a row reads NaN, and
     max_residual is taken over the other rows."""
-    from bondswap.linalg import batched_determinant, det_concurrence
-    from bondswap.qubit import bond_concurrences
+    from bondswap.linalg import batched_determinant
 
     dim = report.mode.dim
     batch = report.final_ops
@@ -128,9 +128,9 @@ def full_route_columns(report):
     conc = np.zeros(len(batch))
     nz = hs_sq > 0.0
     ok = nz & (abs_dets >= sys.float_info.min)
-    conc[ok] = np.minimum(1.0, det_concurrence(abs_dets[ok], hs_sq[ok], dim))
+    conc[ok] = np.minimum(1.0, dim * abs_dets[ok] ** (2.0 / dim) / hs_sq[ok])
     conc[nz & ~ok] = np.nan
-    cs = bond_concurrences(report.chain)
+    cs = [bond_concurrence(f) for f in report.chain.filters]
     constant = 0.0 if any(c == 0.0 for c in cs) else math.prod(cs) / p_sum
     max_residual = float(np.max(np.abs(probs[ok] * conc[ok] - constant), initial=0.0))
     return weights, probs, conc, p_sum, constant, max_residual
@@ -157,52 +157,96 @@ def exact_monomial_table(chain, shifts: np.ndarray):
     diagonal, exactly.  The weight Tr(M M†)/D is the mean of these over j, a
     function of the row's shifts alone, and |det M|² = Π_k Π_i |λ_k,i|² for
     every row."""
+    totals, denominator, index, det_sq = _exact_paths(chain, shifts)
+    return [Fraction(t, denominator) for t in totals], index, det_sq
+
+
+def _exact_paths(chain, shifts: np.ndarray):
+    """exact_monomial_table's weights as integers over one common denominator:
+    (numerators, denominator, index, |det M|²)."""
     mags = [[Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in row]
             for row in chain.diags.tolist()]
-    dim = len(mags[0])
-    strings, index = np.unique(shifts, axis=0, return_inverse=True)
-    weights = []
-    for row in strings.tolist():
-        total = Fraction(0)
+    dim, n = len(mags[0]), shifts.shape[1]
+    # every denominator is a power of two: scaled to integers, paths multiply exactly
+    scale = max(m.denominator for row in mags for m in row)
+    ints = [[m.numerator * (scale // m.denominator) for m in row] for row in mags]
+    keys, index = np.unique(shifts.astype(np.int64) @ dim ** np.arange(n), return_inverse=True)
+    totals = []
+    for row in ([key // dim ** k % dim for k in range(n)] for key in keys.tolist()):
+        total = 0
         for j in range(dim):
-            w = mags[0][j]
-            for m, lam in zip(row, mags[1:]):
+            w = ints[0][j]
+            for m, lam in zip(row, ints[1:]):
                 j = (j + m) % dim
                 w *= lam[j]
             total += w
-        weights.append(total / dim)
-    return weights, index.ravel(), math.prod(math.prod(row) for row in mags)
+        totals.append(total)
+    det_sq = math.prod(math.prod(row) for row in mags)
+    return totals, dim * scale ** len(ints), index.ravel(), det_sq
 
 
-def decimal_concurrences(weights, det_sq: Fraction, dim: int, prec: int = 50,
-                         exponent: float | None = None) -> list[Decimal]:
-    """D·|det M|^(2/D) / Tr(M M†) = (|det M|²)^(1/D) / weight for each weight,
-    at most 1 and 0 for a zero weight, as ``prec``-digit Decimals.  A float
-    ``exponent`` replaces 2/D by its exact value (the code's ``2.0 / D``)."""
+def _decimal(p: int, q: int) -> Decimal:
+    """p/q (ints, q > 0) as a Decimal of the context's precision, from the leading
+    256 bits of each and an exact power of two (relative error below 2^-250)."""
+    a, b = max(p.bit_length() - 256, 0), max(q.bit_length() - 256, 0)
+    return Decimal(p >> a) / Decimal(q >> b) * Decimal(2) ** (a - b)
+
+
+def decimal_concurrences(weights, det_sq: Fraction, dim: int, prec: int = 50) -> list[Decimal]:
+    """D·|det M|^(2/D) / Tr(M M†) = (|det M|²)^(1/D) / weight for each weight (a
+    Fraction or a (numerator, denominator) pair of ints), at most 1 and 0 for a
+    zero weight, as ``prec``-digit Decimals."""
     with localcontext() as ctx:
         ctx.prec = prec
         def dec(f):
-            return Decimal(f.numerator) / Decimal(f.denominator)
-        if not det_sq:
-            root = Decimal(0)
-        elif exponent is None:
-            root = (dec(det_sq).ln() / dim).exp()
-        else:
-            root = (dec(det_sq).ln() * Decimal(exponent) / 2).exp()
-        return [min(Decimal(1), root / dec(w)) if w else Decimal(0) for w in weights]
+            return _decimal(*f) if isinstance(f, tuple) else _decimal(f.numerator, f.denominator)
+        root = (dec(det_sq).ln() / dim).exp() if det_sq else Decimal(0)
+        return [min(Decimal(1), root / w) if w else Decimal(0) for w in map(dec, weights)]
+
+
+def exact_columns(report, prec: int = 50):
+    """Exact weight and prob, as (numerator, denominator) pairs of ints, and
+    ``prec``-digit concurrence of each distinct shift string of ``report``'s rows,
+    and each row's index into them: (weights, probs, concurrences, index)."""
+    dim = report.mode.dim
+    totals, denominator, index, det_sq = _exact_paths(report.chain,
+                                                      digit_shifts(report.digits, dim))
+    p_sum = sum(t * m for t, m in zip(totals, np.bincount(index).tolist()))
+    weights = [(t, denominator) for t in totals]
+    probs = [(t, p_sum) for t in totals]
+    return weights, probs, decimal_concurrences(weights, det_sq, dim, prec), index
+
+
+def kernel_ulp_bounds(n_nodes: int, dim: int) -> dict:
+    """A priori worst errors, in ulps, of the table kernel's weight, prob and
+    concurrence (each ulp at least 2^-53 of the value).  A square |λ|² = re² + im²
+    is within 2^-52, a path product of N+1 of them within (3N + 2)·2^-53, and the
+    sum of D paths and the division by D add D; p_sum is a correctly rounded sum
+    of the weights.  G multiplies (N+1)·D squares, then the root divides their
+    error by D and adds at most 2.5 ulps; one more division gives C."""
+    weight = 3 * n_nodes + dim + 3
+    return {"weight": weight, "prob": 2 * weight + 2,
+            "concurrence": weight + 3 * (n_nodes + 1) + 4}
 
 
 def ulp_errors(got: np.ndarray, exact: list, index: np.ndarray) -> np.ndarray:
     """|got[r] − exact[index[r]]| per row r in units in the last place of the
-    float nearest the exact value (a Fraction or a Decimal).  Taken as
-    (got − nearest)/ulp, exact in floats while got lies within a factor two of
-    it, plus the nearest float's own offset from the exact value."""
+    float nearest the exact value (a Fraction, a (numerator, denominator) pair of
+    ints, or a Decimal).  Taken as (got − nearest)/ulp, exact in floats while got
+    lies within a factor two of it, plus the nearest float's own offset from the
+    exact value."""
     near, ulp, offset = np.empty((3, len(exact)))
     with localcontext() as ctx:
         ctx.prec = 50
         for k, e in enumerate(exact):
-            near[k] = f = float(e)
+            if isinstance(e, Decimal):
+                near[k] = f = float(e)
+                ulp[k] = u = math.ulp(f)
+                offset[k] = float((Decimal(f) - e) / Decimal(u))
+                continue
+            p, q = e if isinstance(e, tuple) else (e.numerator, e.denominator)
+            near[k] = f = p / q  # correctly rounded
             ulp[k] = u = math.ulp(f)
-            kind = Decimal if isinstance(e, Decimal) else Fraction
-            offset[k] = float((kind(f) - e) / kind(u))
+            (a, b), (c, d) = f.as_integer_ratio(), u.as_integer_ratio()
+            offset[k] = (a * q - p * b) * d / (b * q * c)  # (f − p/q)/u, rounded once
     return np.abs((np.asarray(got) - near[index]) / ulp[index] + offset[index])

@@ -16,8 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import bond_concurrence
-
 from bondswap import __version__, cli, qubit, vbs
 from bondswap.cli import main
 from bondswap.filters import make_filter
@@ -86,12 +84,12 @@ def reference_document(*argv) -> str:
         return render_reference(cfg, filters, payload)
     filters = cli._build_filters(cfg)
     if cfg["mode"] == "qudit":
-        report = enumerate_qudit_outcomes(QuditChain(cfg["dim"], tuple(filters)))
-        cs = [bond_concurrence(f) for f in filters]
+        chain = QuditChain(cfg["dim"], tuple(filters))
+        report = enumerate_qudit_outcomes(chain)
     else:
         chain = SwapChain(tuple(filters), cfg["mode"])
         report = enumerate_outcomes(chain)
-        cs = bond_concurrences(chain)
+    cs = bond_concurrences(chain)
 
     def index(indices):
         if cfg["mode"] == "qudit":
@@ -467,26 +465,26 @@ PINNED_CHAINS = {
     "suite": ("--seed=7",),
     "identical9": ("--identical=2,1", "--bonds=9"),
 }
-# sha256 of whole documents, recorded from the per-row table route (the last
-# four from the column renderer that preceded class tokens; qudit D = 5 from the
-# shift-class route, whose last bits differ from the per-row one at odd D);
-# the reference renderer above reads the same tables, so these pins guard the
-# table bits; the verify documents, from the per-bond np.einsum oracle build and
-# its np.tensordot peel, guard the oracle's
+# sha256 of whole documents; the swap and sample ones and the default verify suite
+# were recorded from the real path kernel (the identical-filter verify documents
+# from the per-row table route, which the kernel matches there); the reference
+# renderer above reads the same tables, so these pins guard the table bits; the
+# verify documents, from the per-bond np.einsum oracle build and its np.tensordot
+# peel, guard the oracle's
 PINNED_DOCUMENTS = {
-    ("swap", "vbs", "json"): "e443a41a2267d0895af99378e20284891025f3a0c638b682e96f9ee67e05d49b",
-    ("swap", "vbs", "csv"): "2cb6906a618455343a016aa4960cd541a73d093676a7385ea436c62a9eeceedd",
-    ("swap", "plain", "json"): "e74603379e6d34f9f82f3432a203b900951a60cc4814307f182964ef1db0f02e",
-    ("swap", "plain", "csv"): "59f300ac7a0f8d4933bb4b2fed29bf6671155935e35476f772cd92eeea9f5705",
-    ("sample", "vbs", "json"): "04776fbfc45fbd80dd3aeaad7c50ab1d000d367d9bdc7de8326fa6985f846be7",
-    ("sample", "vbs", "csv"): "a0e591335ddbdf1439b31b81d5774930e00938bbf94203be07bdd285e954042d",
-    ("sample", "plain", "csv"): "c51726c1e744f780faa0910fde875c4b63bc47db6720dac30d43937fe5b95dab",
-    ("swap", "qudit", "json"): "7c4c8563935c055ad39a0a5c828295a41c9632ecde6fa7797882faaa94003b8b",
-    ("swap", "qudit4", "json"): "ac1ed824b9a1c7fdc96a289e039d5b829fa8babdf26a1311b4737018a0d766b3",
+    ("swap", "vbs", "json"): "6dc345d514ae6cdf34708f5071fdf5e20f6f6ec34f12caa9a474691ea72cc0d0",
+    ("swap", "vbs", "csv"): "bacfc0872112294a00c8e0cc61f6cc1868067c7ff22d18598de70124c0e67181",
+    ("swap", "plain", "json"): "4aec05426f9f5f41fa190773267f2dab7d62d27d956767c52c25d3ab3f1c9c6e",
+    ("swap", "plain", "csv"): "4e202811ebfe3d9197d15164e9ebcc45142daa4d1db7f49864fa63a9d6552045",
+    ("sample", "vbs", "json"): "af0d9ffe7138d189907a2dbfe253d482cb655e5c08b197d21c45c6c634c343e8",
+    ("sample", "vbs", "csv"): "6f095f88cb5f33636fcddeb7a2bbdcf86927b6328eff5307cc6cba43387da9e5",
+    ("sample", "plain", "csv"): "5172f2195285e0cfae631928143f7d1d382e9676fdd0427436fff725ff6e050d",
+    ("swap", "qudit", "json"): "4c876a6bf4518dddb3d1351f8539cbbf9d3e99d4385d4b38204d420cc04309b8",
+    ("swap", "qudit4", "json"): "7857147267bbadac12632f61c887e239b223eb6d444b3de486e5d6a44de04c21",
     ("sample", "identical", "json"):
-        "a5846173ee490052d7c562f6814e5776bbfd988c3213c7f000663dc78cc17f7e",
-    ("verify", "suite", "json"): "a9699473223627c67aa613de920a15fc2f54feb187f9bca75ccc7d6a9506f1cb",
-    ("verify", "suite", "csv"): "b2ae829d4beb4556672cbb41b7d2f213d7b25e646b3ac4e07fd0a56d716d5895",
+        "41a0ca368a13d2d4137c37f32c77f3b1b3cc357722c03e4b2c16bc4d3a3956d5",
+    ("verify", "suite", "json"): "d39dc32caae19cfbbe1a415fafd85eb194e06ee9d1158155e6d4dffad331101a",
+    ("verify", "suite", "csv"): "9251ebdd0372056d0865e2312afdb4ff1ca0111c08fbd7111ce0517fbfd06b51",
     ("verify", "identical9", "json"):
         "adebc23a5ba72c3a6bbc578d1734b49718782f51f89d9a3c12039beffb15f430",
     ("verify", "identical9", "csv"):

@@ -1,11 +1,9 @@
-"""Low-level linear algebra: kron, states, batched products, fidelity, concurrence."""
+"""Low-level linear algebra: kron, states, batched products and determinants, fidelity."""
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import kron, random_complex_matrix, random_unitary
 from reference import reduced_density, unit_state
@@ -14,7 +12,6 @@ from bondswap.linalg import (
     StateVector,
     batched_determinant,
     batched_products,
-    det_concurrence,
     fidelity_up_to_phase,
     state_from_operator,
 )
@@ -197,37 +194,3 @@ class TestFidelity:
         b = StateVector((4,), np.array([1.0, 0, 0, 0], dtype=complex))
         with pytest.raises(ValueError):
             fidelity_up_to_phase(a, b)
-
-
-class TestDetConcurrence:
-    def test_known_qubit_value(self):
-        # diag(2,1)-shaped operator: 2*|det|/tr(MM†) = 2*2/5
-        assert det_concurrence(2.0, 5.0, 2) == pytest.approx(0.8, abs=1e-15)
-
-    @staticmethod
-    def of_operator(m):
-        # as the table builder reduces an operator: |det| and Σ|M_ij|²
-        m = np.asarray(m, dtype=complex)
-        abs_det = abs(batched_determinant(m[np.newaxis])[0])
-        return det_concurrence(abs_det, np.sum(np.abs(m) ** 2), len(m))
-
-    def test_identity_is_maximal(self):
-        for d in (2, 3, 5):
-            assert self.of_operator(np.eye(d)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_qubit_limit_matches_two_det_over_trace(self, rng):
-        for _ in range(50):
-            m = random_complex_matrix(rng, 2)
-            want = 2.0 * abs(np.linalg.det(m)) / np.trace(m @ m.conj().T).real
-            assert self.of_operator(m) == pytest.approx(want, rel=1e-12)
-
-    def test_scale_invariant_for_qudits(self, rng):
-        m = random_complex_matrix(rng, 4)
-        assert self.of_operator(3.7 * m) == pytest.approx(self.of_operator(m), rel=1e-12)
-
-    @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0))
-    @settings(max_examples=40, deadline=None)
-    def test_scale_invariance(self, a, b):
-        base = det_concurrence(a * b, a**2 + b**2, 2)
-        scaled = det_concurrence(9.0 * a * b, 9.0 * (a**2 + b**2), 2)
-        assert scaled == pytest.approx(base, rel=1e-12)

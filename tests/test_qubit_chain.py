@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 
 from conftest import kron, random_unitary
 from reference import (
-    bond_concurrence,
     decimal_concurrences,
     draw_reference,
+    exact_columns,
     full_route_columns,
+    kernel_ulp_bounds,
     reduced_density,
     ulp_errors,
     unit_state,
@@ -949,7 +950,8 @@ class TestChainValidation:
 
 
 class TestBondConcurrencesBits:
-    """The one-pass bond_concurrences equals the per-bond reference bit for bit."""
+    """bond_concurrences is the table kernel's D·G / Tr on each bond alone (N = 0),
+    within its a priori bound of 60-digit values."""
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_matches_per_bond_route(self, rng, dim):
@@ -962,10 +964,14 @@ class TestBondConcurrencesBits:
         filters[8] = make_filter([1] * dim)  # maximal: C = 1
         filts = tuple(filters)
         chain = SwapChain(filts, PLAIN) if dim == 2 else QuditChain(dim, filts)
-        want = [bond_concurrence(f) for f in filters]
+        exact = []
+        for f in filters:
+            mags = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in f.diag.tolist()]
+            exact += decimal_concurrences([sum(mags) / dim], math.prod(mags), dim, prec=60)
         got = bond_concurrences(chain)
-        assert want[7] == 0.0 and want[8] == 1.0
-        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert got[7] == 0.0 and got[8] == 1.0
+        errors = ulp_errors(got, exact, np.arange(len(exact)))
+        assert np.max(errors) <= kernel_ulp_bounds(0, dim)["concurrence"]
 
 
 @st.composite
@@ -989,52 +995,40 @@ def qubit_chains(draw, max_nodes, min_nodes=0, depth=None):
     return SwapChain(tuple(filters), mode)
 
 
-def assert_lost_rows_to_60_digits(report, lost):
-    """On the rows ``lost`` (|det M| below the normal range) of normal weight, the
-    concurrence 2·Π|λ| / Tr(M M†) is within 3F ulps of its 60-digit value over the
-    row's own float weight: F = 2(N+1) moduli within an ulp each, F − 1 products
-    and one division within half an ulp each.  The weight is checked elsewhere;
-    rows of subnormal weight keep that weight's lost bits."""
-    rows = lost & (report.weight >= sys.float_info.min)
-    weights, index = np.unique(report.weight[rows], return_inverse=True)
-    det_sq = math.prod(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
-                       for z in report.chain.diags.ravel().tolist())
-    want = decimal_concurrences(list(map(Fraction, weights.tolist())), det_sq, 2, prec=60,
-                                exponent=1.0)
-    errors = ulp_errors(report.concurrence[rows], want, index.ravel())
-    assert np.max(errors, initial=0.0) <= 3 * report.chain.diags.size
+def assert_within_ulp_bounds(report):
+    """Every row's weight, prob and concurrence lies within kernel_ulp_bounds of
+    its exact value, a concurrence also where the float weight underflows; p_sum is
+    the correctly rounded sum of the rows' weights, and prob × C is the constant."""
+    weights, probs, concs, index = exact_columns(report, prec=60)
+    bounds = kernel_ulp_bounds(report.chain.n_nodes, report.mode.dim)
+    for name, exact in (("weight", weights), ("prob", probs), ("concurrence", concs)):
+        assert np.max(ulp_errors(getattr(report, name), exact, index)) <= bounds[name], name
+    counts = np.bincount(report.class_index, minlength=len(report.class_weight)).tolist()
+    exact_sum = sum(Fraction(w) * m for w, m in zip(report.class_weight.tolist(), counts))
+    assert report.p_sum == float(exact_sum)
+    if report.constant >= sys.float_info.min:
+        assert report.max_residual <= 1e-12 * report.constant
 
 
 class TestClassKernel:
-    """Qubit tables are reduced once per keep/swap class and gathered to the
-    rows; every column must equal the full per-row route bit for bit, except
-    a concurrence whose |det M| has lost bits, held to 60 digits instead."""
+    """Qubit tables are reduced once per keep/swap class by the real path
+    recursion and gathered to the rows; every column is judged in ulps against
+    exact arithmetic, near-singular bonds and |det M| below the float range
+    included."""
 
     @given(chain=qubit_chains(8))
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_class_route_matches_full_route_bit_for_bit(self, chain):
-        report = enumerate_outcomes(chain)
-        weights, probs, conc, p_sum, constant, max_residual = full_route_columns(report)
-        lost = np.isnan(conc)  # |det M| below the normal range: no full-route value
-        if lost.any():
-            assert_lost_rows_to_60_digits(report, lost)
-            conc[lost] = report.concurrence[lost]
-            lost_max = float(np.max(np.abs(probs[lost] * conc[lost] - constant)))
-            max_residual = max(max_residual, lost_max)
-        for got, want in ((report.weight, weights), (report.prob, probs),
-                          (report.concurrence, conc)):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        got = (report.p_sum, report.constant, report.max_residual)
-        assert list(map(float.hex, got)) == list(map(float.hex, (p_sum, constant, max_residual)))
+    def test_class_route_within_ulps_of_exact(self, chain):
+        assert_within_ulp_bounds(enumerate_outcomes(chain))
 
     # every bond 10^-80 or deeper: |det M| is far below the normal range on every row
     @given(chain=qubit_chains(5, min_nodes=3, depth=(80.0, 160.0)))
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_concurrence_below_the_normal_range(self, chain):
         report = enumerate_outcomes(chain)
-        lost = np.isnan(full_route_columns(report)[2])
+        lost = np.isnan(full_route_columns(report)[2])  # the determinant route has no value
         assert lost.any() and lost[report.weight > 0.0].all()
-        assert_lost_rows_to_60_digits(report, lost)
+        assert_within_ulp_bounds(report)
 
     @given(chain=qubit_chains(4))
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -1053,15 +1047,12 @@ class TestClassKernel:
         # every node operator is X^c times a diagonal, and c is its class
         assert all(np.array_equal(u != 0, shifts[c] != 0) for u, c in zip(m.ops, m.classes))
         assert m.class_sizes == {VBS: (1, 2), PLAIN: (2, 2)}.get(mode, (m.dim,) * m.dim)
-        assert all(u is m.ops[m.classes.index(c)] for c, u in enumerate(m.class_ops))
         if m.dim == 2:  # qubit class 1 holds exactly the Paulis with a zero diagonal (σx, σ3)
             assert m.classes == tuple(int(u[0, 0] == 0) for u in m.ops)
-            assert all(np.array_equal(abs(u), shifts[c]) for c, u in enumerate(m.class_ops))
         if mode in _MODES:  # _draw swaps on the digit's parity: an odd digit is a swap
             assert all((d & 1) == c for d, c in zip(m.digits, m.classes))
-        else:  # the Weyl digit m·D + n lies in class m, represented by X^m alone
+        else:  # the Weyl digit m·D + n lies in class m
             assert m.classes == tuple(d // m.dim for d in m.digits)
-            assert all(np.array_equal(u, x) for u, x in zip(m.class_ops, shifts))
 
     @pytest.mark.parametrize("dim, n", [(3, 3), (5, 2), (7, 2)])
     def test_p_sum_is_exact_for_odd_class_sizes(self, dim, n):
@@ -1132,8 +1123,8 @@ def table_of(chain):
         enumerate_outcomes(chain)
 
 
-# recorded from the eager _table, which computed every concurrence column on build
-REPORT_CORPUS_DIGEST = "4afe755b3da10a471ab35123cf5111923ef16aa0f2789833f586fb309dc5b0cc"
+# recorded from the real path kernel, once TestExactReference held it to exact values
+REPORT_CORPUS_DIGEST = "eab57ff4a84616cc093e2523e2f276e91470690b7f245895a35397e8fd384fff"
 
 
 class TestReportBits:

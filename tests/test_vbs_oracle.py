@@ -351,8 +351,9 @@ def report_digest(reports) -> str:
     return h.hexdigest()
 
 
-# recorded from the per-bond np.zeros/np.einsum build and the np.tensordot peel
-ORACLE_CORPUS_DIGEST = "d258ea8bb20d5fe731a1ea2da98a5d65b82cd677fe9e0f37a92ecd5e96e29a02"
+# recorded from the per-bond np.zeros/np.einsum build and the np.tensordot peel, with
+# the tables of the real path kernel
+ORACLE_CORPUS_DIGEST = "e85010e705b1f294c68a57ce4f2e5d0290f7fb78d7660134c68a00684c36392e"
 
 
 class TestOracleBits:
