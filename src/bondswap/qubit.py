@@ -131,7 +131,7 @@ class TradeoffReport:
     (little-endian, node 1 first; the digit the CLI prints) and takes the
     values of its shift class ``class_index[b]`` (see _table); ``weight``,
     ``prob`` and ``concurrence`` gather them on each read.  ``class_trace`` holds
-    each class's Tr(M M†) as (m, e), m·2^e.  The first read of any concurrence,
+    each class's Tr(M M†) exactly, as _traces gives it.  The first read of any concurrence,
     ``constant`` or ``max_residual`` runs _concurrences once, from the chain's
     diagonals and ``class_trace``; no operator is formed.
     ``final_ops`` multiplies out every row's own operator on each read, and
@@ -239,35 +239,37 @@ def chain_operator(chain: SwapChain, indices) -> np.ndarray:
 
 
 def _squares(diags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|λ|² = re² + im² of each entry as m·2^e, m in [0.25, 2), from its parts scaled by
-    frexp of the larger: no square underflows.  A zero's e lies below any path's."""
-    parts = diags.view(float).reshape(*diags.shape, 2)
-    e = np.frexp(np.abs(parts).max(axis=-1))[1]
-    m = np.square(np.ldexp(parts, -e[..., None])).sum(axis=-1)
-    return m, np.where(m > 0.0, 2 * e, -(1 << 20))
+    """|λ|² = re² + im² of each entry exactly: (ints, low), an object array of Python
+    ints and each bond's power of two, |λ|² = int·2^(2·low), low the least exponent of
+    the 53-bit integers that the bond's parts are."""
+    m, e = np.frexp(diags.view(float).reshape(*diags.shape, 2))
+    e -= 53
+    low = e.min(axis=(1, 2))
+    ints = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - low[:, None, None]).astype(object)
+    return (ints * ints).sum(axis=2), low
 
 
-def _root(mags: np.ndarray, exps: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """D·(Π mags·2^exps)^(1/D) along the last axis as (g, q), g·2^q: mantissas multiply
-    512 at a time, with D^D's (exact below 2^53), and the exponent splits as q·D + r,
-    |r| <= D/2, so Python's ``**`` (np.power can round differently) roots g·2^r ≈ 1."""
-    (m, e), power = np.frexp(mags), dim ** dim
-    g = np.full(m.shape[:-1], power / (1 << power.bit_length()))  # D^D's mantissa
-    e = (e + exps).sum(axis=-1) + power.bit_length()
-    for k in range(0, m.shape[-1], 512):
-        g, shift = np.frexp(g * np.prod(m[..., k:k + 512], axis=-1))
-        e += shift
-    q = (e + dim // 2) // dim
-    return np.array([x ** (1.0 / dim) for x in np.ldexp(g, e - q * dim).tolist()]), q
+def _root(x: int, dim: int) -> tuple[int, int]:
+    """(r, b), r = ⌊x^(1/D)·2^b⌋ of at least 120 bits (0 for x = 0), by Newton's method
+    on ints from just above a float estimate: r / y then rounds as x^(1/D)·2^b / y."""
+    if not x:
+        return 0, 0
+    b = max(0, 121 - x.bit_length() // dim)
+    x <<= dim * b
+    s = max(0, x.bit_length() // dim - 60)
+    r = (int(math.exp(math.log(x) / dim - s * math.log(2)) * (1 + 2 ** -30)) + 2) << s
+    while (z := ((dim - 1) * r + x // r ** (dim - 1)) // dim) < r:
+        r = z
+    return r, b
 
 
 def bond_concurrences(chain: _Chain) -> list[float]:
     """Per-bond entanglement C_j = D·|det T_j|^(2/D) / Tr(T_j T_j†) of every bond of a
-    qubit or qudit chain (2|αβ| for qubits; 0 for a singular filter): _root on each
-    bond alone, over Σ|λ|²."""
-    mags, exps = _squares(chain.diags)
-    g, q = _root(mags, exps, mags.shape[1])
-    return np.minimum(1.0, np.ldexp(g / np.ldexp(mags, exps).sum(axis=1), q)).tolist()
+    qubit or qudit chain (2|αβ| for qubits; 0 for a singular filter): D·G / Σ|λ|² of
+    each bond alone, G its _root of Π|λ|², rounded once."""
+    squares, dim = _squares(chain.diags)[0].tolist(), chain.diags.shape[1]
+    return [min(1.0, dim * r / (sum(row) << b))
+            for row, (r, b) in zip(squares, (_root(math.prod(row), dim) for row in squares))]
 
 
 def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
@@ -283,64 +285,55 @@ def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
     return batched_products(mats[0], layers)
 
 
-def _traces(diags: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray | int]:
-    """Tr(M M†) of every class string as (m, e), m·2^e, node 1 least significant.
+def _traces(diags: np.ndarray, n_classes: int) -> tuple[np.ndarray, int]:
+    """Tr(M M†) of every class string exactly, as (ints, shift), Tr = int·2^-shift,
+    node 1 least significant.
 
     M is monomial: Tr(M M†) sums over r the product Π_k |λ_k|² along the path row
     r takes back through the class shifts.  From bond N down, v ← roll(v, −c)·|λ_k|²
-    for every class c at once by one gather, the new node least significant.  If a
-    path could leave the normal range, _squares' mantissas enter, exponents alongside.
+    for every class c at once by one gather, the new node least significant, over
+    _squares' ints: every path carries the same power of two, Π_k 2^(2·low_k).
     """
-    dim = diags.shape[1]
-    mags, exps = diags.real * diags.real + diags.imag * diags.imag, None
-    # a nonzero path is at least Π_k (least nonzero |λ_k|², ≤ 1): if that is above
-    # 2^-970 so is every product, and no square lost 2^-100 of itself to its parts'
-    if math.prod(np.where(diags == 0, 1.0, mags).min(axis=1).tolist()) < 2.0 ** -970:
-        mags, exps = _squares(diags)
+    squares, low = _squares(diags)
+    dim = squares.shape[1]
     gather = (np.arange(n_classes)[:, None] + np.arange(dim)) % dim  # class c: s takes s + c
-    v, e = mags[-1:], None if exps is None else exps[-1:]
-    for k in range(len(mags) - 2, -1, -1):
-        v = (v[:, gather] * mags[k]).reshape(-1, dim)
-        if exps is not None:
-            e = (e[:, gather] + exps[k]).reshape(-1, dim)
-    if exps is None:
-        return v.sum(axis=1), 0
-    top = e.max(axis=1)  # each class's paths aligned to its largest
-    return np.ldexp(v, e - top[:, None]).sum(axis=1), top
+    v = squares[-1:]
+    for row in squares[-2::-1]:
+        v = (v[:, gather] * row).reshape(-1, dim)
+    return v.sum(axis=1), -2 * int(low.sum())
 
 
 def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
 
-    weight = Tr(M M†)/dim is reduced once per class string by _traces, which the
-    report keeps for _concurrences; a row's class index Σ_k class(d_k)·C^k takes the
-    smallest unsigned dtype.  prob = weight / P_sum (Σ over rows, correctly rounded).
+    Tr(M M†) is reduced once per class string by _traces, exactly, and the report
+    keeps it for _concurrences; a row's class index Σ_k class(d_k)·C^k takes the
+    smallest unsigned dtype.  weight = Tr/D, P_sum = Σ over rows of the weights and
+    prob = weight / P_sum are each the exact value rounded once (Python's int
+    division).
     """
-    n_classes = len(mode.class_sizes)
-    traces = _traces(chain.diags, n_classes)
-    weights = np.ldexp(traces[0] / mode.dim, traces[1])
-    index = np.zeros(1, dtype=np.min_scalar_type(len(weights) - 1))
+    n_classes, dim = len(mode.class_sizes), mode.dim
+    traces, shift = _traces(chain.diags, n_classes)
+    index = np.zeros(1, dtype=np.min_scalar_type(len(traces) - 1))
     classes = np.array(mode.classes, index.dtype)
     for k in range(chain.n_nodes):
         index = (classes[:, None] * n_classes ** k + index).ravel()
-    # Σ_c w_c·m_c over the classes' row counts m_c < 2^26, exactly: Veltkamp's split
-    # w_c = hi + lo leaves 26 and 27 bits, so hi·m_c and lo·m_c are exact; one fsum
-    counts = np.bincount(index, minlength=len(weights))
-    hi = weights * 134217729.0  # 2^27 + 1
-    hi -= hi - weights
-    p_sum = math.fsum(np.concatenate((hi * counts, (weights - hi) * counts)).tolist())
+    total = int(traces @ np.bincount(index, minlength=len(traces)).astype(object))
+    weights = (traces / (dim << shift)).astype(float)
     digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
-    return TradeoffReport(p_sum, digits, index, weights, weights / p_sum, traces, chain, mode)
+    return TradeoffReport(total / (dim << shift), digits, index, weights,
+                          (traces / total).astype(float), traces, chain, mode)
 
 
 def _concurrences(report: TradeoffReport) -> tuple[np.ndarray, list[float], float, float]:
     """A report's class concurrences, bond concurrences, constant Π_j C_j / P_sum and
     max_residual, the worst |prob × C − constant|.  Every M is monomial, so |det M|^(2/D)
-    is G = (Π_k Π_i |λ_k,i|²)^(1/D) in every class: C = min(1, D·G / Tr(M M†)), from
-    mantissas and exponents, so that neither underflows first."""
-    chain, dim, (tr, top) = report.chain, report.mode.dim, report.class_trace
-    g, q = _root(*(x.reshape(1, -1) for x in _squares(chain.diags)), dim)
-    conc = np.minimum(1.0, np.ldexp(g / tr, q - top)) if g[0] else np.zeros(len(tr))
+    is G = (Π_k Π_i |λ_k,i|²)^(1/D) in every class: C = min(1, D·G / Tr(M M†)), G by
+    _root over _squares' ints, which carry Tr's power of two, so C is rounded once."""
+    chain, dim, traces = report.chain, report.mode.dim, report.class_trace
+    r, b = _root(math.prod(_squares(chain.diags)[0].ravel().tolist()), dim)
+    conc = (np.minimum(1.0, (dim * r / (traces << b)).astype(float)) if r
+            else np.zeros(len(traces)))
     bond_cs = bond_concurrences(chain)
     constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / report.p_sum
     max_residual = float(np.max(np.abs(report.class_prob * conc - constant), initial=0.0))
@@ -412,9 +405,16 @@ def log_p_sum_transfer(chain: SwapChain) -> float:
     return shift + math.log(0.5 * (p + r))
 
 
+def _transfer_concurrences(chain: SwapChain) -> list[float]:
+    """C_j = 2|λ_0||λ_1| / (|λ_0|² + |λ_1|²) of every qubit bond in floats, from the
+    moduli the transfer map squares: no square of a product underflows."""
+    mods = np.abs(chain.diags)
+    return (2.0 * mods[:, 0] * mods[:, 1] / (mods * mods).sum(axis=1)).tolist()
+
+
 def tradeoff_constant(chain: SwapChain) -> float:
     """Π_j C_j / P_sum — the outcome-independent value of prob × concurrence."""
-    cs = bond_concurrences(chain)
+    cs = _transfer_concurrences(chain)
     if any(c == 0.0 for c in cs):
         return 0.0
     p, r, shift = _transfer_diag(chain)
@@ -433,7 +433,7 @@ def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarra
         raise ValueError("n_max must be >= 1")
     one = SwapChain((filt,), mode)  # checks the filter's dim and the mode
     steps = _transfer(_MODES[mode], (np.abs(one.diags) ** 2).tolist() * (n_max + 1))
-    c = bond_concurrences(one)[0]
+    c = _transfer_concurrences(one)[0]
     if c == 0.0:
         return np.full(n_max, -math.inf)
     next(steps)  # the lone first bond, N = 0

@@ -140,10 +140,11 @@ def full_route_columns(report):
 PAULI_SHIFTS = np.array([0, 1, 0, 1])
 
 
-def digit_shifts(digits: np.ndarray, dim: int) -> np.ndarray:
-    """Each node's shift for a table's digits: σ_i's at D = 2 (vbs and plain
-    digits name the Pauli), m for the Weyl digit m·D + n of U_mn = X^m Z^n."""
-    return PAULI_SHIFTS[digits] if dim == 2 else digits // dim
+def digit_shifts(digits: np.ndarray, dim: int, weyl: bool = False) -> np.ndarray:
+    """Each node's shift for a table's digits: σ_i's for a qubit chain (vbs and
+    plain digits name the Pauli), m for the Weyl digit m·D + n of U_mn = X^m Z^n
+    (a qudit chain, ``weyl`` or D > 2)."""
+    return digits // dim if weyl or dim > 2 else PAULI_SHIFTS[digits]
 
 
 def exact_monomial_table(chain, shifts: np.ndarray):
@@ -209,24 +210,20 @@ def exact_columns(report, prec: int = 50):
     ``prec``-digit concurrence of each distinct shift string of ``report``'s rows,
     and each row's index into them: (weights, probs, concurrences, index)."""
     dim = report.mode.dim
+    weyl = not hasattr(report.chain, "mode")  # a QuditChain, D = 2 included
     totals, denominator, index, det_sq = _exact_paths(report.chain,
-                                                      digit_shifts(report.digits, dim))
+                                                      digit_shifts(report.digits, dim, weyl))
     p_sum = sum(t * m for t, m in zip(totals, np.bincount(index).tolist()))
     weights = [(t, denominator) for t in totals]
     probs = [(t, p_sum) for t in totals]
     return weights, probs, decimal_concurrences(weights, det_sq, dim, prec), index
 
 
-def kernel_ulp_bounds(n_nodes: int, dim: int) -> dict:
-    """A priori worst errors, in ulps, of the table kernel's weight, prob and
-    concurrence (each ulp at least 2^-53 of the value).  A square |λ|² = re² + im²
-    is within 2^-52, a path product of N+1 of them within (3N + 2)·2^-53, and the
-    sum of D paths and the division by D add D; p_sum is a correctly rounded sum
-    of the weights.  G multiplies (N+1)·D squares, then the root divides their
-    error by D and adds at most 2.5 ulps; one more division gives C."""
-    weight = 3 * n_nodes + dim + 3
-    return {"weight": weight, "prob": 2 * weight + 2,
-            "concurrence": weight + 3 * (n_nodes + 1) + 4}
+# The table kernel computes every Tr(M M†) and P_sum exactly, in integers, and
+# rounds weight, prob and p_sum once; a concurrence's root is taken to 120 bits
+# first.  Each lies within half an ulp of its exact value: the margin covers that
+# truncation and ulp_errors' own rounding.
+ROUNDED_ONCE = 0.5 + 1e-9
 
 
 def ulp_errors(got: np.ndarray, exact: list, index: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import bond_concurrence
+
 from bondswap import __version__, cli, qubit, vbs
 from bondswap.cli import main
 from bondswap.filters import make_filter
@@ -89,7 +91,8 @@ def reference_document(*argv) -> str:
     else:
         chain = SwapChain(tuple(filters), cfg["mode"])
         report = enumerate_outcomes(chain)
-    cs = bond_concurrences(chain)
+    cs = bond_concurrences(chain)  # rounded once; the per-bond reference rounds more often
+    assert cs == pytest.approx([bond_concurrence(f) for f in filters], rel=1e-14, abs=0.0)
 
     def index(indices):
         if cfg["mode"] == "qudit":
@@ -466,25 +469,26 @@ PINNED_CHAINS = {
     "identical9": ("--identical=2,1", "--bonds=9"),
 }
 # sha256 of whole documents; the swap and sample ones and the default verify suite
-# were recorded from the real path kernel (the identical-filter verify documents
-# from the per-row table route, which the kernel matches there); the reference
+# were recorded from the exact integer kernel once TestExactReference held it to
+# exact values (the identical-filter verify documents from the per-row table
+# route, which the kernel matches there); the reference
 # renderer above reads the same tables, so these pins guard the table bits; the
 # verify documents, from the per-bond np.einsum oracle build and its np.tensordot
 # peel, guard the oracle's
 PINNED_DOCUMENTS = {
-    ("swap", "vbs", "json"): "6dc345d514ae6cdf34708f5071fdf5e20f6f6ec34f12caa9a474691ea72cc0d0",
-    ("swap", "vbs", "csv"): "bacfc0872112294a00c8e0cc61f6cc1868067c7ff22d18598de70124c0e67181",
-    ("swap", "plain", "json"): "4aec05426f9f5f41fa190773267f2dab7d62d27d956767c52c25d3ab3f1c9c6e",
-    ("swap", "plain", "csv"): "4e202811ebfe3d9197d15164e9ebcc45142daa4d1db7f49864fa63a9d6552045",
-    ("sample", "vbs", "json"): "af0d9ffe7138d189907a2dbfe253d482cb655e5c08b197d21c45c6c634c343e8",
-    ("sample", "vbs", "csv"): "6f095f88cb5f33636fcddeb7a2bbdcf86927b6328eff5307cc6cba43387da9e5",
-    ("sample", "plain", "csv"): "5172f2195285e0cfae631928143f7d1d382e9676fdd0427436fff725ff6e050d",
-    ("swap", "qudit", "json"): "4c876a6bf4518dddb3d1351f8539cbbf9d3e99d4385d4b38204d420cc04309b8",
-    ("swap", "qudit4", "json"): "7857147267bbadac12632f61c887e239b223eb6d444b3de486e5d6a44de04c21",
+    ("swap", "vbs", "json"): "28bca451e1e028aa0e2c664ecaa5d71db145130e713125fb8948082bcf068091",
+    ("swap", "vbs", "csv"): "3a94934f997c2ac0740e8aa144a08e53ce346af26665fd7fb2840f6f64fb1799",
+    ("swap", "plain", "json"): "8538a26f013a8dd0b8bb3378b5bc62b82813f9b23acaee59c38de96eaacba9f2",
+    ("swap", "plain", "csv"): "8281bc3cfa6da2e25fff53896492d37bf49d49b2c8f6aa5d131c55af25e1493a",
+    ("sample", "vbs", "json"): "12650e8cedace0ab641b67b8286bb85b6fea195da7605a1f4881c00aafb29e29",
+    ("sample", "vbs", "csv"): "235201c2b01668007781beb92452e7747608e228aa93de8725bc50690318965f",
+    ("sample", "plain", "csv"): "2eef01f75709c956ea5aecb4d868fdd187b2b55bb16f958e004708d44c7b9ef5",
+    ("swap", "qudit", "json"): "4b95acb96a27002d4b12ed79edd70bbc3c83d4c0404f52e6921caa79b1e07597",
+    ("swap", "qudit4", "json"): "7430c3fd86a36cc820917d4a6787a9d10a9a9d1aa5e6d3b9f98be6659e94e69a",
     ("sample", "identical", "json"):
-        "41a0ca368a13d2d4137c37f32c77f3b1b3cc357722c03e4b2c16bc4d3a3956d5",
-    ("verify", "suite", "json"): "d39dc32caae19cfbbe1a415fafd85eb194e06ee9d1158155e6d4dffad331101a",
-    ("verify", "suite", "csv"): "9251ebdd0372056d0865e2312afdb4ff1ca0111c08fbd7111ce0517fbfd06b51",
+        "a5846173ee490052d7c562f6814e5776bbfd988c3213c7f000663dc78cc17f7e",
+    ("verify", "suite", "json"): "63d7253690a09aacd300d4f560884a9c9b0a2532065334bf1dc7f34672bc03b7",
+    ("verify", "suite", "csv"): "70556ba56e598a7a692979f1979a6a0d278f76a85cb9f75bb5f71d9afafd7937",
     ("verify", "identical9", "json"):
         "adebc23a5ba72c3a6bbc578d1734b49718782f51f89d9a3c12039beffb15f430",
     ("verify", "identical9", "csv"):

@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 
 from conftest import kron, random_unitary
 from reference import (
+    ROUNDED_ONCE,
     decimal_concurrences,
     draw_reference,
     exact_columns,
     full_route_columns,
-    kernel_ulp_bounds,
     reduced_density,
     ulp_errors,
     unit_state,
@@ -951,7 +951,7 @@ class TestChainValidation:
 
 class TestBondConcurrencesBits:
     """bond_concurrences is the table kernel's D·G / Tr on each bond alone (N = 0),
-    within its a priori bound of 60-digit values."""
+    the 60-digit value rounded once."""
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_matches_per_bond_route(self, rng, dim):
@@ -971,7 +971,7 @@ class TestBondConcurrencesBits:
         got = bond_concurrences(chain)
         assert got[7] == 0.0 and got[8] == 1.0
         errors = ulp_errors(got, exact, np.arange(len(exact)))
-        assert np.max(errors) <= kernel_ulp_bounds(0, dim)["concurrence"]
+        assert np.max(errors) <= ROUNDED_ONCE
 
 
 @st.composite
@@ -996,16 +996,13 @@ def qubit_chains(draw, max_nodes, min_nodes=0, depth=None):
 
 
 def assert_within_ulp_bounds(report):
-    """Every row's weight, prob and concurrence lies within kernel_ulp_bounds of
-    its exact value, a concurrence also where the float weight underflows; p_sum is
-    the correctly rounded sum of the rows' weights, and prob × C is the constant."""
+    """Every row's weight, prob and concurrence is its exact value rounded once, a
+    concurrence also where the float weight underflows; so is p_sum, the exact sum
+    of the rows' weights, and prob × C is the constant."""
     weights, probs, concs, index = exact_columns(report, prec=60)
-    bounds = kernel_ulp_bounds(report.chain.n_nodes, report.mode.dim)
     for name, exact in (("weight", weights), ("prob", probs), ("concurrence", concs)):
-        assert np.max(ulp_errors(getattr(report, name), exact, index)) <= bounds[name], name
-    counts = np.bincount(report.class_index, minlength=len(report.class_weight)).tolist()
-    exact_sum = sum(Fraction(w) * m for w, m in zip(report.class_weight.tolist(), counts))
-    assert report.p_sum == float(exact_sum)
+        assert np.max(ulp_errors(getattr(report, name), exact, index)) <= ROUNDED_ONCE, name
+    assert report.p_sum == sum(weights[i][0] for i in index.tolist()) / weights[0][1]
     if report.constant >= sys.float_info.min:
         assert report.max_residual <= 1e-12 * report.constant
 
@@ -1057,13 +1054,14 @@ class TestClassKernel:
     @pytest.mark.parametrize("dim, n", [(3, 3), (5, 2), (7, 2)])
     def test_p_sum_is_exact_for_odd_class_sizes(self, dim, n):
         # a shift class holds D^N rows, odd at odd D; p_sum must still be the
-        # correctly rounded sum of every row's weight
+        # exact sum of every row's weight, rounded once
         rng = np.random.default_rng(dim)
         for _ in range(20):
             chain = QuditChain(dim, tuple(random_filter(rng, dim) for _ in range(n + 1)))
             report = enumerate_qudit_outcomes(chain)
             assert set(np.bincount(report.class_index)) == {dim ** n}
-            assert report.p_sum == float(sum(map(Fraction, report.weight.tolist())))
+            weights, _, _, index = exact_columns(report)
+            assert report.p_sum == sum(weights[i][0] for i in index.tolist()) / weights[0][1]
 
     def test_table_holds_no_operator_batch(self):
         # 59049 rows: the table peaks near 44 B/row; holding every row's
@@ -1123,8 +1121,8 @@ def table_of(chain):
         enumerate_outcomes(chain)
 
 
-# recorded from the real path kernel, once TestExactReference held it to exact values
-REPORT_CORPUS_DIGEST = "eab57ff4a84616cc093e2523e2f276e91470690b7f245895a35397e8fd384fff"
+# recorded from the exact integer kernel, once TestExactReference held it to exact values
+REPORT_CORPUS_DIGEST = "3d9a8a6c7ed48ceee16de49bccfaa9f80a8b9afe8ec501c0ba0a3e54e5759c83"
 
 
 class TestReportBits:

@@ -352,8 +352,8 @@ def report_digest(reports) -> str:
 
 
 # recorded from the per-bond np.zeros/np.einsum build and the np.tensordot peel, with
-# the tables of the real path kernel
-ORACLE_CORPUS_DIGEST = "e85010e705b1f294c68a57ce4f2e5d0290f7fb78d7660134c68a00684c36392e"
+# the tables of the exact integer kernel
+ORACLE_CORPUS_DIGEST = "987cd17e69eb732d1db6b08407b5425a7432acf4d87083bfe0a8734147311400"
 
 
 class TestOracleBits:
