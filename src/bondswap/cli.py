@@ -248,17 +248,14 @@ def _echo(cfg, filters) -> dict:
     return echo
 
 
-def _index_strings(digits: np.ndarray, quote: str) -> np.ndarray:
-    """One string per table row, in ``quote``s: node k's digit as character k of _DIGITS."""
-    rows, n = digits.shape
-    if n == 0 and not quote:
-        return np.full(rows, "")
-    q = len(quote)
+def _index_strings(digits: np.ndarray, head: str, tail: str) -> np.ndarray:
+    """One string per table row: ``head``, node k's digit as character k of _DIGITS,
+    then ``tail``, of at least one character in all."""
+    h, n = len(head), digits.shape[1]
     # the code points of a row, filled in place, read as one numpy U<width> string each
-    codes = np.empty((rows, n + 2 * q), dtype=np.uint32)
-    codes[:, q : n + q] = _DIGIT_CODES[digits]
-    if q:
-        codes[:, 0] = codes[:, -1] = ord(quote)
+    codes = np.empty((len(digits), h + n + len(tail)), dtype=np.uint32)
+    codes[:] = list(map(ord, head + "0" * n + tail))
+    codes[:, h : h + n] = _DIGIT_CODES[digits]
     return codes.view(f"U{codes.shape[1]}").ravel()
 
 
@@ -435,31 +432,34 @@ def _csv_tokens(col: np.ndarray) -> list[str]:
 
 
 def _segments(rows: dict, names, opens, encode, quote: str):
-    """The text before each segment of a row, and a function from a slice of rows
-    to its tokens.  Row b of a column (values, index) holds values[index[b]],
-    and columns with one index join their tokens once per value.  A float
-    column without an index (scan's, whose underflowed constants repeat) is
-    factored first by its bits (-0.0 apart from 0.0)."""
-    texts, parts = [], []  # (index, tokens per value) or (None, column)
+    """The text before each segment of a row, None where the segment's own tokens
+    carry it, and a function from a slice of rows to its tokens.  Row b of a
+    column (values, index) holds values[index[b]]; its tokens, each after its
+    text, are joined once per value, and once over columns with one index.  A
+    digit table's rows carry their text too (_index_strings), and only another
+    column without an index keeps its text apart.  A float column without an
+    index (scan's, whose underflowed constants repeat) is first factored by its
+    bits (-0.0 apart from 0.0)."""
+    parts = []  # [text apart, index, tokens per value or the column]
     for name, text in zip(names, opens):
         values, index = rows[name] if isinstance(rows[name], tuple) else (rows[name], None)
         if values.dtype.kind == "f" and index is None:
             bits, index = np.unique(values.view(np.int64), return_inverse=True)
             values = bits.view(np.float64)
-        tokens = values if index is None else np.array(encode(values), dtype=object)
-        if index is not None and parts and parts[-1][0] is index:
-            parts[-1] = (index, parts[-1][1] + text + tokens)
+        if index is None:
+            parts.append([text, None, values])
+        elif parts and parts[-1][1] is index:
+            parts[-1][2] = parts[-1][2] + text + np.array(encode(values), dtype=object)
         else:
-            texts.append(text)
-            parts.append((index, tokens))
+            parts.append([None, index, text + np.array(encode(values), dtype=object)])
 
-    def column(index, tokens):
+    def column(text, index, tokens):
         if index is not None:
             return lambda rows: tokens[index[rows]].tolist()
         if tokens.ndim == 2:
-            return lambda rows: _index_strings(tokens[rows], quote).tolist()
+            return lambda rows: _index_strings(tokens[rows], text + quote, quote).tolist()
         return lambda rows: encode(tokens[rows])
-    return texts, [column(*part) for part in parts]
+    return [None if p[2].ndim == 2 else p[0] for p in parts], [column(*p) for p in parts]
 
 
 def _render(fmt: str, command: str, document: dict):
@@ -488,18 +488,20 @@ def _render(fmt: str, command: str, document: dict):
         close, sep, trailer, encode, quote = "", "\n", "\n", _csv_tokens, ""
         one_row = lambda row: ",".join(_csv_cell(row[name]) for name in names)
     if isinstance(rows, dict):  # columns: name -> numpy array or (values, index)
-        glue, columns = _segments(rows, names, opens, encode, quote)
-        glue[0] = close + sep + glue[0]
-        step = 2 * len(glue)
+        # every row opens after the last one's close; the first of all, after none
+        opens[0] = close + sep + opens[0]
+        texts, columns = _segments(rows, names, opens, encode, quote)
         for start in range(0, len(rows[names[0]]), _CHUNK_ROWS):
-            # one str.join over glue and tokens interleaved row by row
-            tokens = [col(slice(start, start + _CHUNK_ROWS)) for col in columns]
-            pieces = [None] * (step * len(tokens[0]))
-            for j, (text, col) in enumerate(zip(glue, tokens)):
-                pieces[2 * j :: step] = [text] * len(col)
-                pieces[2 * j + 1 :: step] = col
-            pieces[0] = (sep if start else "") + opens[0]
-            yield "".join(pieces) + close
+            # one str.join over texts apart and tokens interleaved row by row
+            cols = []
+            for text, col in zip(texts, columns):
+                tokens = col(slice(start, start + _CHUNK_ROWS))
+                cols += [tokens] if text is None else [[text] * len(tokens), tokens]
+            pieces = [close] * (len(cols) * len(cols[0]) + 1)  # the block's close last
+            for j, col in enumerate(cols):
+                pieces[j : -1 : len(cols)] = col
+            pieces[0] = pieces[0][len(close if start else close + sep) :]
+            yield "".join(pieces)
     else:  # a few rows, whose values may be nested lists
         yield sep.join(map(one_row, rows))
     yield trailer

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,46 +36,40 @@ _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 #: Largest outcome table any mode will materialize, in rows: 6^8 = 36^4.  It
 #: admits vbs N <= 13, plain N <= 10 and qudit D = 2..8 up to N = 10, 6, 5, 4,
-#: 4, 3, 3; a CLI swap of the largest (qudit D = 6, N = 4) peaks at about 80 MiB.
+#: 4, 3, 3; a CLI swap of vbs N = 13 peaks at about 60 MiB, qudit D = 6, N = 4 at 48.
 ENUMERATION_BUDGET = 6 ** 8
 
 # Peak resident bytes per row of a CLI swap or sample, an upper fit to the tables
-# of 10^6 rows and more in every mode: 50-67 B/row with the interpreter's 31 MiB,
-# 31-40 B/row above it.  No row holds an operator, so one figure serves every D.
+# of 10^6 rows and more in every mode: 30-67 B/row with the interpreter's 31 MiB,
+# 10-39 B/row above it (sample's most).  No row holds an operator: one figure, any D.
 _ROW_BYTES = 70
 
 
 @dataclass(frozen=True, eq=False)
 class _Mode:
-    """A measurement mode as data: outcome ``digits[j]`` applies the node
-    operator ``ops[j]`` and is recorded as ``labels[digits[j]]``; ``end`` (σ3
-    for vbs, else None) multiplies every chain operator from the left.  Each
-    node operator is a shift times a diagonal, and its class is the shift:
+    """A measurement mode as data: outcome ``digits[j]`` lies in shift class
+    ``classes[j]``, applies the node operator ``op(digits[j])`` and is recorded as
+    ``labels[digits[j]]``; ``end`` (σ3 for vbs, else None) multiplies every chain
+    operator from the left.  Each node operator is X^c times a diagonal, c its class:
     products over one string of classes differ only by phases, so they share
     weight, |det| and concurrence, which _table computes once per class string."""
 
     dim: int
     digits: range
-    ops: tuple[np.ndarray, ...]
+    classes: tuple[int, ...]
+    op: Callable[[int], np.ndarray]
     labels: tuple
     end: np.ndarray | None = None
-
-    @cached_property
-    def classes(self) -> tuple[int, ...]:
-        """Each outcome's class: its operator's shift, the row of the nonzero entry
-        in column 0.  σx and σ3 (class 1) swap |0⟩, |1⟩; U_mn lies in class m."""
-        return tuple(int(np.flatnonzero(u[:, 0])[0]) for u in self.ops)
-
-    @cached_property
-    def class_sizes(self) -> tuple[int, ...]:
-        """Outcomes per class; for qubits (k, s), so that
-        Σ_i σ_i diag(p, r) σ_i = diag(k·p + s·r, s·p + k·r) over all outcomes."""
-        return tuple(map(self.classes.count, range(max(self.classes) + 1)))
+    # every node operator, made on first read: only final_ops and records read them
+    ops = cached_property(lambda self: tuple(map(self.op, self.digits)))
+    # outcomes per class; qubits' (k, s) give Σ_i σ_i diag(p, r) σ_i = diag(kp + sr, sp + kr)
+    class_sizes = cached_property(lambda self: tuple(np.bincount(self.classes).tolist()))
 
 
 _MODES = {
-    VBS: _Mode(2, range(1, 4), PAULI[1:], tuple(range(4)), PAULI[3]),
-    PLAIN: _Mode(2, range(0, 4), PAULI, tuple(range(4))),
+    # σx and σ3, the odd digits, swap |0⟩ and |1⟩: class 1
+    VBS: _Mode(2, range(1, 4), (1, 0, 1), PAULI.__getitem__, tuple(range(4)), PAULI[3]),
+    PLAIN: _Mode(2, range(0, 4), (0, 1, 0, 1), PAULI.__getitem__, tuple(range(4))),
 }
 
 
@@ -131,9 +126,9 @@ class TradeoffReport:
     (little-endian, node 1 first; the digit the CLI prints) and takes the
     values of its shift class ``class_index[b]`` (see _table); ``weight``,
     ``prob`` and ``concurrence`` gather them on each read.  ``class_trace`` holds
-    each class's Tr(M M†) exactly, as _traces gives it.  The first read of any concurrence,
-    ``constant`` or ``max_residual`` runs _concurrences once, from the chain's
-    diagonals and ``class_trace``; no operator is formed.
+    each class's Tr(M M†) exactly, as _traces gives it, and ``squares`` the chain's
+    |λ|² as _squares' ints.  The first read of any concurrence, ``constant`` or
+    ``max_residual`` runs _concurrences once, from these two; no operator is formed.
     ``final_ops`` multiplies out every row's own operator on each read, and
     ``records``, the per-row view, labels a digit with ``mode.labels``.
     """
@@ -143,7 +138,8 @@ class TradeoffReport:
     class_index: np.ndarray
     class_weight: np.ndarray
     class_prob: np.ndarray
-    class_trace: tuple
+    class_trace: np.ndarray
+    squares: np.ndarray
     chain: _Chain
     mode: _Mode
     weight = property(lambda self: self.class_weight[self.class_index])
@@ -169,12 +165,14 @@ class TradeoffReport:
 
 
 def digit_table(base: int, n: int, offset: int = 0) -> np.ndarray:
-    """(base^n, n) little-endian digits of 0..base^n − 1, each plus ``offset``."""
-    b = np.arange(base ** n)
-    digits = np.empty((b.size, n), dtype=np.min_scalar_type(base - 1 + offset))
+    """(base^n, n) little-endian digits of 0..base^n − 1, each plus ``offset``, in the
+    smallest unsigned dtype.  Row a·base^(k+1) + d·base^k + c holds d + offset at node
+    k, so node k's column, read as (base^(n−1−k), base, base^k), takes the base digit
+    values by one broadcast assignment in place: nothing but the table is allocated."""
+    digits = np.empty((base ** n, n), dtype=np.min_scalar_type(base - 1 + offset))
+    values = np.arange(offset, base + offset, dtype=digits.dtype)[:, None]
     for k in range(n):
-        b, digits[:, k] = np.divmod(b, base)
-    digits += offset
+        digits.reshape(base ** (n - 1 - k), base, base ** k, n)[..., k] = values
     return digits
 
 
@@ -235,7 +233,7 @@ def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     for i in idx:
         if i not in mode.digits:
             raise ValueError(f"outcome index {i} invalid for mode {chain.mode!r}")
-    return _operators(chain, [[mode.ops[i - mode.digits.start]] for i in idx], mode.end)[0]
+    return _operators(chain, [[mode.op(i)] for i in idx], mode.end)[0]
 
 
 def _squares(diags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,13 +261,14 @@ def _root(x: int, dim: int) -> tuple[int, int]:
     return r, b
 
 
-def bond_concurrences(chain: _Chain) -> list[float]:
+def bond_concurrences(chain: _Chain, squares: np.ndarray | None = None) -> list[float]:
     """Per-bond entanglement C_j = D·|det T_j|^(2/D) / Tr(T_j T_j†) of every bond of a
     qubit or qudit chain (2|αβ| for qubits; 0 for a singular filter): D·G / Σ|λ|² of
-    each bond alone, G its _root of Π|λ|², rounded once."""
-    squares, dim = _squares(chain.diags)[0].tolist(), chain.diags.shape[1]
-    return [min(1.0, dim * r / (sum(row) << b))
-            for row, (r, b) in zip(squares, (_root(math.prod(row), dim) for row in squares))]
+    each bond alone, G its _root of Π|λ|², rounded once; ``squares``, if given, are
+    _squares' ints of the chain's diagonals."""
+    squares = (_squares(chain.diags)[0] if squares is None else squares).tolist()
+    return [min(1.0, len(row) * r / (sum(row) << b))
+            for row, (r, b) in zip(squares, (_root(math.prod(row), len(row)) for row in squares))]
 
 
 def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
@@ -285,35 +284,34 @@ def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
     return batched_products(mats[0], layers)
 
 
-def _traces(diags: np.ndarray, n_classes: int) -> tuple[np.ndarray, int]:
-    """Tr(M M†) of every class string exactly, as (ints, shift), Tr = int·2^-shift,
-    node 1 least significant.
+def _traces(squares: np.ndarray, n_classes: int) -> np.ndarray:
+    """Tr(M M†) of every class string exactly, node 1 least significant, from the
+    chain's _squares ints: every path carries the same power of two, Π_k 2^(2·low_k).
 
     M is monomial: Tr(M M†) sums over r the product Π_k |λ_k|² along the path row
     r takes back through the class shifts.  From bond N down, v ← roll(v, −c)·|λ_k|²
-    for every class c at once by one gather, the new node least significant, over
-    _squares' ints: every path carries the same power of two, Π_k 2^(2·low_k).
+    for every class c at once by one gather, the new node least significant.
     """
-    squares, low = _squares(diags)
     dim = squares.shape[1]
     gather = (np.arange(n_classes)[:, None] + np.arange(dim)) % dim  # class c: s takes s + c
     v = squares[-1:]
     for row in squares[-2::-1]:
         v = (v[:, gather] * row).reshape(-1, dim)
-    return v.sum(axis=1), -2 * int(low.sum())
+    return v.sum(axis=1)
 
 
 def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
 
-    Tr(M M†) is reduced once per class string by _traces, exactly, and the report
-    keeps it for _concurrences; a row's class index Σ_k class(d_k)·C^k takes the
-    smallest unsigned dtype.  weight = Tr/D, P_sum = Σ over rows of the weights and
-    prob = weight / P_sum are each the exact value rounded once (Python's int
-    division).
+    The chain's |λ|² are squared once, and Tr(M M†) is reduced once per class string
+    by _traces, exactly; the report keeps both for _concurrences.  A row's class
+    index Σ_k class(d_k)·C^k takes the smallest unsigned dtype.  weight = Tr/D,
+    P_sum = Σ over rows of the weights and prob = weight / P_sum are each the exact
+    value rounded once (Python's int division).
     """
     n_classes, dim = len(mode.class_sizes), mode.dim
-    traces, shift = _traces(chain.diags, n_classes)
+    squares, low = _squares(chain.diags)
+    traces, shift = _traces(squares, n_classes), -2 * int(low.sum())
     index = np.zeros(1, dtype=np.min_scalar_type(len(traces) - 1))
     classes = np.array(mode.classes, index.dtype)
     for k in range(chain.n_nodes):
@@ -322,7 +320,7 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     weights = (traces / (dim << shift)).astype(float)
     digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
     return TradeoffReport(total / (dim << shift), digits, index, weights,
-                          (traces / total).astype(float), traces, chain, mode)
+                          (traces / total).astype(float), traces, squares, chain, mode)
 
 
 def _concurrences(report: TradeoffReport) -> tuple[np.ndarray, list[float], float, float]:
@@ -331,10 +329,10 @@ def _concurrences(report: TradeoffReport) -> tuple[np.ndarray, list[float], floa
     is G = (Π_k Π_i |λ_k,i|²)^(1/D) in every class: C = min(1, D·G / Tr(M M†)), G by
     _root over _squares' ints, which carry Tr's power of two, so C is rounded once."""
     chain, dim, traces = report.chain, report.mode.dim, report.class_trace
-    r, b = _root(math.prod(_squares(chain.diags)[0].ravel().tolist()), dim)
+    r, b = _root(math.prod(report.squares.ravel().tolist()), dim)
     conc = (np.minimum(1.0, (dim * r / (traces << b)).astype(float)) if r
             else np.zeros(len(traces)))
-    bond_cs = bond_concurrences(chain)
+    bond_cs = bond_concurrences(chain, report.squares)
     constant = 0.0 if any(c == 0.0 for c in bond_cs) else math.prod(bond_cs) / report.p_sum
     max_residual = float(np.max(np.abs(report.class_prob * conc - constant), initial=0.0))
     return conc, bond_cs, constant, max_residual

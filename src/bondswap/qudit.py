@@ -47,10 +47,11 @@ def gen_pauli(dim: int, m: int, n: int) -> np.ndarray:
 @cache
 def _weyl_mode(dim: int) -> _Mode:
     """The D² Weyl-Bell outcomes: digit m·D + n applies U_mn, labelled (m, n), in
-    shift class m, whose D members share their moduli with X^m."""
-    labels = tuple(divmod(digit, dim) for digit in range(dim * dim))
-    ops = tuple(gen_pauli(dim, m, n) for m, n in labels)
-    return _Mode(dim, range(dim * dim), ops, labels)
+    shift class m, whose D members share their moduli with X^m.  A table reads the
+    classes alone; U_mn is built only when an operator is read."""
+    digits = range(dim * dim)
+    return _Mode(dim, digits, tuple(d // dim for d in digits),
+                 lambda d: gen_pauli(dim, *divmod(d, dim)), tuple(divmod(d, dim) for d in digits))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,17 @@ def bond_concurrence(f) -> float:
     return min(1.0, f.dim * abs_det ** (2.0 / f.dim) / ssq)
 
 
+def digit_table_reference(base: int, n: int, offset: int = 0) -> np.ndarray:
+    """``qubit.digit_table`` by the construction it replaced: a row counter divided
+    by the base once per node, ``np.divmod``'s remainder the node's digit."""
+    b = np.arange(base ** n)
+    digits = np.empty((b.size, n), dtype=np.min_scalar_type(base - 1 + offset))
+    for k in range(n):
+        b, digits[:, k] = np.divmod(b, base)
+    digits += offset
+    return digits
+
+
 def unit_state(state):
     """``state`` divided by its norm; the zero state has none and is refused."""
     n = state.norm()

@@ -668,6 +668,21 @@ class TestConcurrenceStage:
         assert len(calls) == 2
 
 
+    @pytest.mark.parametrize("argv", [WORKED, ("--mode", "plain", *WORKED),
+                                      ("--mode", "qudit", "--dim", "3", "--identical", "1,2,3",
+                                       "--bonds", "3")], ids=["vbs", "plain", "qudit"])
+    def test_swap_squares_the_chain_once(self, capsys, monkeypatch, argv):
+        # the report keeps its one _squares for the class and bond concurrences
+        calls, squares = [], qubit._squares
+
+        def counted(diags):
+            calls.append(diags)
+            return squares(diags)
+        monkeypatch.setattr(qubit, "_squares", counted)
+        assert run_cli(capsys, "swap", *argv)[0] == 0
+        assert len(calls) == 1
+
+
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         cases = [

@@ -25,6 +25,7 @@ from conftest import kron, random_unitary
 from reference import (
     ROUNDED_ONCE,
     decimal_concurrences,
+    digit_table_reference,
     draw_reference,
     exact_columns,
     full_route_columns,
@@ -1064,8 +1065,10 @@ class TestClassKernel:
             assert report.p_sum == sum(weights[i][0] for i in index.tolist()) / weights[0][1]
 
     def test_table_holds_no_operator_batch(self):
-        # 59049 rows: the table peaks near 44 B/row; holding every row's
-        # operator (64 B/row) and reducing it row by row peaked at 139 B/row
+        # 59049 rows: the table peaks at 16.4 B/row, its 10 digit bytes, the 2-byte
+        # class index and the class stage's ints, bounded at 20 B/row (a 22 % margin).
+        # A row counter and np.divmod's outputs took the peak to 40 B/row, holding
+        # every row's operator (64 B/row) and reducing it row by row to 139 B/row
         rng = np.random.default_rng(12)
         chain = SwapChain(tuple(random_filter(rng) for _ in range(11)), VBS)
         tracemalloc.start()
@@ -1074,7 +1077,7 @@ class TestClassKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 99 * len(report.prob)
+        assert peak < 20 * len(report.prob)
 
 
 def report_corpus():
@@ -1128,6 +1131,31 @@ REPORT_CORPUS_DIGEST = "3d9a8a6c7ed48ceee16de49bccfaa9f80a8b9afe8ec501c0ba0a3e54
 class TestReportBits:
     def test_report_columns_keep_their_bits(self):
         assert tradeoff_digest(map(table_of, report_corpus())) == REPORT_CORPUS_DIGEST
+
+
+class TestDigitTable:
+    @pytest.mark.parametrize("base", range(2, 65))
+    def test_equals_the_divmod_construction(self, base):
+        # every n whose table lies inside the row budget, from 0 nodes (one empty row)
+        n = 0
+        while base ** n <= ENUMERATION_BUDGET:
+            for offset in (0, 1):
+                got, want = digit_table(base, n, offset), digit_table_reference(base, n, offset)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert np.array_equal(got, want)
+            n += 1
+
+    @pytest.mark.parametrize("base, n, offset", [(3, 13, 1), (36, 4, 0)])
+    def test_allocates_the_table_alone(self, base, n, offset):
+        # the largest vbs and qudit tables; the divmod construction's int64 row
+        # counter and quotients peaked at 59.0 and 47.0 MB against 20.7 and 6.7 MB
+        tracemalloc.start()
+        try:
+            digits = digit_table(base, n, offset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= digits.nbytes + 64 * 1024
 
 
 class TestRowIndex:

@@ -23,6 +23,7 @@ from reference import (
     ulp_errors,
 )
 
+from bondswap import qudit
 from bondswap.filters import PLAIN, VBS, make_filter, random_filter
 from bondswap.linalg import EnumerationBudgetError, state_from_operator
 from bondswap.qubit import (
@@ -37,6 +38,7 @@ from bondswap.qubit import (
 )
 from bondswap.qudit import (
     QuditChain,
+    _weyl_mode,
     enumerate_qudit_outcomes,
     gen_pauli,
     omega_power,
@@ -122,6 +124,31 @@ class TestWeylOperators:
             gen_pauli(3, 3, 0)
         with pytest.raises(ValueError):
             gen_pauli(3, 0, -1)
+
+
+class TestWeylModeOnDemand:
+    """A table reads only its outcomes' shift classes, taken from the digits, so no
+    Weyl operator is built until final_ops or records reads one."""
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_table_builds_no_operator(self, d, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"gen_pauli{args} was called")
+
+        rng = np.random.default_rng(d)
+        chain = QuditChain(d, tuple(random_filter(rng, d) for _ in range(3)))
+        _weyl_mode.cache_clear()
+        monkeypatch.setattr(qudit, "gen_pauli", refuse)
+        try:
+            report = enumerate_qudit_outcomes(chain)
+            assert len(report.concurrence) == d ** 4
+            assert len(report.bond_concurrences) == 3
+            assert report.max_residual < 1e-12
+            with pytest.raises(AssertionError, match="gen_pauli"):
+                report.final_ops
+        finally:
+            _weyl_mode.cache_clear()
+        assert report.mode.classes == tuple(digit // d for digit in range(d * d))
 
 
 def qudit_bell(d, m, n):
@@ -259,8 +286,10 @@ class TestEnumerateQuditOutcomes:
                 check(n + 1)
 
     def test_table_memory_per_row(self):
-        # 390625 rows over 625 shift-class products: about 31 B/row at the peak,
-        # where multiplying out every row's 5×5 operator took 608 B/row
+        # 390625 rows over 625 shift-class products: 10.2 B/row at the peak, its 8
+        # digit bytes and the 2-byte class index, bounded at 13 B/row (a 27 % margin).
+        # A row counter and np.divmod's outputs took the peak to 30 B/row, and
+        # multiplying out every row's 5×5 operator to 608 B/row
         rng = np.random.default_rng(4)
         chain = QuditChain(5, tuple(random_filter(rng, 5) for _ in range(5)))
         tracemalloc.start()
@@ -270,7 +299,7 @@ class TestEnumerateQuditOutcomes:
         finally:
             tracemalloc.stop()
         assert len(report.digits) == 5 ** 8
-        assert peak <= 64 * len(report.digits)
+        assert peak <= 13 * len(report.digits)
 
 
 class TestStateVectorOracle:
