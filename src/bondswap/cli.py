@@ -335,10 +335,12 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
     place[counts] = np.arange(len(counts))
     which = place[per_row]
     del per_row
-    # |frequency − prob| summed left to right in record order, as cumsum adds
-    # (np.sum and fsum round differently), in one row-length buffer
+    # |frequency − prob| summed left to right in record order, as cumsum adds (np.sum
+    # and fsum round differently), in one row-length buffer; prob gathered per block
     dev = (counts / n)[which]
-    dev -= report.prob
+    for start in range(0, len(dev), _CHUNK_ROWS):
+        block = slice(start, start + _CHUNK_ROWS)
+        dev[block] -= report.class_prob[report.class_index[block]]
     np.abs(dev, out=dev)
     tv = float(np.cumsum(dev, out=dev)[-1])
     outcomes = {"index": report.digits, "count": (counts, which),

@@ -36,12 +36,12 @@ _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 #: Largest outcome table any mode will materialize, in rows: 6^8 = 36^4.  It
 #: admits vbs N <= 13, plain N <= 10 and qudit D = 2..8 up to N = 10, 6, 5, 4,
-#: 4, 3, 3; a CLI swap of vbs N = 13 peaks at about 60 MiB, qudit D = 6, N = 4 at 48.
+#: 4, 3, 3; a CLI swap of vbs N = 13 peaks at about 60 MiB, qudit D = 6, N = 4 at 43.
 ENUMERATION_BUDGET = 6 ** 8
 
 # Peak resident bytes per row of a CLI swap or sample, an upper fit to the tables
-# of 10^6 rows and more in every mode: 30-67 B/row with the interpreter's 31 MiB,
-# 10-39 B/row above it (sample's most).  No row holds an operator: one figure, any D.
+# of 10^6 rows and more in every mode: 27-59 B/row with the interpreter's 31 MiB,
+# 8-32 B/row above it (sample's most).  No row holds an operator: one figure, any D.
 _ROW_BYTES = 70
 
 
@@ -60,10 +60,19 @@ class _Mode:
     op: Callable[[int], np.ndarray]
     labels: tuple
     end: np.ndarray | None = None
-    # every node operator, made on first read: only final_ops and records read them
-    ops = cached_property(lambda self: tuple(map(self.op, self.digits)))
     # outcomes per class; qubits' (k, s) give Σ_i σ_i diag(p, r) σ_i = diag(kp + sr, sp + kr)
     class_sizes = cached_property(lambda self: tuple(np.bincount(self.classes).tolist()))
+    # _traces' gather: class c takes s + c (mod D) for every s
+    gather = cached_property(lambda self: np.add.outer(range(len(self.class_sizes)),
+                                                       range(self.dim)) % self.dim)
+
+    @cached_property
+    def ops(self) -> np.ndarray:
+        """Every node operator in one read-only (digits, D, D) stack, made on first
+        read: only final_ops and records read them."""
+        ops = np.array(list(map(self.op, self.digits)))
+        ops.setflags(write=False)
+        return ops
 
 
 _MODES = {
@@ -236,15 +245,18 @@ def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     return _operators(chain, [[mode.op(i)] for i in idx], mode.end)[0]
 
 
-def _squares(diags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _squares(diags: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """|λ|² = re² + im² of each entry exactly: (ints, low), an object array of Python
     ints and each bond's power of two, |λ|² = int·2^(2·low), low the least exponent of
-    the 53-bit integers that the bond's parts are."""
-    m, e = np.frexp(diags.view(float).reshape(*diags.shape, 2))
-    e -= 53
-    low = e.min(axis=(1, 2))
-    ints = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - low[:, None, None]).astype(object)
-    return (ints * ints).sum(axis=2), low
+    the 53-bit integers that the bond's parts are (by math.frexp: a zero part's is −53)."""
+    squares, lows = [], []
+    for row in diags.view(float).tolist():  # a bond's parts: re, im, re, im, ...
+        parts = list(map(math.frexp, row))
+        least = min([e for _, e in parts])
+        ints = iter([int(m * 2.0 ** 53) << (e - least) for m, e in parts])
+        squares.append([a * a + b * b for a, b in zip(ints, ints)])
+        lows.append(least - 53)
+    return np.array(squares, dtype=object), lows
 
 
 def _root(x: int, dim: int) -> tuple[int, int]:
@@ -280,11 +292,11 @@ def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
     mats.reshape(len(mats), -1)[:, :: mats.shape[2] + 1] = chain.diags  # each bond's diagonal
     if end is not None:  # a signed permutation (σ3): exact in the last factor
         mats[-1] = end @ mats[-1]
-    layers = [m @ np.array(ops) for m, ops in zip(mats[1:], node_ops)]
+    layers = [m @ np.asarray(ops) for m, ops in zip(mats[1:], node_ops)]
     return batched_products(mats[0], layers)
 
 
-def _traces(squares: np.ndarray, n_classes: int) -> np.ndarray:
+def _traces(squares: np.ndarray, gather: np.ndarray) -> np.ndarray:
     """Tr(M M†) of every class string exactly, node 1 least significant, from the
     chain's _squares ints: every path carries the same power of two, Π_k 2^(2·low_k).
 
@@ -292,11 +304,9 @@ def _traces(squares: np.ndarray, n_classes: int) -> np.ndarray:
     r takes back through the class shifts.  From bond N down, v ← roll(v, −c)·|λ_k|²
     for every class c at once by one gather, the new node least significant.
     """
-    dim = squares.shape[1]
-    gather = (np.arange(n_classes)[:, None] + np.arange(dim)) % dim  # class c: s takes s + c
     v = squares[-1:]
     for row in squares[-2::-1]:
-        v = (v[:, gather] * row).reshape(-1, dim)
+        v = (v[:, gather] * row).reshape(-1, len(row))
     return v.sum(axis=1)
 
 
@@ -311,12 +321,14 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """
     n_classes, dim = len(mode.class_sizes), mode.dim
     squares, low = _squares(chain.diags)
-    traces, shift = _traces(squares, n_classes), -2 * int(low.sum())
+    traces, shift = _traces(squares, mode.gather), -2 * sum(low)
     index = np.zeros(1, dtype=np.min_scalar_type(len(traces) - 1))
     classes = np.array(mode.classes, index.dtype)
+    counts = [1]  # rows per class string: the product of its class sizes
     for k in range(chain.n_nodes):
         index = (classes[:, None] * n_classes ** k + index).ravel()
-    total = int(traces @ np.bincount(index, minlength=len(traces)).astype(object))
+        counts = [size * c for size in mode.class_sizes for c in counts]
+    total = sum(t * c for t, c in zip(traces.tolist(), counts))
     weights = (traces / (dim << shift)).astype(float)
     digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
     return TradeoffReport(total / (dim << shift), digits, index, weights,

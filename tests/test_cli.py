@@ -572,6 +572,21 @@ class TestSampleCommand:
         assert code == 0
         assert peak < 120 * 3 ** 9
 
+    def test_tv_distance_gathers_prob_by_blocks(self):
+        # 531441 rows: the peak is 26.7 B/row, bounded at 29 B/row (a 9 % margin);
+        # subtracting a gathered row-length prob from the deviation buffer took it
+        # to 34.7 B/row, 8 bytes more
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["sample", "--identical", "2,1", "--bonds", "13"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 29 * 3 ** 12
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):

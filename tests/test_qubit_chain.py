@@ -30,6 +30,7 @@ from reference import (
     exact_columns,
     full_route_columns,
     reduced_density,
+    squares_reference,
     ulp_errors,
     unit_state,
 )
@@ -975,6 +976,32 @@ class TestBondConcurrencesBits:
         assert np.max(errors) <= ROUNDED_ONCE
 
 
+class TestSquaresBits:
+    """_squares takes every part's 53-bit integer and exponent by math.frexp on Python
+    floats; its ints and lows equal the numpy route it replaced (tests/reference.py)."""
+
+    SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2250738585072014e-308,
+               1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308, 1.0, -0.5)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_equal_the_numpy_route(self, rng, dim):
+        special = np.array(self.SPECIAL)
+        cases = [np.zeros((2, dim), complex), np.full((1, dim), complex(-0.0, -0.0))]
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            parts = rng.uniform(-1.0, 1.0, (n, dim, 2)) * 10.0 ** rng.uniform(-300, 300, (n, dim, 2))
+            pick = rng.random((n, dim, 2)) < 0.3
+            parts[pick] = rng.choice(special, int(pick.sum()))
+            cases.append(parts.view(complex)[..., 0])
+        for diags in cases:
+            ints, low = qubit._squares(diags)
+            want_ints, want_low = squares_reference(diags)
+            assert ints.dtype == object and ints.shape == diags.shape
+            assert all(type(x) is int for x in ints.flat)
+            assert ints.tolist() == want_ints.tolist()
+            assert [int(x) for x in low] == want_low.tolist()
+
+
 @st.composite
 def qubit_chains(draw, max_nodes, min_nodes=0, depth=None):
     """A vbs or plain chain of min_nodes..max_nodes nodes; each bond's diagonal
@@ -1052,6 +1079,13 @@ class TestClassKernel:
         else:  # the Weyl digit m·D + n lies in class m
             assert m.classes == tuple(d // m.dim for d in m.digits)
 
+    @pytest.mark.parametrize("mode", [VBS, PLAIN, pytest.param(3, id="weyl3")])
+    def test_node_operators_are_one_read_only_stack(self, mode):
+        m = _MODES[mode] if mode in _MODES else _weyl_mode(mode)
+        assert m.ops.shape == (len(m.digits), m.dim, m.dim)
+        assert not m.ops.flags.writeable
+        assert all(np.array_equal(u, m.op(d)) for u, d in zip(m.ops, m.digits))
+
     @pytest.mark.parametrize("dim, n", [(3, 3), (5, 2), (7, 2)])
     def test_p_sum_is_exact_for_odd_class_sizes(self, dim, n):
         # a shift class holds D^N rows, odd at odd D; p_sum must still be the
@@ -1065,8 +1099,8 @@ class TestClassKernel:
             assert report.p_sum == sum(weights[i][0] for i in index.tolist()) / weights[0][1]
 
     def test_table_holds_no_operator_batch(self):
-        # 59049 rows: the table peaks at 16.4 B/row, its 10 digit bytes, the 2-byte
-        # class index and the class stage's ints, bounded at 20 B/row (a 22 % margin).
+        # 59049 rows: the table peaks at 16.5 B/row, its 10 digit bytes, the 2-byte
+        # class index and the class stage's ints, bounded at 20 B/row (a 21 % margin).
         # A row counter and np.divmod's outputs took the peak to 40 B/row, holding
         # every row's operator (64 B/row) and reducing it row by row to 139 B/row
         rng = np.random.default_rng(12)

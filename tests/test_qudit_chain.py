@@ -286,10 +286,11 @@ class TestEnumerateQuditOutcomes:
                 check(n + 1)
 
     def test_table_memory_per_row(self):
-        # 390625 rows over 625 shift-class products: 10.2 B/row at the peak, its 8
-        # digit bytes and the 2-byte class index, bounded at 13 B/row (a 27 % margin).
-        # A row counter and np.divmod's outputs took the peak to 30 B/row, and
-        # multiplying out every row's 5×5 operator to 608 B/row
+        # 390625 rows over 625 shift-class products: the peak is the report's own
+        # 6 B/row, its 4 digit bytes and the 2-byte class index, and about 130 kB of
+        # class values beside them, bounded at 256 KiB (0.67 B/row).  np.bincount's
+        # int64 copy of the class index took the peak to 10.2 B/row, a row counter and
+        # np.divmod's outputs to 30 B/row, and every row's 5×5 operator to 608 B/row
         rng = np.random.default_rng(4)
         chain = QuditChain(5, tuple(random_filter(rng, 5) for _ in range(5)))
         tracemalloc.start()
@@ -298,8 +299,13 @@ class TestEnumerateQuditOutcomes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(report.digits) == 5 ** 8
-        assert peak <= 13 * len(report.digits)
+        held = report.digits.nbytes + report.class_index.nbytes
+        assert len(report.digits) == 5 ** 8 and held == 6 * 5 ** 8
+        assert peak <= held + 256 * 1024
+        # the class row counts are products of class sizes: p_sum is still the exact
+        # sum over every row, rounded once
+        weights, _, _, index = exact_columns(report)
+        assert report.p_sum == sum(weights[i][0] for i in index.tolist()) / weights[0][1]
 
 
 class TestStateVectorOracle:

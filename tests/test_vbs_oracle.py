@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from reference import peel_pairs_reference, unit_state, vbs_state_reference
+from reference import fidelity_reference, peel_pairs_reference, unit_state, vbs_state_reference
 
 from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
@@ -66,6 +66,17 @@ class TestBuildState:
         psi = build_vbs_state(filters)
         assert psi.dims == (2,) * 6
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_built_state_is_a_checked_state_vector(self, rng):
+        # build_vbs_state skips StateVector's checks: its state is still what the
+        # checked constructor makes of the same amplitudes
+        psi = build_vbs_state(tuple(random_filter(rng) for _ in range(4)))
+        checked = StateVector(list(psi.dims), psi.amplitudes.copy())
+        assert type(psi.dims) is tuple and all(type(d) is int for d in psi.dims)
+        assert psi.dims == checked.dims == (2,) * 8
+        assert psi.amplitudes.dtype == complex and psi.amplitudes.shape == (4 ** 4,)
+        assert not psi.amplitudes.flags.writeable
+        assert psi.amplitudes.tobytes() == checked.amplitudes.tobytes()
 
     def test_invariant_under_reprojection(self, rng):
         # applying the on-site symmetric projector again must change nothing
@@ -153,10 +164,21 @@ class TestMeasurement:
         (StateVector((2, 2, 2), np.ones(8) / np.sqrt(8)),
          "expected a 2N+2 qubit chain state, got dims (2, 2, 2)"),
         (StateVector((2,) * 4, np.ones(16)), "the oracle expects a normalized chain state"),
+        # a chain state scaled by 2: cross_check skips this check, the public entry keeps it
+        (StateVector((2,) * 6, 2.0 * build_vbs_state((make_filter([2, 1]),) * 3).amplitudes),
+         "the oracle expects a normalized chain state"),
     ])
     def test_all_outcomes_reject(self, state, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             measure_all_outcomes(state)
+
+    def test_cross_check_validates_its_state_once(self, rng, monkeypatch):
+        # build_vbs_state checks the filters and normalizes; nothing checks its output again
+        def no_check(state):
+            raise AssertionError("cross_check re-checked the chain state")
+
+        monkeypatch.setattr(vbs, "_internal_count", no_check)
+        assert cross_check(tuple(random_filter(rng) for _ in range(4))).passed
 
     def test_outcome_validation(self, rng):
         psi = build_vbs_state(tuple(random_filter(rng) for _ in range(3)))
@@ -366,6 +388,23 @@ class TestOracleBits:
             got = build_vbs_state(filters).amplitudes
             # array_equal: only the signs of zeros may differ
             assert np.array_equal(got, vbs_state_reference(filters)), len(filters)
+
+    def test_columns_equal_the_always_masked_reference(self):
+        # cross_check gathers its live outcomes only where some outcome has weight 0,
+        # as on 0.6,0.8;0,1;1,0;0.8,0.6 (9 of 27) and the corpus' chains with a zero
+        # entry; either way its columns equal the route that always masks
+        masked = tuple(make_filter(d) for d in ([0.6, 0.8], [0, 1], [1, 0], [0.8, 0.6]))
+        for filters in (masked, *oracle_corpus()):
+            weights, ends = measure_all_outcomes(build_vbs_state(filters))
+            table = enumerate_outcomes(SwapChain(filters, VBS))
+            got = cross_check(filters)
+            assert got.oracle_weight.tobytes() == weights.tobytes()
+            assert got.chain_prob.tobytes() == table.prob.tobytes()
+            assert got.weight_dev.tobytes() == np.abs(weights - table.prob).tobytes()
+            want = fidelity_reference(weights, ends, table.prob, table.final_ops)
+            assert got.fidelity.tobytes() == want.tobytes(), len(filters)
+        report = cross_check(masked)
+        assert report.passed and np.count_nonzero(report.oracle_weight == 0.0) == 9
 
     def test_peeled_ends_equal_the_tensordot_peel(self):
         for filters in oracle_corpus():
