@@ -62,9 +62,6 @@ class _Mode:
     end: np.ndarray | None = None
     # outcomes per class; qubits' (k, s) give Σ_i σ_i diag(p, r) σ_i = diag(kp + sr, sp + kr)
     class_sizes = cached_property(lambda self: tuple(np.bincount(self.classes).tolist()))
-    # _traces' gather: class c takes s + c (mod D) for every s
-    gather = cached_property(lambda self: np.add.outer(range(len(self.class_sizes)),
-                                                       range(self.dim)) % self.dim)
 
     @cached_property
     def ops(self) -> np.ndarray:
@@ -245,18 +242,15 @@ def chain_operator(chain: SwapChain, indices) -> np.ndarray:
     return _operators(chain, [[mode.op(i)] for i in idx], mode.end)[0]
 
 
-def _squares(diags: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _squares(diags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|λ|² = re² + im² of each entry exactly: (ints, low), an object array of Python
     ints and each bond's power of two, |λ|² = int·2^(2·low), low the least exponent of
-    the 53-bit integers that the bond's parts are (by math.frexp: a zero part's is −53)."""
-    squares, lows = [], []
-    for row in diags.view(float).tolist():  # a bond's parts: re, im, re, im, ...
-        parts = list(map(math.frexp, row))
-        least = min([e for _, e in parts])
-        ints = iter([int(m * 2.0 ** 53) << (e - least) for m, e in parts])
-        squares.append([a * a + b * b for a, b in zip(ints, ints)])
-        lows.append(least - 53)
-    return np.array(squares, dtype=object), lows
+    the 53-bit integers that the bond's parts are."""
+    m, e = np.frexp(diags.view(float).reshape(*diags.shape, 2))
+    e -= 53
+    low = e.min(axis=(1, 2))
+    ints = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - low[:, None, None]).astype(object)
+    return (ints * ints).sum(axis=2), low
 
 
 def _root(x: int, dim: int) -> tuple[int, int]:
@@ -296,7 +290,7 @@ def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
     return batched_products(mats[0], layers)
 
 
-def _traces(squares: np.ndarray, gather: np.ndarray) -> np.ndarray:
+def _traces(squares: np.ndarray, n_classes: int) -> np.ndarray:
     """Tr(M M†) of every class string exactly, node 1 least significant, from the
     chain's _squares ints: every path carries the same power of two, Π_k 2^(2·low_k).
 
@@ -304,9 +298,11 @@ def _traces(squares: np.ndarray, gather: np.ndarray) -> np.ndarray:
     r takes back through the class shifts.  From bond N down, v ← roll(v, −c)·|λ_k|²
     for every class c at once by one gather, the new node least significant.
     """
+    dim = squares.shape[1]
+    gather = (np.arange(n_classes)[:, None] + np.arange(dim)) % dim  # class c: s takes s + c
     v = squares[-1:]
     for row in squares[-2::-1]:
-        v = (v[:, gather] * row).reshape(-1, len(row))
+        v = (v[:, gather] * row).reshape(-1, dim)
     return v.sum(axis=1)
 
 
@@ -321,7 +317,7 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """
     n_classes, dim = len(mode.class_sizes), mode.dim
     squares, low = _squares(chain.diags)
-    traces, shift = _traces(squares, mode.gather), -2 * sum(low)
+    traces, shift = _traces(squares, n_classes), -2 * int(low.sum())
     index = np.zeros(1, dtype=np.min_scalar_type(len(traces) - 1))
     classes = np.array(mode.classes, index.dtype)
     counts = [1]  # rows per class string: the product of its class sizes

@@ -76,11 +76,8 @@ def build_vbs_state(filters) -> StateVector:
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ValueError("chain state vanished (incompatible singular filters)")
-    psi /= norm
-    psi.setflags(write=False)
-    state = object.__new__(StateVector)  # skips __post_init__: finite, of 4^(N+1) entries
-    state.__dict__.update(dims=(2,) * (2 * n_internal + 2), amplitudes=psi)
-    return state
+    psi /= norm  # finite: no |entry| exceeds the norm by more than rounding
+    return StateVector._adopt((2,) * (2 * n_internal + 2), psi)
 
 
 def _internal_count(state: StateVector) -> int:
@@ -198,16 +195,13 @@ def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
     pred = report.final_ops.transpose(0, 2, 1).reshape(-1, 4)
     prob = report.prob
     oracle_zero, chain_zero = weights == 0.0, prob == 0.0
-    fid = (oracle_zero & chain_zero).astype(float)
-    live = ~(oracle_zero | chain_zero)
-    if live.all():  # whole columns, without the boolean gathers
-        live = slice(None)
-    # |⟨end|pred⟩|² / (‖end‖²‖pred‖²), with end normalized first so that
-    # tiny weights cannot underflow the product of the two norms
-    unit_end = ends.reshape(-1, 4)[live] / np.sqrt(weights[live])[:, None]
-    pred = pred[live]
+    # |⟨end|pred⟩|² / (‖end‖²‖pred‖²), with end normalized first so that tiny
+    # weights cannot underflow the product of the two norms; a zero norm divides
+    # by 1 instead, and its row is 1 where both routes give weight 0, else 0
+    unit_end = ends.reshape(-1, 4) / np.sqrt(weights + oracle_zero)[:, None]
     overlap = _abs_sq(np.sum(unit_end.conj() * pred, axis=1))
-    fid[live] = np.clip(overlap / _abs_sq(pred).sum(axis=1), 0.0, 1.0)
+    fid = np.minimum(overlap / (_abs_sq(pred).sum(axis=1) + chain_zero), 1.0)
+    fid = np.where(oracle_zero | chain_zero, oracle_zero & chain_zero, fid)
     dev = np.abs(weights - prob)
     worst_dev, worst_fid, tol = float(dev.max()), float(fid.min()), float(tolerance)
     return CrossCheckReport(report.digits, weights, prob, dev, fid, worst_dev,

@@ -119,34 +119,6 @@ def peel_pairs_reference(amps: np.ndarray, bras) -> np.ndarray:
     return batch.reshape(-1, 2, 2)
 
 
-def squares_reference(diags: np.ndarray):
-    """``qubit._squares`` by the numpy route it replaced: np.frexp of every part, and
-    the parts' 53-bit mantissas shifted and squared on object arrays.  The package
-    must give the same Python ints and the same lows."""
-    m, e = np.frexp(diags.view(float).reshape(*diags.shape, 2))
-    e -= 53
-    low = e.min(axis=(1, 2))
-    ints = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - low[:, None, None]).astype(object)
-    return (ints * ints).sum(axis=2), low
-
-
-def fidelity_reference(weights: np.ndarray, ends: np.ndarray, prob: np.ndarray,
-                       final_ops: np.ndarray) -> np.ndarray:
-    """``vbs.cross_check``'s fidelity column by boolean masks on every call: 1 where
-    oracle and chain both give weight 0, 0 where only one does, else
-    |⟨end|pred⟩|² / (‖end‖²‖pred‖²) with the end normalized first."""
-    pred = final_ops.transpose(0, 2, 1).reshape(-1, 4)
-    oracle_zero, chain_zero = weights == 0.0, prob == 0.0
-    fid = (oracle_zero & chain_zero).astype(float)
-    live = ~(oracle_zero | chain_zero)
-    unit_end = ends.reshape(-1, 4)[live] / np.sqrt(weights[live])[:, None]
-    pred = pred[live]
-    overlap = np.sum(unit_end.conj() * pred, axis=1)
-    overlap = overlap.real ** 2 + overlap.imag ** 2
-    fid[live] = np.clip(overlap / (pred.real ** 2 + pred.imag ** 2).sum(axis=1), 0.0, 1.0)
-    return fid
-
-
 def full_route_columns(report):
     """weight, prob, concurrence, p_sum, constant and max_residual reduced
     from every row's own operator (``report.final_ops``), with fsum over every

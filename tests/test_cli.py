@@ -556,36 +556,33 @@ class TestSampleCommand:
         doc = run_json(capsys, "sample", *WORKED, "--samples", "100")
         assert doc["seed"] == 42
 
+    @staticmethod
+    def _peak(*args):
+        """CLI sample's `tracemalloc` peak: a first small sample imports what main
+        imports, so the traced span holds the table's and the rows' bytes alone."""
+        with contextlib.redirect_stdout(_Sink()):
+            main(["sample", "--identical", "2,1", "--bonds", "2"])
+            tracemalloc.start()
+            try:
+                code = main(["sample", *args])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        return peak
+
     def test_counting_holds_no_per_row_objects(self):
         # the draws are counted by table row in arrays: a 19683-row sample
-        # peaks at 118 B/row, most of it in rendering, where label tuples and
+        # peaks at 94 B/row, most of it in rendering, where label tuples and
         # whole-table lists of Python floats took 250-280, and the int64
         # np.unique inverse with a TV distance of six row-length temporaries 125
-        sink = _Sink()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(sink):
-                code = main(["sample", "--identical", "2,1", "--bonds", "10"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 120 * 3 ** 9
+        assert self._peak("--identical", "2,1", "--bonds", "10") < 120 * 3 ** 9
 
     def test_tv_distance_gathers_prob_by_blocks(self):
-        # 531441 rows: the peak is 26.7 B/row, bounded at 29 B/row (a 9 % margin);
+        # 531441 rows: the peak is 25.0 B/row, bounded at 29 B/row (a 16 % margin);
         # subtracting a gathered row-length prob from the deviation buffer took it
-        # to 34.7 B/row, 8 bytes more
-        sink = _Sink()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(sink):
-                code = main(["sample", "--identical", "2,1", "--bonds", "13"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 29 * 3 ** 12
+        # to 33.0 B/row, 8 bytes more
+        assert self._peak("--identical", "2,1", "--bonds", "13") < 29 * 3 ** 12
 
 
 class TestVerifyCommand:

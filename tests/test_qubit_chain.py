@@ -30,7 +30,6 @@ from reference import (
     exact_columns,
     full_route_columns,
     reduced_density,
-    squares_reference,
     ulp_errors,
     unit_state,
 )
@@ -974,32 +973,6 @@ class TestBondConcurrencesBits:
         assert got[7] == 0.0 and got[8] == 1.0
         errors = ulp_errors(got, exact, np.arange(len(exact)))
         assert np.max(errors) <= ROUNDED_ONCE
-
-
-class TestSquaresBits:
-    """_squares takes every part's 53-bit integer and exponent by math.frexp on Python
-    floats; its ints and lows equal the numpy route it replaced (tests/reference.py)."""
-
-    SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2250738585072014e-308,
-               1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308, 1.0, -0.5)
-
-    @pytest.mark.parametrize("dim", range(2, 9))
-    def test_equal_the_numpy_route(self, rng, dim):
-        special = np.array(self.SPECIAL)
-        cases = [np.zeros((2, dim), complex), np.full((1, dim), complex(-0.0, -0.0))]
-        for _ in range(100):
-            n = int(rng.integers(1, 7))
-            parts = rng.uniform(-1.0, 1.0, (n, dim, 2)) * 10.0 ** rng.uniform(-300, 300, (n, dim, 2))
-            pick = rng.random((n, dim, 2)) < 0.3
-            parts[pick] = rng.choice(special, int(pick.sum()))
-            cases.append(parts.view(complex)[..., 0])
-        for diags in cases:
-            ints, low = qubit._squares(diags)
-            want_ints, want_low = squares_reference(diags)
-            assert ints.dtype == object and ints.shape == diags.shape
-            assert all(type(x) is int for x in ints.flat)
-            assert ints.tolist() == want_ints.tolist()
-            assert [int(x) for x in low] == want_low.tolist()
 
 
 @st.composite

@@ -9,11 +9,12 @@ import hashlib
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from reference import fidelity_reference, peel_pairs_reference, unit_state, vbs_state_reference
+from reference import peel_pairs_reference, unit_state, vbs_state_reference
 
 from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
@@ -68,8 +69,8 @@ class TestBuildState:
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_built_state_is_a_checked_state_vector(self, rng):
-        # build_vbs_state skips StateVector's checks: its state is still what the
-        # checked constructor makes of the same amplitudes
+        # build_vbs_state adopts its own amplitudes unchecked: the state is still
+        # what the checked constructor makes of them
         psi = build_vbs_state(tuple(random_filter(rng) for _ in range(4)))
         checked = StateVector(list(psi.dims), psi.amplitudes.copy())
         assert type(psi.dims) is tuple and all(type(d) is int for d in psi.dims)
@@ -245,6 +246,21 @@ class TestBatchedOracle:
         assert all(c.oracle_weight == 0.0 and c.fidelity == 1.0
                    for c in report.comparisons if c.chain_prob == 0.0)
 
+    def test_one_sided_zero_weights_have_fidelity_zero(self, rng, monkeypatch):
+        # with the oracle's Bell rows permuted, some outcomes have weight 0 on one
+        # route only: fidelity 0 there, 1 where both give 0, and no warning
+        dead = make_filter([1, 0])
+        filters = (dead, random_filter(rng), dead)
+        monkeypatch.setattr(vbs, "_BELL_BRAS", vbs._BELL_BRAS[[1, 2, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cross_check(filters)
+        oracle_zero, chain_zero = report.oracle_weight == 0.0, report.chain_prob == 0.0
+        assert (oracle_zero & ~chain_zero).any() and (chain_zero & ~oracle_zero).any()
+        assert np.all(report.fidelity[oracle_zero != chain_zero] == 0.0)
+        assert np.all(report.fidelity[oracle_zero & chain_zero] == 1.0)
+        assert not report.passed
+
     def test_report_holds_python_scalars(self, rng):
         filters = tuple(random_filter(rng) for _ in range(3))
         report = cross_check(filters)
@@ -388,23 +404,6 @@ class TestOracleBits:
             got = build_vbs_state(filters).amplitudes
             # array_equal: only the signs of zeros may differ
             assert np.array_equal(got, vbs_state_reference(filters)), len(filters)
-
-    def test_columns_equal_the_always_masked_reference(self):
-        # cross_check gathers its live outcomes only where some outcome has weight 0,
-        # as on 0.6,0.8;0,1;1,0;0.8,0.6 (9 of 27) and the corpus' chains with a zero
-        # entry; either way its columns equal the route that always masks
-        masked = tuple(make_filter(d) for d in ([0.6, 0.8], [0, 1], [1, 0], [0.8, 0.6]))
-        for filters in (masked, *oracle_corpus()):
-            weights, ends = measure_all_outcomes(build_vbs_state(filters))
-            table = enumerate_outcomes(SwapChain(filters, VBS))
-            got = cross_check(filters)
-            assert got.oracle_weight.tobytes() == weights.tobytes()
-            assert got.chain_prob.tobytes() == table.prob.tobytes()
-            assert got.weight_dev.tobytes() == np.abs(weights - table.prob).tobytes()
-            want = fidelity_reference(weights, ends, table.prob, table.final_ops)
-            assert got.fidelity.tobytes() == want.tobytes(), len(filters)
-        report = cross_check(masked)
-        assert report.passed and np.count_nonzero(report.oracle_weight == 0.0) == 9
 
     def test_peeled_ends_equal_the_tensordot_peel(self):
         for filters in oracle_corpus():
