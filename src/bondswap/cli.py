@@ -16,6 +16,7 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ MODES = (PLAIN, VBS, QUDIT)
 # character always suffices (digits reach D²−1 = 63 at D = 8)
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+/"
 MAX_QUDIT_DIM = math.isqrt(len(_DIGITS))
-_DIGIT_CODES = np.array([ord(c) for c in _DIGITS], dtype=np.uint32)
 
 
 class UsageError(ValueError):
@@ -248,15 +248,39 @@ def _echo(cfg, filters) -> dict:
     return echo
 
 
-def _index_strings(digits: np.ndarray, head: str, tail: str) -> np.ndarray:
-    """One string per table row: ``head``, node k's digit as character k of _DIGITS,
-    then ``tail``, of at least one character in all."""
-    h, n = len(head), digits.shape[1]
-    # the code points of a row, filled in place, read as one numpy U<width> string each
-    codes = np.empty((len(digits), h + n + len(tail)), dtype=np.uint32)
-    codes[:] = list(map(ord, head + "0" * n + tail))
-    codes[:, h : h + n] = _DIGIT_CODES[digits]
-    return codes.view(f"U{codes.shape[1]}").ravel()
+@dataclass(frozen=True)
+class _Index:
+    """A table's index column by its shape, its N = ``nodes`` digits from ``digits``:
+    row Σ_k (d_k − first)·base^k, as digit_table orders it, prints node k + 1's digit
+    d_k as _DIGITS[d_k], node 1 first."""
+
+    digits: range
+    nodes: int
+
+    def __len__(self) -> int:
+        return len(self.digits) ** self.nodes
+
+    def pieces(self, head: str, tail: str):
+        """A function from a slice of rows to two piece lists: row lo + span·hi takes
+        the string of lo's low nodes after ``head``, then of hi's high nodes before
+        ``tail``.  The span = base^⌈N/2⌉ low and base^⌊N/2⌋ high strings are made once."""
+        symbols = _DIGITS[self.digits.start : self.digits.stop]
+
+        def strings(nodes, text):  # each node's symbol varies slower than the last's
+            for _ in range(nodes):
+                text = [s + c for c in symbols for s in text]
+            return text
+        low = strings((self.nodes + 1) // 2, [head])
+        high = np.array([s + tail for s in strings(self.nodes // 2, [""])], dtype=object)
+        span, n_rows = len(low), len(self)
+
+        def block(rows: slice) -> list[list[str]]:
+            start, stop = rows.start, min(rows.stop, n_rows)
+            lo, n = start % span, stop - start
+            # the low strings cycle; each high string holds for a run of span rows
+            highs = np.repeat(high[start // span : (stop - 1) // span + 1], span)
+            return [(low * ((lo + n - 1) // span + 1))[lo : lo + n], highs[lo : lo + n].tolist()]
+        return block
 
 
 def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
@@ -270,7 +294,7 @@ def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
     prob, conc = report.class_prob, report.class_concurrence
     columns = {"weight": report.class_weight, "prob": prob, "concurrence": conc,
                "prob_times_c": prob * conc}
-    outcomes = {"index": report.digits,
+    outcomes = {"index": _Index(report.mode.digits, chain.n_nodes),
                 **{name: (values, report.class_index) for name, values in columns.items()}}
     payload = {
         "dim": cfg["dim"],
@@ -326,7 +350,7 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
     report = enumerate_outcomes(chain)
     digits = report.mode.digits
     per_row = np.bincount(row_index(_draw(chain, n, cfg["seed"]), len(digits), digits.start),
-                          minlength=len(report.digits))
+                          minlength=len(report.class_index))
     # the distinct counts ascending, as np.unique gives them, from a count of
     # counts (at most n + 1 long), and each row's place among them in the
     # smallest unsigned dtype: no row-length sort and no int64 inverse
@@ -343,7 +367,7 @@ def _run_sample(cfg) -> tuple[dict, list[FilterOp], int]:
         dev[block] -= report.class_prob[report.class_index[block]]
     np.abs(dev, out=dev)
     tv = float(np.cumsum(dev, out=dev)[-1])
-    outcomes = {"index": report.digits, "count": (counts, which),
+    outcomes = {"index": _Index(digits, chain.n_nodes), "count": (counts, which),
                 "frequency": (counts / n, which), "prob": (report.class_prob, report.class_index)}
     payload = {
         "dim": 2,
@@ -434,18 +458,17 @@ def _csv_tokens(col: np.ndarray) -> list[str]:
 
 
 def _segments(rows: dict, names, opens, encode, quote: str):
-    """The text before each segment of a row, None where the segment's own tokens
-    carry it, and a function from a slice of rows to its tokens.  Row b of a
-    column (values, index) holds values[index[b]]; its tokens, each after its
-    text, are joined once per value, and once over columns with one index.  A
-    digit table's rows carry their text too (_index_strings), and only another
-    column without an index keeps its text apart.  A float column without an
-    index (scan's, whose underflowed constants repeat) is first factored by its
-    bits (-0.0 apart from 0.0)."""
-    parts = []  # [text apart, index, tokens per value or the column]
+    """A function per segment of a row, from a slice of rows to the segment's
+    pieces: a list per piece of a row.  Row b of a column (values, index) holds
+    values[index[b]]; its tokens, each after its text, are joined once per value,
+    and once over columns with one index.  An _Index column's pieces carry its
+    text and quotes, and only another column without an index keeps its text
+    apart.  A float column without an index (scan's, whose underflowed constants
+    repeat) is first factored by its bits (-0.0 apart from 0.0)."""
+    parts = []  # [text, index, tokens per value, or the column or its _Index]
     for name, text in zip(names, opens):
         values, index = rows[name] if isinstance(rows[name], tuple) else (rows[name], None)
-        if values.dtype.kind == "f" and index is None:
+        if isinstance(values, np.ndarray) and values.dtype.kind == "f" and index is None:
             bits, index = np.unique(values.view(np.int64), return_inverse=True)
             values = bits.view(np.float64)
         if index is None:
@@ -456,12 +479,16 @@ def _segments(rows: dict, names, opens, encode, quote: str):
             parts.append([None, index, text + np.array(encode(values), dtype=object)])
 
     def column(text, index, tokens):
+        if isinstance(tokens, _Index):
+            return tokens.pieces(text + quote, quote)
         if index is not None:
-            return lambda rows: tokens[index[rows]].tolist()
-        if tokens.ndim == 2:
-            return lambda rows: _index_strings(tokens[rows], text + quote, quote).tolist()
-        return lambda rows: encode(tokens[rows])
-    return [None if p[2].ndim == 2 else p[0] for p in parts], [column(*p) for p in parts]
+            return lambda rows: [tokens[index[rows]].tolist()]
+
+        def apart(rows):
+            col = encode(tokens[rows])
+            return [[text] * len(col), col]
+        return apart
+    return [column(*p) for p in parts]
 
 
 def _render(fmt: str, command: str, document: dict):
@@ -492,13 +519,10 @@ def _render(fmt: str, command: str, document: dict):
     if isinstance(rows, dict):  # columns: name -> numpy array or (values, index)
         # every row opens after the last one's close; the first of all, after none
         opens[0] = close + sep + opens[0]
-        texts, columns = _segments(rows, names, opens, encode, quote)
+        columns = _segments(rows, names, opens, encode, quote)
         for start in range(0, len(rows[names[0]]), _CHUNK_ROWS):
-            # one str.join over texts apart and tokens interleaved row by row
-            cols = []
-            for text, col in zip(texts, columns):
-                tokens = col(slice(start, start + _CHUNK_ROWS))
-                cols += [tokens] if text is None else [[text] * len(tokens), tokens]
+            # one str.join over every segment's pieces interleaved row by row
+            cols = [c for col in columns for c in col(slice(start, start + _CHUNK_ROWS))]
             pieces = [close] * (len(cols) * len(cols[0]) + 1)  # the block's close last
             for j, col in enumerate(cols):
                 pieces[j : -1 : len(cols)] = col

@@ -36,12 +36,12 @@ _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 #: Largest outcome table any mode will materialize, in rows: 6^8 = 36^4.  It
 #: admits vbs N <= 13, plain N <= 10 and qudit D = 2..8 up to N = 10, 6, 5, 4,
-#: 4, 3, 3; a CLI swap of vbs N = 13 peaks at about 60 MiB, qudit D = 6, N = 4 at 43.
+#: 4, 3, 3; a CLI swap of vbs N = 13 peaks at about 40 MiB, qudit D = 6, N = 4 at 36.
 ENUMERATION_BUDGET = 6 ** 8
 
 # Peak resident bytes per row of a CLI swap or sample, an upper fit to the tables
-# of 10^6 rows and more in every mode: 27-59 B/row with the interpreter's 31 MiB,
-# 8-32 B/row above it (sample's most).  No row holds an operator: one figure, any D.
+# of 10^6 rows and more in every mode: 23-49 B/row with the interpreter's 31 MiB,
+# 3-19 B/row above it (sample's most).  No row holds an operator: one figure, any D.
 _ROW_BYTES = 70
 
 
@@ -128,10 +128,10 @@ class OutcomeRecord:
 class TradeoffReport:
     """Outcome table held per class, the bond concurrences and the outcome-independent prob × C.
 
-    Row b belongs to the outcome whose per-node digits are ``digits[b]``
-    (little-endian, node 1 first; the digit the CLI prints) and takes the
-    values of its shift class ``class_index[b]`` (see _table); ``weight``,
-    ``prob`` and ``concurrence`` gather them on each read.  ``class_trace`` holds
+    Row b belongs to the outcome whose per-node digits are ``digits[b]`` (little-endian,
+    node 1 first; the digit the CLI prints), a digit_table made on first read, which no CLI
+    table does, and takes the values of its shift class ``class_index[b]`` (see _table);
+    ``weight``, ``prob`` and ``concurrence`` gather them on each read.  ``class_trace`` holds
     each class's Tr(M M†) exactly, as _traces gives it, and ``squares`` the chain's
     |λ|² as _squares' ints.  The first read of any concurrence, ``constant`` or
     ``max_residual`` runs _concurrences once, from these two; no operator is formed.
@@ -140,7 +140,6 @@ class TradeoffReport:
     """
 
     p_sum: float
-    digits: np.ndarray
     class_index: np.ndarray
     class_weight: np.ndarray
     class_prob: np.ndarray
@@ -148,6 +147,8 @@ class TradeoffReport:
     squares: np.ndarray
     chain: _Chain
     mode: _Mode
+    digits = cached_property(lambda self: digit_table(
+        len(self.mode.digits), self.chain.n_nodes, self.mode.digits.start))
     weight = property(lambda self: self.class_weight[self.class_index])
     prob = property(lambda self: self.class_prob[self.class_index])
     concurrence = property(lambda self: self.class_concurrence[self.class_index])
@@ -326,8 +327,7 @@ def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
         counts = [size * c for size in mode.class_sizes for c in counts]
     total = sum(t * c for t, c in zip(traces.tolist(), counts))
     weights = (traces / (dim << shift)).astype(float)
-    digits = digit_table(len(mode.digits), chain.n_nodes, mode.digits.start)
-    return TradeoffReport(total / (dim << shift), digits, index, weights,
+    return TradeoffReport(total / (dim << shift), index, weights,
                           (traces / total).astype(float), traces, squares, chain, mode)
 
 

@@ -29,6 +29,20 @@ def digit_table_reference(base: int, n: int, offset: int = 0) -> np.ndarray:
     return digits
 
 
+def index_strings_reference(digits: np.ndarray, head: str, tail: str) -> list[str]:
+    """One string per row of a digit table, as the CLI rendered whole tables before
+    it printed the index from the table's shape: ``head``, node k's digit as
+    character k of ``cli._DIGITS``, then ``tail``, of at least one character in all."""
+    from bondswap.cli import _DIGITS
+
+    h, n = len(head), digits.shape[1]
+    # the code points of a row, filled in place, read as one numpy U<width> string each
+    codes = np.empty((len(digits), h + n + len(tail)), dtype=np.uint32)
+    codes[:] = list(map(ord, head + "0" * n + tail))
+    codes[:, h : h + n] = np.array(list(map(ord, _DIGITS)), dtype=np.uint32)[digits]
+    return codes.view(f"U{codes.shape[1]}").ravel().tolist()
+
+
 def unit_state(state):
     """``state`` divided by its norm; the zero state has none and is refused."""
     n = state.norm()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import bond_concurrence
+from reference import bond_concurrence, index_strings_reference
 
 from bondswap import __version__, cli, qubit, vbs
 from bondswap.cli import main
@@ -24,6 +24,7 @@ from bondswap.filters import make_filter
 from bondswap.qubit import (
     SwapChain,
     bond_concurrences,
+    digit_table,
     enumerate_outcomes,
     sample_outcomes,
     scan_log_constants,
@@ -361,14 +362,19 @@ FLOAT_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
 
 @st.composite
 def swap_columns(draw):
-    """Digit rows and the four float columns of a swap table drawn from
-    FLOAT_POOL, so values repeat within and across blocks: each row's values,
-    and the columns as rendered.  A column is plain, or (values, index) with
-    one index shared by all such columns, whose classes often come in runs
-    that straddle blocks, and may be no fewer than the rows."""
-    n_rows, n_nodes = draw(st.integers(1, 12)), draw(st.integers(0, 3))
-    digits = draw(st.lists(st.lists(st.integers(1, 3), min_size=n_nodes, max_size=n_nodes),
-                           min_size=n_rows, max_size=n_rows))
+    """A digit table's shape, its rows' index strings, and the four float columns
+    of a swap table of base^N rows drawn from FLOAT_POOL, so values repeat within
+    and across blocks: each row's values, and the columns as rendered.  A column
+    is plain, or (values, index) with one index shared by all such columns, whose
+    classes often come in runs that straddle blocks, and may be no fewer than the
+    rows."""
+    base, n_nodes = draw(st.sampled_from([(2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3),
+                                          (4, 1), (4, 2)]))
+    first = draw(st.integers(0, 1))
+    n_rows = base ** n_nodes
+    # row r's digit at node k is the base-``base`` digit k of r, node 1 first
+    digits = ["".join(cli._DIGITS[first + r // base ** k % base] for k in range(n_nodes))
+              for r in range(n_rows)]
     n_classes = draw(st.integers(1, 14))
     index = draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows))
     if draw(st.booleans()):
@@ -384,7 +390,7 @@ def swap_columns(draw):
             rows[name] = draw(st.lists(st.sampled_from(FLOAT_POOL), min_size=n_rows,
                                        max_size=n_rows))
             columns[name] = np.array(rows[name])
-    return digits, rows, columns
+    return cli._Index(range(first, first + base), n_nodes), digits, rows, columns
 
 
 class _Sink(io.TextIOBase):
@@ -415,28 +421,72 @@ class TestColumnarRendering:
     def test_repeated_and_special_floats(self, monkeypatch, fmt, table):
         # blocks of 3 rows, so a distinct value's token serves several blocks
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
-        digits, floats, factored = table
+        shape, digits, floats, factored = table
         cfg = cli._resolve_config(cli.build_parser().parse_args(
             ["swap", *WORKED, "--format", fmt]))
         filters = cli._build_filters(cfg)
         head = {"dim": 2, "mode": "vbs", "n_bonds": 2, "p_sum": 1.0,
                 "bond_concurrences": [0.8, 0.8], "tradeoff_constant": 0.64,
                 "max_residual": 0.0}
-        rows = [{"index": "".join(cli._DIGITS[d] for d in row),
-                 **{name: col[i] for name, col in floats.items()}}
-                for i, row in enumerate(digits)]
-        columns = {"index": np.array(digits, dtype=np.uint8), **factored}
+        rows = [{"index": index, **{name: col[i] for name, col in floats.items()}}
+                for i, index in enumerate(digits)]
+        columns = {"index": shape, **factored}
         document = {"version": __version__, "seed": cfg["seed"],
                     "config_echo": cli._echo(cfg, filters), **head, "outcomes": columns}
         assert "".join(cli._render(fmt, "swap", document)) == render_reference(
             cfg, filters, {**head, "outcomes": rows})
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("base", [2, 3, 4, 9, 25, 64])
+    def test_index_pieces_join_to_whole_rows(self, fmt, base):
+        # every shape within the row budget, N = 0..4 and each first digit the
+        # alphabet holds: the low strings, cycled, and the high strings, repeated
+        # over their runs, join to each row's whole string, in blocks of 1, 3 and 7
+        # rows that start mid-cycle, and of 4096 that span a cycle or part of one
+        head, quote = ('\n    },\n    {\n      "index": ', '"') if fmt == "json" else ("\n", "")
+        encode = cli._json_tokens if fmt == "json" else cli._csv_tokens
+        for first in (f for f in (0, 1) if base + f <= len(cli._DIGITS)):
+            for nodes in (n for n in range(5) if base ** n <= qubit.ENUMERATION_BUDGET):
+                shape = cli._Index(range(first, first + base), nodes)
+                digits = digit_table(base, nodes, first)
+                [column] = cli._segments({"index": shape}, ["index"], [head], encode, quote)
+                for chunk in (1, 3, 7, 4096) if len(shape) <= 20_000 else (4096,):
+                    for start in range(0, len(shape), chunk):
+                        low, high = column(slice(start, start + chunk))
+                        want = index_strings_reference(digits[start : start + chunk],
+                                                       head + quote, quote)
+                        assert list(map(str.__add__, low, high)) == want
+
+    @pytest.mark.parametrize("argv", [
+        ("swap", "--identical", "2,1", "--bonds", "6"),
+        ("swap", "--mode", "plain", "--identical", "2,1", "--bonds", "5", "--format", "csv"),
+        ("swap", "--mode", "qudit", "--dim", "3", "--identical", "1,2,3", "--bonds", "4"),
+        ("sample", "--identical", "2,1", "--bonds", "6", "--samples", "500"),
+    ], ids=" ".join)
+    def test_index_needs_no_whole_digit_table(self, monkeypatch, capsys, argv):
+        # the index prints from the table's shape: no digit table of more than
+        # ⌈N/2⌉ nodes is made, so no row holds its N digits
+        calls = []
+
+        def spy(base, n, offset=0):
+            calls.append(n)
+            return real(base, n, offset)
+        real = qubit.digit_table
+        monkeypatch.setattr(qubit, "digit_table", spy)
+        monkeypatch.setattr(cli, "digit_table", spy, raising=False)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        n_nodes = int(argv[argv.index("--bonds") + 1]) - 1
+        assert max(calls, default=0) <= (n_nodes + 1) // 2
+
     def test_rendering_streams_in_blocks(self, monkeypatch):
         # the whole document is never held, nor a per-row array beside the
         # table's own: the peak of a 19683-row JSON swap written to a sink is
-        # 0.63 times the document's length, where gathered columns and their
-        # np.unique inverses took 0.99.  Qubit columns take their tokens per
-        # keep/swap class, so np.unique is never called.
+        # 0.32-0.36 times the document's length (0.36 as the first main of a
+        # process), bounded at 0.45, where a whole-table digit array and a numpy
+        # string per row took 0.49-0.53, and gathered columns and their np.unique
+        # inverses 0.99.  Qubit columns take their tokens per keep/swap class,
+        # so np.unique is never called.
         monkeypatch.setattr(np, "unique", None)
         sink = _Sink()
         tracemalloc.start()
@@ -448,7 +498,7 @@ class TestColumnarRendering:
             tracemalloc.stop()
         assert code == 0
         assert sink.chars > 3_000_000
-        assert peak < 0.8 * sink.chars
+        assert peak < 0.45 * sink.chars
 
 
 # complex, signed, unbalanced and near-singular bonds: vbs N = 9, plain N = 7
@@ -573,16 +623,17 @@ class TestSampleCommand:
 
     def test_counting_holds_no_per_row_objects(self):
         # the draws are counted by table row in arrays: a 19683-row sample
-        # peaks at 94 B/row, most of it in rendering, where label tuples and
-        # whole-table lists of Python floats took 250-280, and the int64
-        # np.unique inverse with a TV distance of six row-length temporaries 125
-        assert self._peak("--identical", "2,1", "--bonds", "10") < 120 * 3 ** 9
+        # peaks at 53 B/row, most of it in rendering, where a whole digit table
+        # with a numpy string per row took 94, label tuples and whole-table
+        # lists of Python floats 250-280, and the int64 np.unique inverse with a
+        # TV distance of six row-length temporaries 125
+        assert self._peak("--identical", "2,1", "--bonds", "10") < 70 * 3 ** 9
 
     def test_tv_distance_gathers_prob_by_blocks(self):
-        # 531441 rows: the peak is 25.0 B/row, bounded at 29 B/row (a 16 % margin);
-        # subtracting a gathered row-length prob from the deviation buffer took it
-        # to 33.0 B/row, 8 bytes more
-        assert self._peak("--identical", "2,1", "--bonds", "13") < 29 * 3 ** 12
+        # 531441 rows: the peak is 13.0 B/row, bounded at 16 B/row (a 23 % margin);
+        # a whole digit table of 12 B/row took it to 25.0 B/row, and subtracting a
+        # gathered row-length prob from the deviation buffer 8 bytes more again
+        assert self._peak("--identical", "2,1", "--bonds", "13") < 16 * 3 ** 12
 
 
 class TestVerifyCommand:

@@ -33,6 +33,7 @@ from bondswap.qubit import (
     bond_concurrences,
     check_budget,
     check_table_budget,
+    digit_table,
     enumerate_outcomes,
     row_index,
 )
@@ -287,10 +288,12 @@ class TestEnumerateQuditOutcomes:
 
     def test_table_memory_per_row(self):
         # 390625 rows over 625 shift-class products: the peak is the report's own
-        # 6 B/row, its 4 digit bytes and the 2-byte class index, and about 130 kB of
-        # class values beside them, bounded at 256 KiB (0.67 B/row).  np.bincount's
-        # int64 copy of the class index took the peak to 10.2 B/row, a row counter and
-        # np.divmod's outputs to 30 B/row, and every row's 5×5 operator to 608 B/row
+        # 2 B/row, its class index, and about 130 kB of class values beside it,
+        # bounded at 256 KiB (0.67 B/row).  The 4 digit bytes per row are made only
+        # when report.digits is read: built with the table, they took the peak to
+        # 6.3 B/row, np.bincount's int64 copy of the class index to 10.2 B/row, a
+        # row counter and np.divmod's outputs to 30 B/row, and every row's 5×5
+        # operator to 608 B/row
         rng = np.random.default_rng(4)
         chain = QuditChain(5, tuple(random_filter(rng, 5) for _ in range(5)))
         tracemalloc.start()
@@ -299,9 +302,10 @@ class TestEnumerateQuditOutcomes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = report.digits.nbytes + report.class_index.nbytes
-        assert len(report.digits) == 5 ** 8 and held == 6 * 5 ** 8
-        assert peak <= held + 256 * 1024
+        assert report.class_index.nbytes == 2 * 5 ** 8
+        assert peak <= report.class_index.nbytes + 256 * 1024
+        assert np.array_equal(report.digits, digit_table(25, 4))
+        assert report.digits is report.digits
         # the class row counts are products of class sizes: p_sum is still the exact
         # sum over every row, rounded once
         weights, _, _, index = exact_columns(report)
