@@ -358,35 +358,34 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     return _table(chain, _MODES[chain.mode])
 
 
-def _transfer(mode: _Mode, mags):
-    """Run the transfer map in the diagonal sector, one bond at a time.
+def _transfer(mode: _Mode, squares: np.ndarray,
+              logs: list | None = None) -> tuple[float, float, float]:
+    """(p, r, log_shift) of the transfer map in the diagonal sector after the last bond.
 
     Diagonal filters keep ρ diagonal under ρ → Σ_i T σ_i ρ σ_i† T†, so only
-    the two diagonal entries (p, r) evolve.  ``mags`` holds (|λ_0|², |λ_1|²)
-    per bond.  Yields (p, r, log_shift) after bond 0 and after every later
-    bond, where the true entries are (p, r)·exp(log_shift); the shift stays
-    0 until the entries threaten to leave the float range.
+    the two diagonal entries (p, r) evolve, from bond 0's (|λ_0|², |λ_1|²), the rows
+    of the (N+1, 2) ``squares``.  The true entries are (p, r)·exp(log_shift); the
+    shift stays 0 until they threaten to leave the float range.  ``logs``, if given,
+    gets log P_sum appended after every later bond.
     """
     k, s = map(float, mode.class_sizes)
-    bonds = iter(mags)
-    p, r = next(bonds)
+    p, r = squares[0].tolist()
     shift = 0.0
-    yield p, r, shift
-    for a, b in bonds:
+    for a, b in zip(*squares[1:].T.tolist()):
         p, r = a * (k * p + s * r), b * (s * p + k * r)
         tot = p + r
         if tot > 1e280 or (0.0 < tot < 1e-280):
             p /= tot
             r /= tot
             shift += math.log(tot)
-        yield p, r, shift
+        if logs is not None:
+            logs.append(shift + math.log(0.5 * (p + r)))
+    return p, r, shift
 
 
 def _transfer_diag(chain: SwapChain) -> tuple[float, float, float]:
     """(p, r, log_shift) of the transfer map over the whole chain."""
-    for state in _transfer(_MODES[chain.mode], (np.abs(chain.diags) ** 2).tolist()):
-        pass
-    return state
+    return _transfer(_MODES[chain.mode], np.abs(chain.diags) ** 2)
 
 
 def p_sum_transfer(chain: SwapChain) -> float:
@@ -438,12 +437,11 @@ def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarra
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     one = SwapChain((filt,), mode)  # checks the filter's dim and the mode
-    steps = _transfer(_MODES[mode], (np.abs(one.diags) ** 2).tolist() * (n_max + 1))
     c = _transfer_concurrences(one)[0]
     if c == 0.0:
         return np.full(n_max, -math.inf)
-    next(steps)  # the lone first bond, N = 0
-    log_p_sums = [shift + math.log(0.5 * (p + r)) for p, r, shift in steps]
+    log_p_sums = []
+    _transfer(_MODES[mode], np.broadcast_to(np.abs(one.diags) ** 2, (n_max + 1, 2)), log_p_sums)
     return np.arange(2, n_max + 2) * math.log(c) - np.array(log_p_sums)
 
 

@@ -546,13 +546,16 @@ PINNED_DOCUMENTS = {
 }
 
 
+def pinned_argv(command, chain, fmt):
+    """The command line of the PINNED_DOCUMENTS entry (command, chain, fmt)."""
+    argv = [command, *PINNED_CHAINS[chain], f"--format={fmt}"]
+    return argv + ["--samples=5000", "--seed=7"] if command == "sample" else argv
+
+
 class TestPinnedDocuments:
     @pytest.mark.parametrize("command, chain, fmt", list(PINNED_DOCUMENTS))
     def test_document_digest(self, capsys, command, chain, fmt):
-        argv = [command, *PINNED_CHAINS[chain], f"--format={fmt}"]
-        if command == "sample":
-            argv += ["--samples=5000", "--seed=7"]
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *pinned_argv(command, chain, fmt))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[command, chain, fmt]
 

@@ -657,6 +657,28 @@ class TestTradeoffConstant:
         assert np.all(np.diff(scan) < 0)
 
 
+class TestOneRecursion:
+    """The scan and the single-chain transfer run one recursion: entry N of a scan
+    is (N+1)·log c − log_p_sum_transfer of the N+1-bond chain, bit for bit."""
+
+    # every pinned filter first renormalizes between N = 64 and N = 1000, in both modes
+    NODES = sorted(set(range(1, 65)) | set(range(50, 1001, 50)))
+
+    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    @pytest.mark.parametrize("diag", [d for diags in PINNED_DIAGS.values() for d in diags],
+                             ids=str)
+    def test_scan_entries_are_single_chain_values(self, mode, diag):
+        f = make_filter(diag)
+        scan = scan_log_constants(f, 1000, mode)
+        c = qubit._transfer_concurrences(SwapChain((f,), mode))[0]
+        for n in self.NODES:
+            chain = SwapChain((f,) * (n + 1), mode)
+            want = -math.inf if c == 0.0 else (n + 1) * math.log(c) - log_p_sum_transfer(chain)
+            assert float.hex(float(scan[n - 1])) == float.hex(want), n
+        shifts = [qubit._transfer_diag(SwapChain((f,) * (n + 1), mode))[2] for n in (64, 1000)]
+        assert shifts[0] == 0.0 != shifts[1]
+
+
 class TestSampling:
     def test_frequencies_track_exact_probabilities(self):
         chain = worked_chain()
@@ -834,37 +856,50 @@ class TestDrawMatchesReference:
         assert peak <= (100 + 13) * 200_000
 
 
+def pinned_sample_counts(mode, name):
+    return compact_counts(sample_outcomes(pinned_chain(name, mode, 4), 300, seed=2009))
+
+
+def pinned_long_sample_digest(mode):
+    counts = sample_outcomes(pinned_chain("complex", mode, 1001), 500, seed=2009)
+    return hashlib.sha256(compact_counts(counts).encode()).hexdigest()
+
+
+def pinned_transfer_values(mode, name):
+    short = pinned_chain(name, mode, 4)
+    got = (
+        p_sum_transfer(short),
+        log_p_sum_transfer(short),
+        log_p_sum_transfer(pinned_chain(name, mode, 3001)),
+        tradeoff_constant(short),
+        tradeoff_constant(pinned_chain(name, mode, 501)),
+    )
+    return tuple(map(float.hex, got))
+
+
+def pinned_scan_entries(mode, name):
+    scan = scan_log_constants(make_filter(PINNED_DIAGS[name][0]), 3000, mode)
+    return tuple(float.hex(float(scan[i])) for i in (0, 1, 9, 299, 2999))
+
+
 class TestPinnedOutputs:
     """Long-chain outputs stay bit-identical to the recorded ones."""
 
     @pytest.mark.parametrize("mode, name", PINNED_KEYS)
     def test_sample_counts(self, mode, name):
-        counts = sample_outcomes(pinned_chain(name, mode, 4), 300, seed=2009)
-        assert compact_counts(counts) == PINNED_SAMPLES[mode, name]
+        assert pinned_sample_counts(mode, name) == PINNED_SAMPLES[mode, name]
 
     @pytest.mark.parametrize("mode", [VBS, PLAIN])
     def test_long_chain_sample_digest(self, mode):
-        counts = sample_outcomes(pinned_chain("complex", mode, 1001), 500, seed=2009)
-        digest = hashlib.sha256(compact_counts(counts).encode()).hexdigest()
-        assert digest == PINNED_LONG_SAMPLES[mode]
+        assert pinned_long_sample_digest(mode) == PINNED_LONG_SAMPLES[mode]
 
     @pytest.mark.parametrize("mode, name", PINNED_KEYS)
     def test_transfer_values(self, mode, name):
-        short = pinned_chain(name, mode, 4)
-        got = (
-            p_sum_transfer(short),
-            log_p_sum_transfer(short),
-            log_p_sum_transfer(pinned_chain(name, mode, 3001)),
-            tradeoff_constant(short),
-            tradeoff_constant(pinned_chain(name, mode, 501)),
-        )
-        assert tuple(map(float.hex, got)) == PINNED_TRANSFER[mode, name]
+        assert pinned_transfer_values(mode, name) == PINNED_TRANSFER[mode, name]
 
     @pytest.mark.parametrize("mode, name", PINNED_KEYS)
     def test_scan_entries(self, mode, name):
-        scan = scan_log_constants(make_filter(PINNED_DIAGS[name][0]), 3000, mode)
-        got = tuple(float.hex(float(scan[i])) for i in (0, 1, 9, 299, 2999))
-        assert got == PINNED_SCANS[mode, name]
+        assert pinned_scan_entries(mode, name) == PINNED_SCANS[mode, name]
 
 
 def refused(base, n, budget):
