@@ -20,11 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .filters import VBS, FilterOp
+from .filters import VBS
 from .linalg import StateVector
 from .qubit import SwapChain, bell_state, digit_table, enumerate_outcomes
 
-_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+_ROOT2 = np.sqrt(2.0)
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / _ROOT2
 
 #: Largest oracle chain: 2·8+2 = 18 qubits, 262144 amplitudes.
 MAX_ORACLE_NODES = 8
@@ -56,13 +57,17 @@ def build_vbs_state(filters) -> StateVector:
     (λ0|01⟩ − λ1|10⟩)/√2 on qubits (2j, 2j+1); the symmetric projector then
     acts on every internal pair.
     """
-    filts = list(filters)
+    return _chain_state(filters)[1]
+
+
+def _chain_state(filters) -> tuple[SwapChain, StateVector]:
+    """The vbs chain of ``filters`` and its build_vbs_state."""
+    filts = tuple(filters)
     _check_oracle_bonds(len(filts))
-    n_internal = len(filts) - 1
-    if any(not isinstance(f, FilterOp) or f.dim != 2 for f in filts):
-        raise ValueError("oracle filters must be qubit (dim 2) FilterOps")
+    chain = SwapChain(filts, VBS)
+    n_internal = chain.n_nodes
     bonds = np.zeros((len(filts), 4), dtype=complex)
-    bonds[:, 1:3] = np.array([f.diag for f in filts]) / np.sqrt(2.0)
+    bonds[:, 1:3] = chain.diags / _ROOT2
     np.negative(bonds[:, 2], out=bonds[:, 2])
     psi = np.ones(1, dtype=complex)
     for bond in bonds:
@@ -77,7 +82,7 @@ def build_vbs_state(filters) -> StateVector:
     if norm == 0.0:
         raise ValueError("chain state vanished (incompatible singular filters)")
     psi /= norm  # finite: no |entry| exceeds the norm by more than rounding
-    return StateVector._adopt((2,) * (2 * n_internal + 2), psi)
+    return chain, StateVector._adopt((2,) * (2 * n_internal + 2), psi)
 
 
 def _internal_count(state: StateVector) -> int:
@@ -186,11 +191,11 @@ def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
     (I ⊗ M)|Φ+⟩, both normalized.  It reads no concurrence, so the table's
     concurrence stage never runs.  Mismatches are reported, never raised.
     """
-    filts = tuple(filters)
-    # build_vbs_state checks and normalizes: peeled without measure_all_outcomes' checks
-    ends = _peel_pairs(build_vbs_state(filts).amplitudes, (_BELL_BRAS,) * (len(filts) - 1))
+    chain, state = _chain_state(filters)  # one chain: its filters are rescaled in one pass
+    # _chain_state normalizes: peeled without measure_all_outcomes' checks
+    ends = _peel_pairs(state.amplitudes, (_BELL_BRAS,) * chain.n_nodes)
     weights = _abs_sq(ends).sum(axis=(1, 2))
-    report = enumerate_outcomes(SwapChain(filts, VBS))
+    report = enumerate_outcomes(chain)
     # amplitude on |j⟩⊗|k⟩ is M[k, j], as in state_from_operator
     pred = report.final_ops.transpose(0, 2, 1).reshape(-1, 4)
     prob = report.prob
@@ -205,5 +210,5 @@ def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
     dev = np.abs(weights - prob)
     worst_dev, worst_fid, tol = float(dev.max()), float(fid.min()), float(tolerance)
     # the digits of enumerate_outcomes' rows, without the lock of report.digits' first read
-    return CrossCheckReport(digit_table(3, len(filts) - 1, 1), weights, prob, dev, fid, worst_dev,
+    return CrossCheckReport(digit_table(3, chain.n_nodes, 1), weights, prob, dev, fid, worst_dev,
                             worst_fid, tol, passed=worst_dev <= tol and worst_fid >= 1.0 - tol)

@@ -5,7 +5,9 @@ outputs come from exact integer kernels and from float recursions that run one
 bond at a time in a fixed order, so no SIMD width or BLAS core may move them.
 Each setting below runs them in a child process, whose kernel it proves moved:
 OpenBLAS reports another core, or numpy's complex128 ``absolute`` runs its
-baseline loop.  A setting whose effect cannot be shown here is skipped.
+baseline loop.  A setting whose effect cannot be shown here is skipped.  Each
+child also proves that a chain's one rescaling pass gives every filter the
+bits it gets alone, on that kernel.
 
 The four ``verify`` pins stay out: the dense oracle's sums follow the kernel's
 order, and under OPENBLAS_CORETYPE=Prescott all four documents differ, under
@@ -24,6 +26,7 @@ import sys
 import pytest
 
 from test_cli import PINNED_DOCUMENTS, pinned_argv
+from test_filters import one_pass_mismatches
 from test_qubit_chain import (
     PINNED_KEYS,
     PINNED_LONG_SAMPLES,
@@ -64,6 +67,8 @@ def portable_pins():
     for mode, digest in PINNED_LONG_SAMPLES.items():
         pins[f"{pinned_long_sample_digest.__name__} {mode}"] = (
             pinned_long_sample_digest, (mode,), digest)
+    # no pinned bits: a chain's one rescaling pass against each row alone, on this kernel
+    pins[one_pass_mismatches.__name__] = (one_pass_mismatches, (), ())
     return pins
 
 

@@ -1,8 +1,12 @@
 """Diagonal bond filters: normalization convention, bond states, concurrence."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 
 from reference import reduced_density
 
+from bondswap import filters
 from bondswap.filters import PLAIN, VBS, FilterOp, make_filter, random_filter
 from bondswap.linalg import state_from_operator
 from bondswap.qubit import (
@@ -96,9 +101,9 @@ class TestMakeFilter:
         assert np.allclose(np.diag(m), f.diag)
 
 
-def two_check_make_filter(diag) -> FilterOp:
-    """make_filter as it was before it checked once: check and normalize,
-    then build the FilterOp through __post_init__, which checks again."""
+def make_filter_reference(diag) -> FilterOp:
+    """make_filter as it was before it deferred and checked once: check and rescale
+    one row at once, then build the FilterOp through __post_init__, which checks again."""
     entries = np.asarray(list(diag), dtype=complex).reshape(-1)
     if entries.size < 2:
         raise ValueError("a filter needs at least two diagonal entries")
@@ -129,9 +134,9 @@ def bit_identical(got: FilterOp, want: FilterOp) -> bool:
 
 
 def assert_same_result(raw):
-    """make_filter returns the bits of two_check_make_filter, or its error."""
+    """make_filter returns the bits of make_filter_reference, or its error."""
     try:
-        want = two_check_make_filter(raw)
+        want = make_filter_reference(raw)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             make_filter(raw)
@@ -144,67 +149,118 @@ OUT_OF_RANGE = [[1e-200, 1e-200], [1e-170, 1e-170], [1e200, 1e200], [1e160, 1], 
 SIGNED_ZEROS = [[-0.0, 1], [1, -0.0j], [complex(-0.0, -0.0), 2], [0.0, -1], [1, 0]]
 
 
+def corpus(name: str, dim: int) -> list:
+    """The raw rows of one TestMakeFilterBits corpus at ``dim``, in its order."""
+    if name == "edge":  # qubit rows only
+        return [np.array(raw, dtype=complex) for raw in OUT_OF_RANGE + SIGNED_ZEROS] * (dim == 2)
+    if name == "random":  # the rng fixture's stream
+        rng = np.random.default_rng(20260814)
+        raws = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(200)]
+        return [entries for raw in raws for entries in (raw, raw.real)]
+    if name == "log-uniform":
+        rng = np.random.default_rng(dim)
+        mags = 10.0 ** rng.uniform(-160, 160, (60, dim))
+        raws = mags * np.exp(2j * np.pi * rng.random((60, dim)))
+        return [entries for raw in raws for entries in (raw, raw.real)]
+    if name == "square-overflow":
+        # m·m first overflows above √DBL_MAX; a sum can overflow below it
+        rng = np.random.default_rng(100 + dim)
+        edge = math.sqrt(sys.float_info.max)
+        steps = [edge * (1 + k * sys.float_info.epsilon) for k in range(-3, 4)]
+        steps += [edge / math.sqrt(n) for n in range(2, dim + 1)]
+        rows = []
+        for _ in range(40):
+            raw = rng.choice(steps, dim) * np.exp(2j * np.pi * rng.random(dim))
+            raw[rng.random(dim) < 0.3] = rng.uniform(0.5, 2.0)
+            rows += [raw, np.abs(raw)]
+        return rows
+    assert name == "subnormal"  # moduli about 1e-160 give Σ|λ|² below the normal range, or 0
+    rng = np.random.default_rng(200 + dim)
+    return list(10.0 ** rng.uniform(-170, -154, (60, dim)) * rng.choice([1, -1, 1j], (60, dim)))
+
+
+CORPORA = ["edge", "random", "log-uniform", "square-overflow", "subnormal"]
+# every corpus at qubit and qudit dims 2..8; edge rows are qubit rows
+ONE_CHAIN_CASES = [(name, dim) for name in CORPORA for dim in range(2, 9) if corpus(name, dim)]
+
+
+def one_chain_matches(name: str, dim: int) -> bool:
+    """Whether the rows of corpus ``name`` at ``dim``, new filters of one chain (a vbs
+    SwapChain for qubits, else a QuditChain), get make_filter_reference's bits: in the
+    chain's diags and in every filter."""
+    rows = corpus(name, dim)
+    filts = tuple(make_filter(raw) for raw in rows)
+    chain = SwapChain(filts, VBS) if dim == 2 else QuditChain(dim, filts)
+    want = [make_filter_reference(raw) for raw in rows]
+    return (chain.diags.tobytes() == b"".join(w.diag.tobytes() for w in want)
+            and all(bit_identical(f, w) for f, w in zip(filts, want)))
+
+
+def one_pass_mismatches() -> tuple:
+    """Every corpus and qubit or qudit dim whose one-chain rows differ from the reference's."""
+    return tuple(f"{name} {dim}" for name, dim in ONE_CHAIN_CASES
+                 if not one_chain_matches(name, dim))
+
+
+def count_normalized_rows(monkeypatch) -> list:
+    """The row count of every later _normalize call, in order."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return normalize(rows)
+
+    normalize = filters._normalize
+    monkeypatch.setattr(filters, "_normalize", counted)
+    return calls
+
+
 class TestMakeFilterBits:
-    """make_filter checks once and still returns the bits of the two-check code."""
+    """make_filter, rescaled alone, returns the bits of the reference."""
 
     @pytest.mark.parametrize("raw", OUT_OF_RANGE + SIGNED_ZEROS, ids=repr)
     @pytest.mark.parametrize("kind", [list, tuple, np.array, iter])
     def test_edge_inputs(self, raw, kind):
-        assert bit_identical(make_filter(kind(raw)), two_check_make_filter(kind(raw)))
+        assert bit_identical(make_filter(kind(raw)), make_filter_reference(kind(raw)))
 
     @pytest.mark.parametrize("dim", range(2, 17))
-    def test_random_inputs(self, rng, dim):
-        for _ in range(200):
-            raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    def test_random_inputs(self, dim):
+        for raw in corpus("random", dim)[::2]:  # the complex rows
             for entries in (raw, raw.real, raw.tolist(), tuple(raw.real.tolist())):
-                assert bit_identical(make_filter(entries), two_check_make_filter(entries))
+                assert bit_identical(make_filter(entries), make_filter_reference(entries))
             gen = (z for z in raw)
-            assert bit_identical(make_filter(gen), two_check_make_filter(raw))
+            assert bit_identical(make_filter(gen), make_filter_reference(raw))
 
     @pytest.mark.parametrize(
         "raw", [[1.0], [], [0.0, -0.0], [1.0, np.nan], [np.inf, 1.0], [np.nan, np.inf]]
     )
     def test_same_errors(self, raw):
         with pytest.raises(ValueError) as want:
-            two_check_make_filter(raw)
+            make_filter_reference(raw)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             make_filter(raw)
 
-    # Σ|λ|² is added in Python floats in numpy's order, left to right, below 8
-    # terms and by numpy itself from 8 on; sizes 2..16 pin both (as
-    # test_random_inputs does for normal rows)
+    # Σ|λ|² is added left to right below 8 terms and by numpy's pairwise sum from 8
+    # on; sizes 2..16 pin both (as test_random_inputs does for normal rows)
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_log_uniform_moduli(self, dim):
-        rng = np.random.default_rng(dim)
-        mags = 10.0 ** rng.uniform(-160, 160, (60, dim))
-        for raw in mags * np.exp(2j * np.pi * rng.random((60, dim))):
+        for raw in corpus("log-uniform", dim):
             assert_same_result(raw)
-            assert_same_result(raw.real)
 
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_moduli_either_side_of_the_square_overflow(self, dim):
-        # m·m first overflows above √DBL_MAX; a sum can overflow below it
-        rng = np.random.default_rng(100 + dim)
-        edge = math.sqrt(sys.float_info.max)
-        steps = [edge * (1 + k * sys.float_info.epsilon) for k in range(-3, 4)]
-        steps += [edge / math.sqrt(n) for n in range(2, dim + 1)]
-        for _ in range(40):
-            raw = rng.choice(steps, dim) * np.exp(2j * np.pi * rng.random(dim))
-            raw[rng.random(dim) < 0.3] = rng.uniform(0.5, 2.0)
+        for raw in corpus("square-overflow", dim):
             assert_same_result(raw)
-            assert_same_result(np.abs(raw))
 
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_subnormal_sums_of_squares(self, dim):
-        # moduli about 1e-160 give Σ|λ|² below the normal range, or 0
-        rng = np.random.default_rng(200 + dim)
-        for raw in 10.0 ** rng.uniform(-170, -154, (60, dim)) * rng.choice([1, -1, 1j], (60, dim)):
+        for raw in corpus("subnormal", dim):
             assert_same_result(raw)
 
     def test_strided_input_outside_the_normal_range(self):
         # a column of a complex array: make_filter reads it as the same diagonal
         raw = np.array([[1e-200, 0], [1e-200, 0]], dtype=complex)[:, 0]
-        assert bit_identical(make_filter(raw), two_check_make_filter(raw))
+        assert bit_identical(make_filter(raw), make_filter_reference(raw))
 
     def test_direct_filterop_keeps_its_check(self):
         with pytest.raises(ValueError, match="not bond-normalized"):
@@ -226,6 +282,118 @@ class TestMakeFilterBits:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not bond-normalized"):
                 FilterOp(dim, diag)
+
+
+class TestOnePassBits:
+    """A chain rescales its new filters in one _normalize pass, with the bits each
+    gets alone: proven on every TestMakeFilterBits corpus, rows of mixed range side
+    by side."""
+
+    @pytest.mark.parametrize("name, dim", ONE_CHAIN_CASES)
+    def test_corpus_as_one_chain(self, name, dim, monkeypatch):
+        calls = count_normalized_rows(monkeypatch)
+        assert one_chain_matches(name, dim)
+        assert calls == [len(corpus(name, dim))]
+
+    def test_mixed_chain(self, monkeypatch):
+        # one filter read before it joins, one never read, one repeated
+        raws = corpus("log-uniform", 3)[:3]
+        read, never, repeated = (make_filter(raw) for raw in raws)
+        assert bit_identical(read, make_filter_reference(raws[0]))
+        calls = count_normalized_rows(monkeypatch)
+        chain = QuditChain(3, (repeated, read, repeated, never, repeated))
+        assert calls == [2]
+        want = [make_filter_reference(raws[i]).diag for i in (2, 0, 2, 1, 2)]
+        assert chain.diags.tobytes() == b"".join(row.tobytes() for row in want)
+        assert bit_identical(never, make_filter_reference(raws[1]))
+        assert bit_identical(repeated, make_filter_reference(raws[2]))
+
+    def test_filter_shared_by_two_chains_has_one_row(self, monkeypatch):
+        shared, first, second = (make_filter(raw) for raw in ([2, 1j], [1e200, 1], [1, 1]))
+        calls = count_normalized_rows(monkeypatch)
+        a = SwapChain((shared, first), VBS)
+        b = SwapChain((second, shared, shared), PLAIN)
+        assert calls == [2, 1]  # shared is rescaled once, with the first chain
+        assert a.diags[0].tobytes() == b.diags[1].tobytes() == b.diags[2].tobytes()
+        assert bit_identical(shared, make_filter_reference([2, 1j]))
+        assert np.shares_memory(shared.diag, a.diags)
+
+
+class TestDeferredFilter:
+    """make_filter only checks and copies; the filter is rescaled on first need."""
+
+    def test_make_filter_defers_the_rescaling(self):
+        f = make_filter([2, 1j])
+        assert set(vars(f)) == {"dim", "_raw"}
+        assert f.dim == 2
+        f.scale  # the first read of diag or scale rescales
+        assert set(vars(f)) == {"dim", "diag", "scale"}  # the raw row is gone
+        assert bit_identical(f, make_filter_reference([2, 1j]))
+
+    def test_chain_drops_the_raw_rows(self):
+        filts = (make_filter([2, 1]), make_filter([1, 3j]))
+        SwapChain(filts, VBS)
+        assert all(set(vars(f)) == {"dim", "diag", "scale"} for f in filts)
+
+    def test_input_is_copied(self):
+        raw = np.array([2.0, 1.0j])
+        f = make_filter(raw)
+        raw[0] = 7.0
+        assert bit_identical(f, make_filter_reference([2.0, 1.0j]))
+
+    @pytest.mark.parametrize("use", [
+        repr, copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f)),
+        lambda f: dataclasses.replace(f),
+    ], ids=["repr", "copy", "deepcopy", "pickle", "replace"])
+    def test_protocols_before_the_rescaling(self, use):
+        want = make_filter_reference([1e-170, 3j])
+        f = make_filter([1e-170, 3j])
+        out = use(f)
+        if isinstance(out, str):
+            assert out == repr(want)
+        else:
+            assert bit_identical(out, want)
+        assert bit_identical(f, want)
+
+    def test_missing_attributes_still_raise(self):
+        f = make_filter([1, 1])
+        with pytest.raises(AttributeError, match="'FilterOp' object has no attribute 'phase'"):
+            f.phase
+        assert not hasattr(f, "phase") and "diag" not in vars(f)
+
+    def test_repeated_filter_is_one_row(self, monkeypatch):
+        f = make_filter([0.3, 1 - 2j])
+        calls = count_normalized_rows(monkeypatch)
+        chain = SwapChain((f,) * 20001, VBS)
+        assert calls == [1]
+        assert chain.diags.shape == (20001, 2) and not chain.diags.flags.writeable
+        assert (chain.diags == f.diag).all()
+
+    def test_threads_share_new_filters(self):
+        # chains built at once in many threads from the same new filters: each filter
+        # is rescaled once, every chain holds the reference rows, and no thread fails
+        raws = corpus("log-uniform", 2)[:8]
+        want = b"".join(make_filter_reference(raw).diag.tobytes() for raw in raws)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                filts = tuple(make_filter(raw) for raw in raws)
+                results = []
+                threads = [threading.Thread(target=lambda: results.append(
+                    SwapChain(filts, VBS).diags.tobytes())) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [want] * len(threads)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chain_refuses_an_unhashable_bond(self):
+        with pytest.raises(ValueError, match="all chain filters must be FilterOps of dim 2"):
+            SwapChain(([1, 1], make_filter([1, 1])), VBS)
 
 
 def bond_state(f, convention=PLAIN):
@@ -317,7 +485,7 @@ class TestBondValidation:
         f = make_filter([1, 1, 1])
         with pytest.raises(ValueError):
             SwapChain((f,), VBS)
-        with pytest.raises(ValueError, match="qubit"):
+        with pytest.raises(ValueError, match="FilterOps of dim 2"):
             build_vbs_state((f, f))
         with pytest.raises(ValueError, match="FilterOps of dim 2"):
             scan_log_constants(f, 2, VBS)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from reference import peel_pairs_reference, unit_state, vbs_state_reference
+from test_filters import count_normalized_rows
 
 from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
@@ -174,12 +175,20 @@ class TestMeasurement:
             measure_all_outcomes(state)
 
     def test_cross_check_validates_its_state_once(self, rng, monkeypatch):
-        # build_vbs_state checks the filters and normalizes; nothing checks its output again
+        # _chain_state checks the filters and normalizes; nothing checks its output again
         def no_check(state):
             raise AssertionError("cross_check re-checked the chain state")
 
         monkeypatch.setattr(vbs, "_internal_count", no_check)
         assert cross_check(tuple(random_filter(rng) for _ in range(4))).passed
+
+    def test_cross_check_builds_one_chain(self, rng, monkeypatch):
+        # both routes read one chain, which rescales its new filters in one pass
+        calls = count_normalized_rows(monkeypatch)
+        built = []
+        monkeypatch.setattr(vbs, "SwapChain", lambda *a: built.append(SwapChain(*a)) or built[-1])
+        assert cross_check([random_filter(rng) for _ in range(4)]).passed
+        assert calls == [4] and len(built) == 1
 
     def test_outcome_validation(self, rng):
         psi = build_vbs_state(tuple(random_filter(rng) for _ in range(3)))
