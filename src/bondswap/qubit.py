@@ -18,7 +18,7 @@ import math
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -307,27 +307,38 @@ def _traces(squares: np.ndarray, n_classes: int) -> np.ndarray:
     return v.sum(axis=1)
 
 
+# tables of at most _SHAPE_ROWS rows share their shape: 32 shapes, at most 43 kB each (vbs N = 9)
+_SHAPE_ROWS = 1 << 15
+
+
+@lru_cache(maxsize=32)
+def _shape(mode: _Mode, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only class index of an N-node table's rows and row count of each class string."""
+    index = np.zeros(1, dtype=np.min_scalar_type(len(mode.class_sizes) ** n - 1))
+    classes, counts = np.array(mode.classes, index.dtype), np.ones(1, np.int64)
+    for _ in range(n):  # node k: C^k class strings so far, each with a count
+        index = (classes[:, None] * len(counts) + index).ravel()
+        counts = np.multiply.outer(mode.class_sizes, counts).ravel()
+    index.flags.writeable = counts.flags.writeable = False
+    return index, counts
+
+
 def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
     """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
 
     The chain's |λ|² are squared once, and Tr(M M†) is reduced once per class string
     by _traces, exactly; the report keeps both for _concurrences.  A row's class
-    index Σ_k class(d_k)·C^k takes the smallest unsigned dtype.  weight = Tr/D,
+    index Σ_k class(d_k)·C^k takes the smallest unsigned dtype (_shape).  weight = Tr/D,
     P_sum = Σ over rows of the weights and prob = weight / P_sum are each the exact
     value rounded once (Python's int division).
     """
-    n_classes, dim = len(mode.class_sizes), mode.dim
     squares, low = _squares(chain.diags)
-    traces, shift = _traces(squares, n_classes), -2 * int(low.sum())
-    index = np.zeros(1, dtype=np.min_scalar_type(len(traces) - 1))
-    classes = np.array(mode.classes, index.dtype)
-    counts = [1]  # rows per class string: the product of its class sizes
-    for k in range(chain.n_nodes):
-        index = (classes[:, None] * n_classes ** k + index).ravel()
-        counts = [size * c for size in mode.class_sizes for c in counts]
-    total = sum(t * c for t, c in zip(traces.tolist(), counts))
-    weights = (traces / (dim << shift)).astype(float)
-    return TradeoffReport(total / (dim << shift), index, weights,
+    traces, shift = _traces(squares, len(mode.class_sizes)), -2 * int(low.sum())
+    shape = _shape if len(mode.digits) ** chain.n_nodes <= _SHAPE_ROWS else _shape.__wrapped__
+    index, counts = shape(mode, chain.n_nodes)
+    total = sum(t * c for t, c in zip(traces.tolist(), counts.tolist()))
+    weights = (traces / (mode.dim << shift)).astype(float)
+    return TradeoffReport(total / (mode.dim << shift), index, weights,
                           (traces / total).astype(float), traces, squares, chain, mode)
 
 

@@ -16,7 +16,7 @@ joint outcomes come out of one contraction pass over the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,8 +69,8 @@ def _chain_state(filters) -> tuple[SwapChain, StateVector]:
     bonds = np.zeros((len(filts), 4), dtype=complex)
     bonds[:, 1:3] = chain.diags / _ROOT2
     np.negative(bonds[:, 2], out=bonds[:, 2])
-    psi = np.ones(1, dtype=complex)
-    for bond in bonds:
+    psi = bonds[0]
+    for bond in bonds[1:]:
         psi = np.multiply.outer(psi, bond).ravel()  # np.kron's products, without its overhead
     # the block's imaginary parts are 0: it scales real and imaginary parts alike
     (p11, p12), (p21, p22) = _SYM_BLOCK.real.tolist()
@@ -78,11 +78,23 @@ def _chain_state(filters) -> tuple[SwapChain, StateVector]:
         pair = psi.view(float).reshape(2 ** (2 * k - 1), 4, -1)
         x1, x2 = pair[:, 1], pair[:, 2]
         pair[:, 1], pair[:, 2] = p11 * x1 + p12 * x2, p21 * x1 + p22 * x2
-    norm = np.linalg.norm(psi)
+    norm = _norm(psi)
     if norm == 0.0:
         raise ValueError("chain state vanished (incompatible singular filters)")
     psi /= norm  # finite: no |entry| exceeds the norm by more than rounding
     return chain, StateVector._adopt((2,) * (2 * n_internal + 2), psi)
+
+
+def _norm(psi: np.ndarray) -> float:
+    """np.linalg.norm(psi) by its own two dots of the real views, without its checks."""
+    return np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
+
+
+@lru_cache(maxsize=MAX_ORACLE_NODES)  # per N = 1..8, each at most 3^8·8 B = 51 kB
+def _oracle_digits(n: int) -> np.ndarray:  # enumerate_outcomes' row digits, read-only
+    digits = digit_table(3, n, 1)
+    digits.flags.writeable = False
+    return digits
 
 
 def _internal_count(state: StateVector) -> int:
@@ -210,5 +222,5 @@ def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
     dev = np.abs(weights - prob)
     worst_dev, worst_fid, tol = float(dev.max()), float(fid.min()), float(tolerance)
     # the digits of enumerate_outcomes' rows, without the lock of report.digits' first read
-    return CrossCheckReport(digit_table(3, chain.n_nodes, 1), weights, prob, dev, fid, worst_dev,
+    return CrossCheckReport(_oracle_digits(chain.n_nodes), weights, prob, dev, fid, worst_dev,
                             worst_fid, tol, passed=worst_dev <= tol and worst_fid >= 1.0 - tol)

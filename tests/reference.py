@@ -43,6 +43,15 @@ def index_strings_reference(digits: np.ndarray, head: str, tail: str) -> list[st
     return codes.view(f"U{codes.shape[1]}").ravel().tolist()
 
 
+def verify_suite_reference(seed: int) -> list[list]:
+    """CLI ``verify``'s default suite as first written: one ``random_filter`` call per
+    bond from one generator, two chains each of 1, 2 and 3 internal nodes."""
+    from bondswap.filters import random_filter
+
+    rng = np.random.default_rng(seed)
+    return [[random_filter(rng, 2) for _ in range(n + 1)] for n in (1, 1, 2, 2, 3, 3)]
+
+
 def unit_state(state):
     """``state`` divided by its norm; the zero state has none and is refused."""
     n = state.norm()

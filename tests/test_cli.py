@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import bond_concurrence, index_strings_reference
+from reference import bond_concurrence, index_strings_reference, verify_suite_reference
 
 from bondswap import __version__, cli, qubit, vbs
 from bondswap.cli import main
@@ -667,6 +667,16 @@ class TestVerifyCommand:
         assert comparisons is reports[-1].comparisons
         assert type(comparisons) is list and len(comparisons) == 3 ** 3
         assert all(type(c) is OutcomeComparison for c in comparisons)
+
+    @pytest.mark.parametrize("seed", [*range(100), 7, 42])
+    def test_default_suite_equals_one_draw_per_filter(self, seed):
+        # one draw of 18 filters reads the generator's stream as 18 random_filter
+        # calls do: every diagonal and scale to the bit
+        got, want = cli._default_verify_suite(seed), verify_suite_reference(seed)
+        assert [len(c) for c in got] == [len(c) for c in want] == [2, 2, 3, 3, 4, 4]
+        for f, g in zip(sum(got, []), sum(want, [])):
+            assert f.diag.tobytes() == g.diag.tobytes()
+            assert f.scale.hex() == g.scale.hex()
 
     def test_corrupted_projector_order_fails(self, capsys, monkeypatch):
         # the oracle measures in a permuted Bell basis: a negative control

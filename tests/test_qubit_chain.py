@@ -15,6 +15,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1173,6 +1174,60 @@ REPORT_CORPUS_DIGEST = "3d9a8a6c7ed48ceee16de49bccfaa9f80a8b9afe8ec501c0ba0a3e54
 class TestReportBits:
     def test_report_columns_keep_their_bits(self):
         assert tradeoff_digest(map(table_of, report_corpus())) == REPORT_CORPUS_DIGEST
+
+
+class TestShapeCache:
+    """_table's class index and row counts, made once per (mode, N) of at most
+    _SHAPE_ROWS rows and shared read-only by every table of that shape."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: SwapChain(tuple(random_filter(rng) for _ in range(4)), VBS),
+        lambda rng: SwapChain(tuple(random_filter(rng) for _ in range(4)), PLAIN),
+        lambda rng: QuditChain(3, tuple(random_filter(rng, 3) for _ in range(3))),
+    ], ids=["vbs", "plain", "qudit3"])
+    def test_reports_of_one_shape_share_a_read_only_index(self, rng, make):
+        first, second = table_of(make(rng)), table_of(make(rng))
+        assert second.class_index is first.class_index
+        with pytest.raises(ValueError, match="read-only"):
+            first.class_index[0] = 1
+
+    def test_a_table_built_after_eviction_equals_a_fresh_one(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        chain = SwapChain(tuple(random_filter(rng) for _ in range(5)), VBS)
+        qubit._shape.cache_clear()
+        before = enumerate_outcomes(chain)
+        # as many other shapes as the cache holds evict it: qudit D = 2..33, one node
+        for dim in range(2, 2 + qubit._shape.cache_info().maxsize):
+            enumerate_qudit_outcomes(QuditChain(dim, (make_filter(range(1, dim + 1)),) * 2))
+        after = enumerate_outcomes(chain)
+        assert after.class_index is not before.class_index
+        monkeypatch.setattr(qubit, "_SHAPE_ROWS", 0)  # every shape made afresh, not kept
+        fresh = enumerate_outcomes(chain)
+        assert fresh.class_index is not after.class_index
+        assert tradeoff_digest([before]) == tradeoff_digest([after]) == tradeoff_digest([fresh])
+
+    def test_the_bound_holds(self, rng):
+        # every shape of at most _SHAPE_ROWS rows in bytes: vbs N = 9 is the largest.
+        # A Weyl mode's classes as _weyl_mode holds them, without its D² labels
+        modes = [_MODES[VBS], _MODES[PLAIN]] + [
+            SimpleNamespace(digits=range(d * d), class_sizes=(d,) * d,
+                            classes=tuple(i // d for i in range(d * d))) for d in range(2, 182)]
+        sizes = {}
+        for m, mode in enumerate(modes):
+            n = 0
+            while len(mode.digits) ** n <= qubit._SHAPE_ROWS:
+                index, counts = qubit._shape.__wrapped__(mode, n)
+                sizes[m, n] = index.nbytes + counts.nbytes
+                n += 1
+        assert max(sizes.values()) == sizes[0, 9] == 2 * 3 ** 9 + 8 * 2 ** 9 == 43462
+        assert qubit._shape.cache_info().maxsize == 32
+        # a larger table's shape is made on every call, read-only, and not kept
+        chain = SwapChain(tuple(random_filter(rng) for _ in range(11)), VBS)  # 3^10 rows
+        info = qubit._shape.cache_info()
+        first, second = enumerate_outcomes(chain), enumerate_outcomes(chain)
+        assert qubit._shape.cache_info() == info
+        assert first.class_index is not second.class_index
+        assert not first.class_index.flags.writeable
 
 
 class TestDigitTable:

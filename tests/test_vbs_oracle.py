@@ -19,7 +19,7 @@ from test_filters import count_normalized_rows
 
 from bondswap.filters import VBS, make_filter, random_filter
 from bondswap.linalg import StateVector, fidelity_up_to_phase, state_from_operator
-from bondswap.qubit import SwapChain, bell_state, chain_operator, enumerate_outcomes
+from bondswap.qubit import SwapChain, bell_state, chain_operator, digit_table, enumerate_outcomes
 from bondswap import qubit, vbs
 from bondswap.vbs import (
     MAX_ORACLE_NODES,
@@ -428,3 +428,29 @@ class TestOracleBits:
     def test_report_columns_keep_their_bits(self):
         assert report_digest(map(cross_check, oracle_corpus())) == ORACLE_CORPUS_DIGEST
 
+    def test_chain_state_norm_equals_numpys(self, monkeypatch):
+        # _chain_state's norm, the two real dots of np.linalg.norm, to the bit
+        norm, pairs = vbs._norm, []
+
+        def spy(psi):
+            pairs.append((norm(psi), np.linalg.norm(psi)))
+            return pairs[-1][0]
+        monkeypatch.setattr(vbs, "_norm", spy)
+        corpus = oracle_corpus()
+        for filters in corpus:
+            build_vbs_state(filters)
+        assert len(pairs) == len(corpus)
+        assert all(float(got).hex() == float(want).hex() for got, want in pairs)
+
+
+class TestOracleDigits:
+    def test_reports_of_one_size_share_read_only_digits(self, rng):
+        for n in range(1, MAX_ORACLE_NODES + 1):
+            first, second = (cross_check([random_filter(rng) for _ in range(n + 1)])
+                             for _ in range(2))
+            assert second.digits is first.digits
+            assert np.array_equal(first.digits, digit_table(3, n, 1))
+            with pytest.raises(ValueError, match="read-only"):
+                first.digits[0, 0] = 2
+        # one table per oracle size, at most 3^8 rows of 8 digits
+        assert vbs._oracle_digits.cache_info().maxsize == MAX_ORACLE_NODES
