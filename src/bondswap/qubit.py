@@ -369,15 +369,13 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     return _table(chain, _MODES[chain.mode])
 
 
-def _transfer(mode: _Mode, squares: np.ndarray,
-              logs: list | None = None) -> tuple[float, float, float]:
+def _transfer(mode: _Mode, squares: np.ndarray) -> tuple[float, float, float]:
     """(p, r, log_shift) of the transfer map in the diagonal sector after the last bond.
 
     Diagonal filters keep ρ diagonal under ρ → Σ_i T σ_i ρ σ_i† T†, so only
     the two diagonal entries (p, r) evolve, from bond 0's (|λ_0|², |λ_1|²), the rows
     of the (N+1, 2) ``squares``.  The true entries are (p, r)·exp(log_shift); the
-    shift stays 0 until they threaten to leave the float range.  ``logs``, if given,
-    gets log P_sum appended after every later bond.
+    shift stays 0 until they threaten to leave the float range.
     """
     k, s = map(float, mode.class_sizes)
     p, r = squares[0].tolist()
@@ -389,8 +387,6 @@ def _transfer(mode: _Mode, squares: np.ndarray,
             p /= tot
             r /= tot
             shift += math.log(tot)
-        if logs is not None:
-            logs.append(shift + math.log(0.5 * (p + r)))
     return p, r, shift
 
 
@@ -440,20 +436,57 @@ def tradeoff_constant(chain: SwapChain) -> float:
     return math.exp(log_val)
 
 
-def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarray:
-    """log tradeoff_constant of identical-filter chains for N = 1..n_max.
+def _two_sum(x, y):
+    """(x + y rounded, its rounding error), both exact: Knuth's branch-free TwoSum."""
+    total = x + y
+    back = total - x
+    return total, (x - (total - back)) + (y - back)
 
-    One incremental transfer pass, so the whole scan costs O(n_max).
+
+def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarray:
+    """log tradeoff_constant of identical-filter chains for N = 1..n_max, in closed form.
+
+    With the bond's (a, b) = |λ|², P_sum(N) = ½·1ᵀA^N v₀ for A = diag(a, b)·[[k, s], [s, k]]
+    and v₀ = (a, b).  A's eigenvalues ρ₊ > |ρ₋| give r = ρ₋/ρ₊, w± = 1ᵀ(A − ρ∓)v₀ and
+    q = −w₋/w₊: log K(N) = N·S + C₀ − log1p(q·r^N), S = log c − log ρ₊ and
+    C₀ = log c − log(w₊ / (2(ρ₊ − ρ₋))), taken to 40 digits once with q·r and r.  Every N
+    then costs a few float + − ×: N·S exact from S's leading 53 − bit_length(n_max) bits,
+    TwoSum for the terms, log1p's series while |q·r^N| > 2⁻⁶⁶.  So each entry is the
+    value for the float (a, b) and c within about half an ulp.
     """
+    from decimal import Decimal, localcontext
+
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     one = SwapChain((filt,), mode)  # checks the filter's dim and the mode
     c = _transfer_concurrences(one)[0]
     if c == 0.0:
         return np.full(n_max, -math.inf)
-    log_p_sums = []
-    _transfer(_MODES[mode], np.broadcast_to(np.abs(one.diags) ** 2, (n_max + 1, 2)), log_p_sums)
-    return np.arange(2, n_max + 2) * math.log(c) - np.array(log_p_sums)
+    k, s = _MODES[mode].class_sizes
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b = map(Decimal, (np.abs(one.diags[0]) ** 2).tolist())
+        rho = (k * (a + b) + (k * k * (a - b) ** 2 + 4 * s * s * a * b).sqrt()) / 2
+        r = a * b * (k * k - s * s) / rho / rho  # ρ₋/ρ₊ from the roots' product: no cancellation
+        av, tr = k * (a * a + b * b) + 2 * s * a * b, a + b  # 1ᵀA v₀ and 1ᵀv₀
+        w_p, qw = av - r * rho * tr, (rho * tr - av) * r  # w₊, and −w₋·r for q·r
+        slope, c0 = (Decimal(c) / rho).ln(), (2 * Decimal(c) * rho * (1 - r) / w_p).ln()
+        big = float(slope) * (2.0 ** n_max.bit_length() + 1)  # Veltkamp's split
+        s_hi, c_hi = big - (big - float(slope)), float(c0)
+        s_lo, c_lo, qr, r = map(float, (slope - Decimal(s_hi), c0 - Decimal(c_hi), qw / w_p, r))
+    ns = np.arange(1, n_max + 1, dtype=float)
+    total, low = _two_sum(ns * s_hi, c_hi)
+    low += ns * s_lo + c_lo
+    # q·r^N by one multiply per N: |r| <= 1/3 in vbs and r = 0 in plain, so |q·r| < 0.006,
+    # every later term is below 2^-66 by N = 38, and the series' remainder x^11/11 < 2^-84
+    x = np.cumprod([qr] + [r] * (min(n_max, 64) - 1))
+    x = x[np.abs(x) > 2.0 ** -66]
+    h = np.zeros_like(x)
+    for j in range(10, 1, -1):
+        h = 1.0 / j - x * h
+    total[: len(x)], err = _two_sum(total[: len(x)], -x)
+    low[: len(x)] += err + x * x * h
+    return total + low
 
 
 def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import math
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -281,3 +281,33 @@ def ulp_errors(got: np.ndarray, exact: list, index: np.ndarray) -> np.ndarray:
             (a, b), (c, d) = f.as_integer_ratio(), u.as_integer_ratio()
             offset[k] = (a * q - p * b) * d / (b * q * c)  # (f − p/q)/u, rounded once
     return np.abs((np.asarray(got) - near[index]) / ulp[index] + offset[index])
+
+
+def decimal_scan(squares, c: float, sizes, ns, prec: int = 60) -> list[Decimal]:
+    """(N+1)·ln c − ln P_N for each N of the increasing ``ns``, as ``prec``-digit Decimals:
+    P_N = ½·(p + r) once the identical-bond recursion (p, r) ← (a·(k·p + s·r), b·(s·p + k·r))
+    has run N times from (a, b) = ``squares``, the floats the scan reads, with (k, s) = ``sizes``.
+
+    (p, r) is renormalized after each step by an exact power of ten, whose exponents add
+    up.  A gap between two requested N is crossed by squaring the step's 2×2 matrix, in
+    Decimal's widest exponent range, so an N far out costs about log2 of its gap in
+    matrix products."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = prec, MAX_EMAX, MIN_EMIN
+        (a, b), (k, s) = map(Decimal, squares), sizes
+        v, shift, done, out = (a, b), 0, 0, []
+        log_c, ln10 = Decimal(c).ln(), Decimal(10).ln()
+        for n in ns:
+            gap, step = n - done, ((a * k, a * s), (b * s, b * k))
+            while gap:  # v ← step^gap·v, one bit of the gap at a time
+                if gap & 1:
+                    v = (step[0][0] * v[0] + step[0][1] * v[1],
+                         step[1][0] * v[0] + step[1][1] * v[1])
+                    e = max(x.adjusted() for x in v)
+                    v, shift = (v[0].scaleb(-e), v[1].scaleb(-e)), shift + e
+                (p, q), (u, w) = step
+                step = ((p * p + q * u, p * q + q * w), (u * p + w * u, u * q + w * w))
+                gap >>= 1
+            done = n
+            out.append((n + 1) * log_c - ((v[0] + v[1]) / 2).ln() - shift * ln10)
+    return out

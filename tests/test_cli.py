@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,8 +69,10 @@ def scan_reference(cfg):
         for n, lv in zip(ns, logs)
     ]
     slope = None
-    if np.isfinite(logs).all() and len(logs) >= 2:
-        slope = float(np.polyfit(ns, logs, 1)[0])
+    if np.isfinite(logs).all() and len(logs) >= 2:  # one Python float at a time
+        (mid, ys), y_mid = (0.5 * (lo + hi), logs.tolist()), logs[len(logs) // 2]
+        slope = (math.fsum((n - mid) * (y - y_mid) for n, y in zip(range(lo, hi + 1), ys))
+                 / math.fsum((n - mid) ** 2 for n in range(lo, hi + 1)))
     payload = {"dim": 2, "mode": cfg["mode"], "n_min": lo, "n_max": hi,
                "fitted_slope": slope, "rows": rows}
     return filters, payload
@@ -517,6 +520,8 @@ PINNED_CHAINS = {
     "identical": ("--identical=2,1", "--bonds=7"),
     "suite": ("--seed=7",),
     "identical9": ("--identical=2,1", "--bonds=9"),
+    "range8": ("--identical=2,1", "--n-range=1:8"),
+    "plain5000": ("--mode=plain", "--identical=0.6+0.8j,-0.3", "--n-range=3:5000"),
 }
 # sha256 of whole documents; the swap and sample ones and the default verify suite
 # were recorded from the exact integer kernel once TestExactReference held it to
@@ -524,7 +529,8 @@ PINNED_CHAINS = {
 # route, which the kernel matches there); the reference
 # renderer above reads the same tables, so these pins guard the table bits; the
 # verify documents, from the per-bond np.einsum oracle build and its np.tensordot
-# peel, guard the oracle's
+# peel, guard the oracle's; the scan documents, from the closed-form scan and the
+# fsum slope, guard both
 PINNED_DOCUMENTS = {
     ("swap", "vbs", "json"): "28bca451e1e028aa0e2c664ecaa5d71db145130e713125fb8948082bcf068091",
     ("swap", "vbs", "csv"): "3a94934f997c2ac0740e8aa144a08e53ce346af26665fd7fb2840f6f64fb1799",
@@ -543,6 +549,9 @@ PINNED_DOCUMENTS = {
         "adebc23a5ba72c3a6bbc578d1734b49718782f51f89d9a3c12039beffb15f430",
     ("verify", "identical9", "csv"):
         "2c5d8a761923c7445b4a1095e56b917dd8ae4e86c05b55bd898472f0150715d7",
+    ("scan", "range8", "json"): "979f6d0ce65e373a9c7ef9a0c402f42028b5e93245775c77188b03cd579a99be",
+    ("scan", "plain5000", "csv"):
+        "580aae4159e36f9bc16f7a8fbae68d176761641e66441730899b7f9dab0dac2a",
 }
 
 
@@ -576,6 +585,23 @@ class TestScanCommand:
         )
         want = math.log(0.8) - math.log(4.0)
         assert doc["fitted_slope"] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("--identical", "2,1", "--n-range", "1:8"),
+        ("--mode", "plain", "--identical", "0.6+0.8j,-0.3", "--n-range", "3:5000"),
+        ("--identical", "1e-150,1", "--n-range", "100:20000"),
+        ("--identical", "0.3,1", "--n-range", "599991:600000"),
+    ], ids=" ".join)
+    def test_fitted_slope_is_the_least_squares_slope(self, capsys, argv):
+        doc = run_json(capsys, "scan", *argv)
+        ns = [row["n"] for row in doc["rows"]]
+        logs = [row["log_constant"] for row in doc["rows"]]
+        mid = Fraction(ns[0] + ns[-1], 2)
+        exact = (sum((n - mid) * Fraction(y) for n, y in zip(ns, logs))
+                 / sum((n - mid) ** 2 for n in ns))
+        # the products' roundings: at most 0.76 ulp measured on these ranges
+        assert abs(doc["fitted_slope"] - float(exact)) <= 2 * math.ulp(float(exact))
+        assert doc["fitted_slope"] == pytest.approx(np.polyfit(ns, logs, 1)[0], rel=1e-9)
 
     def test_n_range_bounds_respected(self, capsys):
         doc = run_json(capsys, "scan", "--identical", "2,1", "--n-range", "2:5")

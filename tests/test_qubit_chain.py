@@ -26,6 +26,7 @@ from conftest import kron, random_unitary
 from reference import (
     ROUNDED_ONCE,
     decimal_concurrences,
+    decimal_scan,
     digit_table_reference,
     draw_reference,
     exact_columns,
@@ -95,7 +96,8 @@ def worked_chain(mode=VBS):
 
 # Long-chain outputs recorded from the code before the transfer map, the scan
 # and the sampler shared one recursion; every later version must reproduce
-# them bit for bit (draws, float.hex of transfer sums and scan entries).
+# them bit for bit (draws, float.hex of transfer sums and scan entries; the
+# scan entries were recorded again from its closed form).
 PINNED_DIAGS = {
     "one-zero": [[1, 0]],
     "zero-one": [[0, 1]],
@@ -241,7 +243,8 @@ PINNED_TRANSFER = {
         '0x0.0p+0',
     ),
 }
-# scan_log_constants(first filter, 3000, mode) at N = 1, 2, 10, 300, 3000
+# scan_log_constants(first filter, 3000, mode) at N = 1, 2, 10, 300, 3000, recorded
+# from the closed form, each within half an ulp of reference.decimal_scan
 PINNED_SCANS = {
     (VBS, 'one-zero'): (
         '-inf',
@@ -258,25 +261,25 @@ PINNED_SCANS = {
         '-inf',
     ),
     (VBS, 'tiny'): (
-        '-0x1.590a8b738c126p+9',
-        '-0x1.02de16d9a8080p+10',
-        '-0x1.dad24fec5bff5p+11',
+        '-0x1.590a8b738c127p+9',
+        '-0x1.02de16d9a8081p+10',
+        '-0x1.dad24fec5bff6p+11',
         '-0x1.96190617daeabp+16',
-        '-0x1.fa1b7f911d232p+19',
+        '-0x1.fa1b7f911d233p+19',
     ),
     (VBS, 'near-ideal'): (
         '-0x1.193fbc7608130p+0',
         '-0x1.193f6bbab702dp+1',
         '-0x1.5f8eea097750ep+3',
         '-0x1.4995e6d5236b5p+8',
-        '-0x1.9bfb5fbe12560p+11',
+        '-0x1.9bfb5fbe12561p+11',
     ),
     (VBS, 'complex'): (
         '-0x1.f3f99e2e71d58p+0',
         '-0x1.b23e8dee25f69p+1',
         '-0x1.db8a23af544b8p+3',
-        '-0x1.ae9c0800e2791p+8',
-        '-0x1.0cd5ffe348cd0p+12',
+        '-0x1.ae9c0800e2790p+8',
+        '-0x1.0cd5ffe348cd1p+12',
     ),
     (PLAIN, 'one-zero'): (
         '-inf',
@@ -295,7 +298,7 @@ PINNED_SCANS = {
     (PLAIN, 'tiny'): (
         '-0x1.5963447f87fb5p+9',
         '-0x1.0336cfe5a3f0fp+10',
-        '-0x1.dbb01e8a51c59p+11',
+        '-0x1.dbb01e8a51c5ap+11',
         '-0x1.96e8f7cbf1549p+16',
         '-0x1.fb1f6db239278p+19',
     ),
@@ -310,8 +313,8 @@ PINNED_SCANS = {
         '-0x1.3f215b3491984p+1',
         '-0x1.1bb58a6561a61p+2',
         '-0x1.3f371c2f8a1d6p+4',
-        '-0x1.233d3d1da09eap+9',
-        '-0x1.6bbcd9cf369a8p+12',
+        '-0x1.233d3d1da09ebp+9',
+        '-0x1.6bbcd9cf369a7p+12',
     ),
 }
 PINNED_KEYS = list(PINNED_SAMPLES)
@@ -658,9 +661,14 @@ class TestTradeoffConstant:
         assert np.all(np.diff(scan) < 0)
 
 
-class TestOneRecursion:
-    """The scan and the single-chain transfer run one recursion: entry N of a scan
-    is (N+1)·log c − log_p_sum_transfer of the N+1-bond chain, bit for bit."""
+# Each scan entry is its exact value rounded once, but for about 2^-60 of slack: the
+# transient's float q·r^N and the series of its log1p
+SCAN_ULPS = 0.51
+
+
+class TestScanAgainstTransfer:
+    """The closed-form scan and the single-chain transfer loop are two routes to
+    (N+1)·log c − log P_sum: each is held to the Decimal recursion, and to the other."""
 
     # every pinned filter first renormalizes between N = 64 and N = 1000, in both modes
     NODES = sorted(set(range(1, 65)) | set(range(50, 1001, 50)))
@@ -668,15 +676,24 @@ class TestOneRecursion:
     @pytest.mark.parametrize("mode", [VBS, PLAIN])
     @pytest.mark.parametrize("diag", [d for diags in PINNED_DIAGS.values() for d in diags],
                              ids=str)
-    def test_scan_entries_are_single_chain_values(self, mode, diag):
+    def test_routes_within_their_bounds(self, mode, diag):
         f = make_filter(diag)
-        scan = scan_log_constants(f, 1000, mode)
+        scan = scan_log_constants(f, 1000, mode)[np.array(self.NODES) - 1]
         c = qubit._transfer_concurrences(SwapChain((f,), mode))[0]
-        for n in self.NODES:
-            chain = SwapChain((f,) * (n + 1), mode)
-            want = -math.inf if c == 0.0 else (n + 1) * math.log(c) - log_p_sum_transfer(chain)
-            assert float.hex(float(scan[n - 1])) == float.hex(want), n
-        shifts = [qubit._transfer_diag(SwapChain((f,) * (n + 1), mode))[2] for n in (64, 1000)]
+        chains = [SwapChain((f,) * (n + 1), mode) for n in self.NODES]
+        if c == 0.0:
+            assert scan.tolist() == [-math.inf] * len(self.NODES)
+        else:
+            loop = np.array([(n + 1) * math.log(c) - log_p_sum_transfer(chain)
+                             for n, chain in zip(self.NODES, chains)])
+            want = decimal_scan((np.abs(f.diag) ** 2).tolist(), c, _MODES[mode].class_sizes,
+                                self.NODES)
+            index = np.arange(len(want))
+            assert ulp_errors(scan, want, index).max() <= SCAN_ULPS
+            # the loop rounds at every step: up to 2.37 ulp measured
+            assert ulp_errors(loop, want, index).max() <= 2.5
+            assert np.all(np.abs(scan - loop) <= 3 * np.spacing(np.abs(loop)))
+        shifts = [qubit._transfer_diag(chains[self.NODES.index(n)])[2] for n in (64, 1000)]
         assert shifts[0] == 0.0 != shifts[1]
 
 
@@ -1042,6 +1059,53 @@ def assert_within_ulp_bounds(report):
     assert report.p_sum == sum(weights[i][0] for i in index.tolist()) / weights[0][1]
     if report.constant >= sys.float_info.min:
         assert report.max_residual <= 1e-12 * report.constant
+
+
+def assert_scan_within_bound(f, mode, ns, n_max=None):
+    """scan_log_constants(f, n_max, mode) is finite everywhere, or −inf everywhere for
+    a singular bond, and within SCAN_ULPS of reference.decimal_scan at each N of ns."""
+    scan = scan_log_constants(f, n_max or ns[-1], mode)
+    c = qubit._transfer_concurrences(SwapChain((f,), mode))[0]
+    if c == 0.0:
+        assert np.all(scan == -math.inf)
+        return scan
+    assert np.all(np.isfinite(scan))
+    want = decimal_scan((np.abs(f.diag) ** 2).tolist(), c, _MODES[mode].class_sizes, ns)
+    assert ulp_errors(scan[np.array(ns) - 1], want, np.arange(len(ns))).max() <= SCAN_ULPS
+    return scan
+
+
+class TestScanClosedForm:
+    """Every scan entry is (N+1)·log c − log P_sum of the float squares rounded
+    about once, by the Decimal recursion; and its slope tends to log c − log ρ₊."""
+
+    # dense through the transient, then sparse up to the pinned length
+    NODES = sorted(set(range(1, 81)) | set(range(81, 3001, 37)) | {2999, 3000})
+
+    @given(chain=qubit_chains(0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_random_bond_within_half_an_ulp(self, chain):
+        f = chain.filters[0]
+        scan = assert_scan_within_bound(f, chain.mode, self.NODES)
+        c = qubit._transfer_concurrences(chain)[0]
+        a, b = np.abs(f.diag) ** 2
+        k, s = _MODES[chain.mode].class_sizes
+        rho = max(np.linalg.eigvals([[a * k, a * s], [b * s, b * k]]).real)
+        assert scan[1999] - scan[1998] == pytest.approx(math.log(c) - math.log(rho), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    @pytest.mark.parametrize("diag", [d for diags in PINNED_DIAGS.values() for d in diags],
+                             ids=str)
+    def test_pinned_bond_within_half_an_ulp(self, mode, diag):
+        assert_scan_within_bound(make_filter(diag), mode, self.NODES)
+
+    @pytest.mark.parametrize("mode", [VBS, PLAIN])
+    @pytest.mark.parametrize("diag", [[2, 1], [1e-150, 1], [1, 0.99 + 0.1j], [1, 1e-200]],
+                             ids=str)
+    def test_the_budget_top_within_half_an_ulp(self, mode, diag):
+        # N·S is exact only from S's leading 53 − 20 bits at n_max = 600 000
+        ns = [1, 2, 3, 1000, 2 ** 17, 2 ** 19 - 1, *range(599_991, 600_001)]
+        assert_scan_within_bound(make_filter(diag), mode, ns, 600_000)
 
 
 class TestClassKernel:
