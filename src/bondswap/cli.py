@@ -126,7 +126,7 @@ def _file_name(key: str, value) -> str:
 
 
 # Scan rows (one per N up to HI) and sample draws admitted, with upper fits to the peak
-# bytes each adds: 161 B/row in scan (HI = 6e5 over 1e3), 74-75 B/draw in sample (N = 1, 13).
+# bytes each adds: 99 B/row in scan (HI = 6e5 over 1e3), 74-75 B/draw in sample (N = 1, 13).
 _SCAN_BUDGET = 600_000
 _SCAN_ROW_BYTES = 250
 _DRAW_BUDGET = 10_000_000
@@ -319,13 +319,12 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
                            _SCAN_BUDGET)
     logs = scan_log_constants(filters[0], hi, cfg["mode"])[lo - 1 :]
     ns = np.arange(lo, hi + 1)
-    finite = np.isfinite(logs)
-    # math.exp per row, as np.exp may round differently; a non-finite log
-    # gives 0.0 and prints as null, or as an empty CSV cell
-    constant = [math.exp(lv) for lv in np.where(finite, logs, -math.inf).tolist()]
-    log_constant = logs.astype(object)
-    log_constant[~finite] = None
-    rows = {"n": ns, "constant": np.array(constant), "log_constant": log_constant}
+    finite = np.isfinite(logs)  # a non-finite log: constant 0.0, log_constant null (CSV: empty)
+    # math.exp per row, as np.exp may round differently; constants factored by their bits
+    exps = map(math.exp, (logs if finite.all() else np.where(finite, logs, -math.inf)).tolist())
+    bits, index = np.unique(np.array(list(exps)).view(np.int64), return_inverse=True)
+    rows = {"n": ns, "constant": (bits.view(np.float64), index),
+            "log_constant": logs if finite.all() else np.where(finite, logs, None)}
     slope = None
     if finite.all() and len(logs) >= 2:  # least squares about the centre: Σ (n − n̄) = 0, so
         # the logs may drop their middle entry, and a far-out range's products do not cancel
@@ -467,14 +466,10 @@ def _segments(rows: dict, names, opens, encode, quote: str):
     values[index[b]]; its tokens, each after its text, are joined once per value,
     and once over columns with one index.  An _Index column's pieces carry its
     text and quotes, and only another column without an index keeps its text
-    apart.  A float column without an index (scan's, whose underflowed constants
-    repeat) is first factored by its bits (-0.0 apart from 0.0)."""
+    apart."""
     parts = []  # [text, index, tokens per value, or the column or its _Index]
     for name, text in zip(names, opens):
         values, index = rows[name] if isinstance(rows[name], tuple) else (rows[name], None)
-        if isinstance(values, np.ndarray) and values.dtype.kind == "f" and index is None:
-            bits, index = np.unique(values.view(np.int64), return_inverse=True)
-            values = bits.view(np.float64)
         if index is None:
             parts.append([text, None, values])
         elif parts and parts[-1][1] is index:

@@ -12,12 +12,27 @@ import cmath
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PLAIN = "plain"
 VBS = "vbs"
+
+
+class _Deferred:
+    """FilterOp's diag and scale: only a filter from make_filter not yet rescaled lacks them."""
+
+    def __init__(self, name, default=None):
+        self.name, self.default = name, default
+
+    def __get__(self, obj, owner=None):
+        if obj is not None:
+            _rows((obj,))
+            return obj.__dict__[self.name]
+        if self.default is None:  # the dataclass field's default: diag has none
+            raise AttributeError(self.name)
+        return self.default
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +44,8 @@ class FilterOp:
     """
 
     dim: int
-    diag: np.ndarray
-    scale: float = field(default_factory=lambda: 1.0)  # no class attribute: see __getattr__
+    diag: np.ndarray = _Deferred("diag")
+    scale: float = _Deferred("scale", 1.0)
 
     def __post_init__(self):
         d = int(self.dim)
@@ -49,14 +64,6 @@ class FilterOp:
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "diag", entries)
         object.__setattr__(self, "scale", float(self.scale))
-
-    def __getattr__(self, name):
-        # reached only for a name the instance lacks: diag or scale of a filter from
-        # make_filter that no chain has rescaled yet
-        if name in ("diag", "scale") and "_raw" in self.__dict__:
-            _rows((self,))
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -114,7 +121,7 @@ def _rows(filters) -> np.ndarray:
                 del state["_raw"]
             if len(pending) == len(filters):
                 return diags
-    return np.array([f.diag for f in filters])
+    return np.array([f.__dict__["diag"] for f in filters])
 
 
 def make_filter(diag) -> FilterOp:

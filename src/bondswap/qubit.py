@@ -390,11 +390,6 @@ def _transfer(mode: _Mode, squares: np.ndarray) -> tuple[float, float, float]:
     return p, r, shift
 
 
-def _transfer_diag(chain: SwapChain) -> tuple[float, float, float]:
-    """(p, r, log_shift) of the transfer map over the whole chain."""
-    return _transfer(_MODES[chain.mode], np.abs(chain.diags) ** 2)
-
-
 def p_sum_transfer(chain: SwapChain) -> float:
     """Σ of all outcome weights via the transfer map, without enumeration.
 
@@ -402,7 +397,7 @@ def p_sum_transfer(chain: SwapChain) -> float:
     ρ = T_0 T_0† and taking Tr/2); inf once P_sum leaves the float range —
     use log_p_sum_transfer there.
     """
-    p, r, shift = _transfer_diag(chain)
+    p, r, shift = _transfer(_MODES[chain.mode], np.abs(chain.diags) ** 2)
     if shift == 0.0:
         return 0.5 * (p + r)
     try:
@@ -413,23 +408,23 @@ def p_sum_transfer(chain: SwapChain) -> float:
 
 def log_p_sum_transfer(chain: SwapChain) -> float:
     """log P_sum, safe for chains far beyond float range."""
-    p, r, shift = _transfer_diag(chain)
+    p, r, shift = _transfer(_MODES[chain.mode], np.abs(chain.diags) ** 2)
     return shift + math.log(0.5 * (p + r))
 
 
-def _transfer_concurrences(chain: SwapChain) -> list[float]:
-    """C_j = 2|λ_0||λ_1| / (|λ_0|² + |λ_1|²) of every qubit bond in floats, from the
-    moduli the transfer map squares: no square of a product underflows."""
-    mods = np.abs(chain.diags)
+def _transfer_concurrences(mods: np.ndarray) -> list[float]:
+    """C_j = 2|λ_0||λ_1| / (|λ_0|² + |λ_1|²) of every qubit bond in floats, from a chain's
+    moduli |λ|, which the transfer map squares: no square of a product underflows."""
     return (2.0 * mods[:, 0] * mods[:, 1] / (mods * mods).sum(axis=1)).tolist()
 
 
 def tradeoff_constant(chain: SwapChain) -> float:
     """Π_j C_j / P_sum — the outcome-independent value of prob × concurrence."""
-    cs = _transfer_concurrences(chain)
+    mods = np.abs(chain.diags)  # once: m·m has the bits of the other routes' m**2
+    cs = _transfer_concurrences(mods)
     if any(c == 0.0 for c in cs):
         return 0.0
-    p, r, shift = _transfer_diag(chain)
+    p, r, shift = _transfer(_MODES[chain.mode], mods * mods)
     if shift == 0.0:
         return math.prod(cs) / (0.5 * (p + r))
     log_val = math.fsum(math.log(c) for c in cs) - shift - math.log(0.5 * (p + r))
@@ -443,50 +438,68 @@ def _two_sum(x, y):
     return total, (x - (total - back)) + (y - back)
 
 
+def _ln(x):
+    """ln x of a positive Decimal to 40 digits: math.log gives only a first estimate y (as in
+    _root); e = x·exp(−y) − 1 has |e| < 1e-12, so ln x = y + e − e²/2 + e³/3 to 1e-47."""
+    y = type(x)(math.log(float(x.scaleb(-x.adjusted()))) + x.adjusted() * math.log(10.0))
+    e = x * (-y).exp() - 1
+    return y + e - e * e / 2 + e * e * e / 3
+
+
+def _line(n_max: int, s_hi: float, s_lo: float, c_hi: float, c_lo: float):
+    """(total, low) of N·s_hi + c_hi by _two_sum for N = 1..n_max (N·s_hi exact), with
+    N·s_lo + c_lo added to its error: in place, in total and in one (4, n_max) block."""
+    total, (x, low, back, tv) = np.arange(1.0, n_max + 1), np.empty((4, n_max))
+    np.add(np.multiply(total, s_lo, out=low), c_lo, out=low)
+    np.subtract(np.add(np.multiply(total, s_hi, out=x), c_hi, out=total), x, out=back)
+    x -= np.subtract(total, back, out=tv)
+    return total, np.add(low, np.add(x, np.subtract(c_hi, back, out=back), out=x), out=low)
+
+
 def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarray:
     """log tradeoff_constant of identical-filter chains for N = 1..n_max, in closed form.
 
     With the bond's (a, b) = |λ|², P_sum(N) = ½·1ᵀA^N v₀ for A = diag(a, b)·[[k, s], [s, k]]
     and v₀ = (a, b).  A's eigenvalues ρ₊ > |ρ₋| give r = ρ₋/ρ₊, w± = 1ᵀ(A − ρ∓)v₀ and
     q = −w₋/w₊: log K(N) = N·S + C₀ − log1p(q·r^N), S = log c − log ρ₊ and
-    C₀ = log c − log(w₊ / (2(ρ₊ − ρ₋))), taken to 40 digits once with q·r and r.  Every N
-    then costs a few float + − ×: N·S exact from S's leading 53 − bit_length(n_max) bits,
-    TwoSum for the terms, log1p's series while |q·r^N| > 2⁻⁶⁶.  So each entry is the
-    value for the float (a, b) and c within about half an ulp.
+    C₀ = log c − log(w₊ / (2(ρ₊ − ρ₋))), taken to 40 digits once with q·r and r (each log by
+    _ln: a float estimate, corrected by one exp).  Every N then costs a few float + − ×: _line's
+    N·S + C₀, log1p's series while |q·r^N| > 2⁻⁶⁶.  So each entry is the value for the float
+    (a, b) and c within about half an ulp.
     """
     from decimal import Decimal, localcontext
 
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    one = SwapChain((filt,), mode)  # checks the filter's dim and the mode
-    c = _transfer_concurrences(one)[0]
+    if not isinstance(filt, FilterOp) or filt.dim != 2:
+        raise ValueError("all chain filters must be FilterOps of dim 2")
+    k, s = _mode(mode).class_sizes
+    m0, m1 = np.abs(filt.diag).tolist()  # c and (a, b) as tradeoff_constant takes them
+    a, b, c = m0 * m0, m1 * m1, 2.0 * m0 * m1 / (m0 * m0 + m1 * m1)
     if c == 0.0:
         return np.full(n_max, -math.inf)
-    k, s = _MODES[mode].class_sizes
     with localcontext() as ctx:
         ctx.prec = 40
-        a, b = map(Decimal, (np.abs(one.diags[0]) ** 2).tolist())
+        a, b = Decimal(a), Decimal(b)
         rho = (k * (a + b) + (k * k * (a - b) ** 2 + 4 * s * s * a * b).sqrt()) / 2
         r = a * b * (k * k - s * s) / rho / rho  # ρ₋/ρ₊ from the roots' product: no cancellation
         av, tr = k * (a * a + b * b) + 2 * s * a * b, a + b  # 1ᵀA v₀ and 1ᵀv₀
         w_p, qw = av - r * rho * tr, (rho * tr - av) * r  # w₊, and −w₋·r for q·r
-        slope, c0 = (Decimal(c) / rho).ln(), (2 * Decimal(c) * rho * (1 - r) / w_p).ln()
+        slope, c0 = _ln(Decimal(c) / rho), _ln(2 * Decimal(c) * rho * (1 - r) / w_p)
         big = float(slope) * (2.0 ** n_max.bit_length() + 1)  # Veltkamp's split
         s_hi, c_hi = big - (big - float(slope)), float(c0)
         s_lo, c_lo, qr, r = map(float, (slope - Decimal(s_hi), c0 - Decimal(c_hi), qw / w_p, r))
-    ns = np.arange(1, n_max + 1, dtype=float)
-    total, low = _two_sum(ns * s_hi, c_hi)
-    low += ns * s_lo + c_lo
-    # q·r^N by one multiply per N: |r| <= 1/3 in vbs and r = 0 in plain, so |q·r| < 0.006,
-    # every later term is below 2^-66 by N = 38, and the series' remainder x^11/11 < 2^-84
-    x = np.cumprod([qr] + [r] * (min(n_max, 64) - 1))
-    x = x[np.abs(x) > 2.0 ** -66]
-    h = np.zeros_like(x)
-    for j in range(10, 1, -1):
-        h = 1.0 / j - x * h
-    total[: len(x)], err = _two_sum(total[: len(x)], -x)
-    low[: len(x)] += err + x * x * h
-    return total + low
+    total, low = _line(n_max, s_hi, s_lo, c_hi, c_lo)
+    # −log1p(−y) = y + y²(1/2 + y/3 + … + y⁸/10) for y = −q·r^N: |r| <= 1/3 in vbs and r = 0 in
+    # plain, so |q·r| < 0.006, every later y is below 2^-66 by N = 38, the remainder < 2^-84
+    tops, lows, y, m = total[:64].tolist(), low[:64].tolist(), -qr, 0
+    while m < len(tops) and abs(y) > 2.0 ** -66:
+        tops[m], err = _two_sum(tops[m], y)
+        lows[m] += err + y * y * (0.5 + y * (1 / 3 + y * (0.25 + y * (0.2 + y * (1 / 6 + y * (
+            1 / 7 + y * (0.125 + y * (1 / 9 + y * 0.1))))))))
+        m, y = m + 1, y * r
+    total[:m], low[:m] = tops[:m], lows[:m]
+    return np.add(total, low, out=total)
 
 
 def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:

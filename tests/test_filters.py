@@ -330,6 +330,17 @@ class TestDeferredFilter:
         assert set(vars(f)) == {"dim", "diag", "scale"}  # the raw row is gone
         assert bit_identical(f, make_filter_reference([2, 1j]))
 
+    def test_reading_diag_rescales_and_reading_dim_does_not(self):
+        raw = [1e-170, 3j]
+        f = make_filter(raw)
+        for _ in range(2):
+            assert f.dim == 2
+            assert set(vars(f)) == {"dim", "_raw"}
+        diag = f.diag  # through FilterOp.diag's descriptor: rescaled alone, the same bits
+        assert set(vars(f)) == {"dim", "diag", "scale"}
+        assert diag is f.diag
+        assert bit_identical(f, make_filter_reference(raw))
+
     def test_chain_drops_the_raw_rows(self):
         filts = (make_filter([2, 1]), make_filter([1, 3j]))
         SwapChain(filts, VBS)

@@ -14,6 +14,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -679,7 +680,7 @@ class TestScanAgainstTransfer:
     def test_routes_within_their_bounds(self, mode, diag):
         f = make_filter(diag)
         scan = scan_log_constants(f, 1000, mode)[np.array(self.NODES) - 1]
-        c = qubit._transfer_concurrences(SwapChain((f,), mode))[0]
+        c = qubit._transfer_concurrences(np.abs(f.diag)[None])[0]
         chains = [SwapChain((f,) * (n + 1), mode) for n in self.NODES]
         if c == 0.0:
             assert scan.tolist() == [-math.inf] * len(self.NODES)
@@ -693,7 +694,8 @@ class TestScanAgainstTransfer:
             # the loop rounds at every step: up to 2.37 ulp measured
             assert ulp_errors(loop, want, index).max() <= 2.5
             assert np.all(np.abs(scan - loop) <= 3 * np.spacing(np.abs(loop)))
-        shifts = [qubit._transfer_diag(chains[self.NODES.index(n)])[2] for n in (64, 1000)]
+        shifts = [qubit._transfer(_MODES[mode], np.abs(chains[self.NODES.index(n)].diags) ** 2)[2]
+                  for n in (64, 1000)]
         assert shifts[0] == 0.0 != shifts[1]
 
 
@@ -1065,7 +1067,7 @@ def assert_scan_within_bound(f, mode, ns, n_max=None):
     """scan_log_constants(f, n_max, mode) is finite everywhere, or −inf everywhere for
     a singular bond, and within SCAN_ULPS of reference.decimal_scan at each N of ns."""
     scan = scan_log_constants(f, n_max or ns[-1], mode)
-    c = qubit._transfer_concurrences(SwapChain((f,), mode))[0]
+    c = qubit._transfer_concurrences(np.abs(f.diag)[None])[0]
     if c == 0.0:
         assert np.all(scan == -math.inf)
         return scan
@@ -1087,7 +1089,7 @@ class TestScanClosedForm:
     def test_random_bond_within_half_an_ulp(self, chain):
         f = chain.filters[0]
         scan = assert_scan_within_bound(f, chain.mode, self.NODES)
-        c = qubit._transfer_concurrences(chain)[0]
+        c = qubit._transfer_concurrences(np.abs(chain.diags))[0]
         a, b = np.abs(f.diag) ** 2
         k, s = _MODES[chain.mode].class_sizes
         rho = max(np.linalg.eigvals([[a * k, a * s], [b * s, b * k]]).real)
@@ -1106,6 +1108,44 @@ class TestScanClosedForm:
         # N·S is exact only from S's leading 53 − 20 bits at n_max = 600 000
         ns = [1, 2, 3, 1000, 2 ** 17, 2 ** 19 - 1, *range(599_991, 600_001)]
         assert_scan_within_bound(make_filter(diag), mode, ns, 600_000)
+
+    def test_log_matches_decimal_ln(self):
+        # 40-digit arguments near 1e±300, within 1e-16 of 1, in between, and exactly 1
+        rng = np.random.default_rng(30)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            corpus = [+(Decimal(m) * Decimal(10) ** e) for m, e in zip(
+                rng.uniform(1, 10, 40), rng.integers(290, 330, 40) * rng.choice([-1, 1], 40))]
+            corpus += [+(1 + Decimal(d) * Decimal(10) ** -int(e)) for d, e in zip(
+                rng.uniform(-1, 1, 40), rng.integers(16, 41, 40))]
+            corpus += [+Decimal(v) for v in rng.uniform(1e-3, 1e3, 40)] + [Decimal(1)]
+            logs = [qubit._ln(x) for x in corpus]
+        assert logs[-1] == 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for x, got in zip(corpus, logs):
+                want = x.ln()
+                assert abs(got - want) <= Decimal("1e-39") * max(1, abs(want)), x
+
+    def test_line_is_twosum_where_the_constant_dominates(self):
+        # |c_hi| > |N·s_hi| at small N, where Fast2Sum's error c_hi − back is not exact
+        rng = np.random.default_rng(31)
+        n_max, fast2sum_wrong = 3000, 0
+        for s, c in zip(rng.uniform(-2, 2, 30) * 10.0 ** rng.integers(-8, 1, 30),
+                        rng.uniform(-50, 50, 30)):
+            big = s * (2.0 ** n_max.bit_length() + 1)
+            s_hi = big - (big - s)  # leading bits only, so N·s_hi is exact
+            s_lo, c_lo = s * 1e-17, c * 1e-17
+            ns = np.arange(1, n_max + 1, dtype=float)
+            x = ns * s_hi
+            total = x + c
+            back = total - x
+            err = (x - (total - back)) + (c - back)
+            got = qubit._line(n_max, s_hi, s_lo, c, c_lo)
+            assert got[0].tobytes() == total.tobytes()
+            assert got[1].tobytes() == (err + (ns * s_lo + c_lo)).tobytes()
+            fast2sum_wrong += np.count_nonzero((c - back) != err)
+        assert fast2sum_wrong > 0
 
 
 class TestClassKernel:
