@@ -320,10 +320,11 @@ def _run_scan(cfg) -> tuple[dict, list[FilterOp], int]:
     logs = scan_log_constants(filters[0], hi, cfg["mode"])[lo - 1 :]
     ns = np.arange(lo, hi + 1)
     finite = np.isfinite(logs)  # a non-finite log: constant 0.0, log_constant null (CSV: empty)
-    # math.exp per row, as np.exp may round differently; constants factored by their bits
-    exps = map(math.exp, (logs if finite.all() else np.where(finite, logs, -math.inf)).tolist())
-    bits, index = np.unique(np.array(list(exps)).view(np.int64), return_inverse=True)
-    rows = {"n": ns, "constant": (bits.view(np.float64), index),
+    # math.exp per row, as np.exp may round differently; the constants fall with N, so
+    # equal bits come in runs: the column is factored by its runs, with no sort
+    consts = np.fromiter(map(math.exp, np.where(finite, logs, -math.inf)), float, len(logs))
+    run = np.concatenate(([True], consts.view(np.int64)[1:] != consts.view(np.int64)[:-1]))
+    rows = {"n": ns, "constant": (consts[run], np.cumsum(run) - 1),
             "log_constant": logs if finite.all() else np.where(finite, logs, None)}
     slope = None
     if finite.all() and len(logs) >= 2:  # least squares about the centre: Σ (n − n̄) = 0, so

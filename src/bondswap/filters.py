@@ -13,6 +13,8 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -61,9 +63,7 @@ class FilterOp:
                 "construct filters through make_filter"
             )
         entries.flags.writeable = False
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "diag", entries)
-        object.__setattr__(self, "scale", float(self.scale))
+        vars(self).update(dim=d, diag=entries, scale=float(self.scale))  # frozen: not setattr
 
     @property
     def matrix(self) -> np.ndarray:
@@ -75,12 +75,7 @@ def _sums_of_squares(rows: np.ndarray) -> np.ndarray:
     # numpy's |λ| (abs(complex) can differ in the last bit) squared, added left to right
     # below 8 columns and by numpy's pairwise sum from 8 on
     squares = np.abs(rows) ** 2
-    if rows.shape[1] >= 8:
-        return squares.sum(axis=1)
-    ssq = squares[:, 0] + squares[:, 1]
-    for k in range(2, rows.shape[1]):
-        ssq += squares[:, k]
-    return ssq
+    return squares.sum(axis=1) if rows.shape[1] >= 8 else reduce(np.add, squares.T)
 
 
 def _normalize(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -88,21 +83,21 @@ def _normalize(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
     the factor divided out of it, with bits that do not depend on the other rows.  A row
     whose Σ|λ|² is zero, subnormal or inf is first divided by its largest real or imaginary
     part (|λ| can overflow, and so can complex division by a subnormal).  Alters ``rows``."""
-    ssq = _sums_of_squares(rows)
-    values, out, peaks = ssq.tolist(), [], []
-    if not sys.float_info.min <= min(values) <= max(values) < math.inf:
-        out = [i for i, s in enumerate(values) if not sys.float_info.min <= s < math.inf]
+    ssq, out = _sums_of_squares(rows), []
+    scale = np.sqrt(ssq / rows.shape[1])
+    scales = scale.tolist()
+    # every Σ|λ|² normal if each scale is at least 2^-511 and their sum (so each) is finite
+    if not (2.0 ** -511 <= min(scales) and sum(scales) < math.inf):
+        out = [i for i, s in enumerate(ssq.tolist()) if not sys.float_info.min <= s < math.inf]
         parts = rows[out].view(float)
         peak = np.abs(parts).max(axis=1)
         rows[out] = (parts / peak[:, None]).view(complex)
-        ssq[out] = _sums_of_squares(rows[out])
-        peaks = peak.tolist()
-    scale = np.sqrt(ssq / rows.shape[1])
+        scale[out] = np.sqrt(_sums_of_squares(rows[out]) / rows.shape[1])
     diags = rows / scale[:, None]  # a complex division, as by a scalar
     diags.setflags(write=False)
-    scales = scale.tolist()
-    for i, p in zip(out, peaks):  # the largest part's magnitude joins the factor
-        scales[i] *= p
+    if out:  # the largest part's magnitude joins the factor
+        scale[out] *= peak
+        scales = scale.tolist()
     return diags, scales
 
 
@@ -110,13 +105,14 @@ _RESCALING = threading.Lock()  # a filter's first rescaling is check-then-act on
 
 
 def _rows(filters) -> np.ndarray:
-    """The diagonals of distinct filters, stacked: deferred ones rescaled in one pass."""
+    """The diagonals of distinct filters of one dim, stacked: the deferred ones' entries in
+    one call, rescaled in one pass; each keeps its row (a view of the stack) and scale."""
     with _RESCALING:
-        pending = [f for f in filters if "_raw" in f.__dict__]
+        pending = [state for f in filters if "_raw" in (state := f.__dict__)]
         if pending:
-            diags, scales = _normalize(np.array([f.__dict__["_raw"] for f in pending]))
-            for f, row, scale in zip(pending, diags, scales):
-                state = f.__dict__
+            entries = np.fromiter(chain.from_iterable([state["_raw"] for state in pending]), complex)
+            diags, scales = _normalize(entries.reshape(len(pending), -1))
+            for state, row, scale in zip(pending, diags, scales):
                 state["diag"], state["scale"] = row, scale
                 del state["_raw"]
             if len(pending) == len(filters):
@@ -129,21 +125,21 @@ def make_filter(diag) -> FilterOp:
 
     Off-diagonal input is not representable here by construction; an
     all-zero diagonal is rejected because it admits no bond state.  The filter
-    keeps a copy of its entries until _normalize rescales it, with the other
-    new filters of the first chain it joins or alone if its ``diag`` or
-    ``scale`` is read first: the same bits either way.
+    keeps a copy of its entries, a list of Python complex values, until
+    _normalize rescales it, with the other new filters of the first chain it
+    joins or alone if its ``diag`` or ``scale`` is read first: the same bits.
     """
-    raw = diag if isinstance(diag, np.ndarray) else list(diag)
-    entries = np.array(raw, dtype=complex).ravel()  # a copy the caller cannot alter
-    if entries.size < 2:
+    entries = np.asarray(diag if isinstance(diag, np.ndarray) else list(diag), dtype=complex)
+    values = (entries if entries.ndim == 1 else entries.ravel()).tolist()
+    if len(values) < 2:
         raise ValueError("a filter needs at least two diagonal entries")
-    values = entries.tolist()
     if not all(map(cmath.isfinite, values)):
         raise ValueError("filter diagonal must be finite")
     if not any(values):
         raise ValueError("all-zero filter diagonal has no bond state")
     op = object.__new__(FilterOp)  # skips __post_init__: _normalize makes the diagonal
-    op.__dict__["dim"], op.__dict__["_raw"] = entries.size, entries
+    state = op.__dict__
+    state["dim"], state["_raw"] = len(values), values
     return op
 
 
@@ -174,8 +170,9 @@ class _Chain:
         diags = _rows(slots)
         if len(slots) == 1 < len(filts):  # one filter repeated: its row for every bond
             diags = np.repeat(diags, len(filts), axis=0)
-        elif len(slots) < len(filts):
-            diags = np.array([f.diag for f in filts])
+        elif len(slots) < len(filts):  # some repeated: each bond's row from the distinct rows
+            index = dict(zip(slots, range(len(slots))))
+            diags = diags[[index[f] for f in filts]]
         diags.flags.writeable = False
         object.__setattr__(self, "filters", filts)
         object.__setattr__(self, "diags", diags)

@@ -133,20 +133,49 @@ def bit_identical(got: FilterOp, want: FilterOp) -> bool:
     )
 
 
-def assert_same_result(raw):
-    """make_filter returns the bits of make_filter_reference, or its error."""
+def assert_same_result(raw, kind=lambda raw: raw):
+    """make_filter returns the bits of make_filter_reference, or its error, each given
+    its own ``kind(raw)``."""
     try:
-        want = make_filter_reference(raw)
+        want = make_filter_reference(kind(raw))
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            make_filter(raw)
+            make_filter(kind(raw))
     else:
-        assert bit_identical(make_filter(raw), want)
+        assert bit_identical(make_filter(kind(raw)), want)
 
 
 OUT_OF_RANGE = [[1e-200, 1e-200], [1e-170, 1e-170], [1e200, 1e200], [1e160, 1], [1e-160, 0],
                 [1e-320, 0], [5e-324, 5e-324], [1.5e308 + 1.5e308j, 1], [1e-150, 1], [1e150, 1]]
 SIGNED_ZEROS = [[-0.0, 1], [1, -0.0j], [complex(-0.0, -0.0), 2], [0.0, -1], [1, 0]]
+
+
+def _real(raw) -> np.ndarray:
+    return np.array(raw, dtype=complex).real
+
+
+def _float32(raw) -> np.ndarray:
+    with np.errstate(over="ignore"):  # 1e200 is inf in float32, and 1e-200 is 0
+        return _real(raw).astype(np.float32)
+
+
+# every kind of input make_filter reads, each made from one edge row: a row's values,
+# its real parts in a narrower or integer dtype, or the same values in another layout
+INPUT_KINDS = {
+    "list": list,
+    "tuple": tuple,
+    "array": np.array,
+    "iter": iter,
+    "float32": _float32,
+    # above 2^53, where int64 -> float64 rounds: ±(2^62 + 2^53 + 1), ±(2^62 + 2^54 + 1), ...
+    "int64": lambda raw: np.sign(_real(raw)).astype(np.int64)
+    * (2 ** 62 + 2 ** np.arange(53, 53 + len(raw), dtype=np.int64) + 1),
+    "bool": lambda raw: np.array(raw, dtype=complex) != 0,
+    "object": lambda raw: np.array(raw, dtype=object),
+    "column": lambda raw: np.array(raw, dtype=complex)[:, None],
+    "reversed": lambda raw: np.array(raw[::-1], dtype=complex)[::-1],
+    "numpy-scalars": lambda raw: list(np.array(raw, dtype=complex)),
+}
 
 
 def corpus(name: str, dim: int) -> list:
@@ -219,9 +248,9 @@ class TestMakeFilterBits:
     """make_filter, rescaled alone, returns the bits of the reference."""
 
     @pytest.mark.parametrize("raw", OUT_OF_RANGE + SIGNED_ZEROS, ids=repr)
-    @pytest.mark.parametrize("kind", [list, tuple, np.array, iter])
+    @pytest.mark.parametrize("kind", INPUT_KINDS.values(), ids=INPUT_KINDS)
     def test_edge_inputs(self, raw, kind):
-        assert bit_identical(make_filter(kind(raw)), make_filter_reference(kind(raw)))
+        assert_same_result(raw, kind)
 
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_random_inputs(self, dim):
