@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .filters import (
     PLAIN,
+    QUDIT,
     VBS,
     FilterOp,
     make_filter,
@@ -23,17 +24,14 @@ from .qubit import (
     TradeoffReport,
     bell_state,
     enumerate_outcomes,
+    gen_pauli,
     log_p_sum_transfer,
     p_sum_transfer,
     sample_outcomes,
     scan_log_constants,
     tradeoff_constant,
 )
-from .qudit import (
-    QuditChain,
-    enumerate_qudit_outcomes,
-    gen_pauli,
-)
+from .qudit import enumerate_qudit_outcomes
 from .vbs import (
     CrossCheckReport,
     build_vbs_state,
@@ -45,12 +43,12 @@ from .vbs import (
 __all__ = [
     "__version__",
     "PLAIN",
+    "QUDIT",
     "VBS",
     "CrossCheckReport",
     "EnumerationBudgetError",
     "FilterOp",
     "OutcomeRecord",
-    "QuditChain",
     "StateVector",
     "SwapChain",
     "TradeoffReport",

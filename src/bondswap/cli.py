@@ -21,22 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .filters import PLAIN, VBS, FilterOp, make_filter
+from .filters import PLAIN, QUDIT, VBS, FilterOp, make_filter
 from .linalg import EnumerationBudgetError
 from .qubit import (
     SwapChain,
     _draw,
     budget_error,
-    check_budget,
     check_table_budget,
     enumerate_outcomes,
     row_index,
     scan_log_constants,
 )
-from .qudit import QuditChain, enumerate_qudit_outcomes
 from .vbs import _check_oracle_bonds, cross_check
 
-QUDIT = "qudit"
 MODES = (PLAIN, VBS, QUDIT)
 
 # per-node outcome digits rendered in a base-64-style alphabet so one
@@ -222,10 +219,8 @@ def _build_filters(cfg, table: bool = False) -> list[FilterOp]:
             )
     filters = [make_filter(d) for d in diags]
     n_bonds = cfg["bonds"] if cfg["filters"] is None else len(filters)
-    if table and cfg["mode"] == QUDIT:
-        check_budget(cfg["dim"] ** 2, n_bonds - 1)
-    elif table:
-        check_table_budget(cfg["mode"], n_bonds - 1)
+    if table:
+        check_table_budget(cfg["mode"], n_bonds - 1, cfg["dim"])
     return filters if cfg["filters"] is not None else filters * n_bonds
 
 
@@ -285,12 +280,8 @@ class _Index:
 
 def _run_swap(cfg) -> tuple[dict, list[FilterOp], int]:
     filters = _build_filters(cfg, table=True)
-    if cfg["mode"] == QUDIT:
-        chain = QuditChain(cfg["dim"], tuple(filters))
-        report = enumerate_qudit_outcomes(chain)
-    else:
-        chain = SwapChain(tuple(filters), cfg["mode"])
-        report = enumerate_outcomes(chain)
+    chain = SwapChain(tuple(filters), cfg["mode"])
+    report = enumerate_outcomes(chain)
     prob, conc = report.class_prob, report.class_concurrence
     columns = {"weight": report.class_weight, "prob": prob, "concurrence": conc,
                "prob_times_c": prob * conc}

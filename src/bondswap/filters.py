@@ -1,4 +1,4 @@
-"""Diagonal local filtering operators and the chains of bonds they filter.
+"""Diagonal local filtering operators and the names of the measurement modes.
 
 A filter is a diagonal operator applied to one side of a maximally entangled
 pair.  Every filter is rescaled so that Σ|λ_j|² equals the local dimension,
@@ -20,6 +20,7 @@ import numpy as np
 
 PLAIN = "plain"
 VBS = "vbs"
+QUDIT = "qudit"
 
 
 class _Deferred:
@@ -64,6 +65,11 @@ class FilterOp:
             )
         entries.flags.writeable = False
         vars(self).update(dim=d, diag=entries, scale=float(self.scale))  # frozen: not setattr
+
+    def __eq__(self, other):  # identity, decided here: the other operand's __eq__ never runs
+        return self is other
+
+    __hash__ = object.__hash__
 
     @property
     def matrix(self) -> np.ndarray:
@@ -148,37 +154,3 @@ def random_filter(rng, dim: int = 2) -> FilterOp:
     normalization, then uniform phases (drawn in that order)."""
     mags = rng.uniform(0.35, 1.0, dim)
     return make_filter(mags * np.exp(2j * np.pi * rng.random(dim)))
-
-
-class _Chain:
-    """Checks and storage shared by the qubit and qudit chains: N+1 bonds in
-    a row, every one a FilterOp of the chain's dim, measured at N nodes.
-    ``diags`` holds every bond's diagonal as one read-only (N+1, dim) array."""
-
-    def _store(self, dim: int) -> None:
-        filts = tuple(self.filters)
-        if dim < 2:
-            raise ValueError("dim must be >= 2")
-        if not filts:
-            raise ValueError("a chain needs at least one bond")
-        try:  # each filter once: one repeated N+1 times is rescaled and checked once
-            slots = dict.fromkeys(filts)
-        except TypeError:  # an unhashable bond, which is no FilterOp
-            slots = filts
-        if any(not isinstance(f, FilterOp) or f.dim != dim for f in slots):
-            raise ValueError(f"all chain filters must be FilterOps of dim {dim}")
-        diags = _rows(slots)
-        if len(slots) == 1 < len(filts):  # one filter repeated: its row for every bond
-            diags = np.repeat(diags, len(filts), axis=0)
-        elif len(slots) < len(filts):  # some repeated: each bond's row from the distinct rows
-            index = dict(zip(slots, range(len(slots))))
-            diags = diags[[index[f] for f in filts]]
-        diags.flags.writeable = False
-        object.__setattr__(self, "filters", filts)
-        object.__setattr__(self, "diags", diags)
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of measured internal nodes (bonds minus one)."""
-        return len(self.filters) - 1
-

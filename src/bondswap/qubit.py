@@ -1,4 +1,4 @@
-"""Entanglement swapping along a chain of filtered qubit bonds.
+"""Entanglement swapping along a chain of filtered bonds, in every mode.
 
 A chain of N+1 bonds carries N internal nodes, each measured in a Bell basis.
 In ``plain`` mode the bonds are (I ⊗ T_j)|Φ+⟩ and the measurement runs over
@@ -6,7 +6,9 @@ the full four-element Bell basis (I ⊗ σ_i)|Φ+⟩, i = 0..3 with σ_0 = I,
 σ_1 = σx, σ_2 = σz, σ_3 = σx·σz.  In ``vbs`` mode the bonds are singlet-like
 (I ⊗ σ3 T_j)|Φ+⟩ and only the three symmetric outcomes (σ3 ⊗ σ_i)|Φ+⟩,
 i = 1..3, survive the on-site symmetric projection, so the outcome weights do
-not sum to one until divided by P_sum.
+not sum to one until divided by P_sum.  In ``qudit`` mode the bonds are
+D-dimensional and each node is measured in the D² Weyl-Bell states
+(I ⊗ X^m Z^n)|Φ+⟩; only the outcome table serves it.
 
 Every outcome leaves the two end nodes in (I ⊗ M)|Φ+⟩ with M the ordered
 chain operator; weight, probability and concurrence all come from M.
@@ -18,11 +20,11 @@ import math
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .filters import PLAIN, VBS, FilterOp, _Chain
+from .filters import PLAIN, QUDIT, VBS, FilterOp, _rows
 from .linalg import EnumerationBudgetError, StateVector, batched_products
 
 _ID = np.eye(2, dtype=complex)
@@ -79,7 +81,46 @@ _MODES = {
 }
 
 
+def omega_power(dim: int, k: int) -> complex:
+    """exp(2πi·k/dim), exactly ±1 or ±i at the quarter-circle angles: so D = 2 tables
+    keep the bits of the qubit Pauli construction."""
+    k = int(k) % int(dim)
+    if (4 * k) % dim == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[(4 * k) // dim % 4]
+    return complex(np.exp(2j * np.pi * k / dim))
+
+
+def gen_pauli(dim: int, m: int, n: int) -> np.ndarray:
+    """U_mn = X^m Z^n, read-only, with entries ω^(j·n) at positions ((j+m) mod D, j)."""
+    d = int(dim)
+    if d < 2:
+        raise ValueError("dim must be >= 2")
+    if not (0 <= m < d and 0 <= n < d):
+        raise ValueError(f"Weyl indices must lie in 0..{d - 1}, got ({m}, {n})")
+    mat = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        mat[(j + m) % d, j] = omega_power(d, j * n)
+    mat.flags.writeable = False
+    return mat
+
+
+@cache
+def _weyl_mode(dim: int) -> _Mode:
+    """The D² Weyl-Bell outcomes of the qudit mode: digit m·D + n applies U_mn = X^m Z^n
+    (shift X|j⟩ = |j+1 mod D⟩, clock Z|j⟩ = ω^j|j⟩, ω = exp(2πi/D)), labelled (m, n), in
+    shift class m, whose D members share their moduli with X^m.  A table reads the
+    classes alone; U_mn is built only when an operator is read."""
+    digits = range(dim * dim)
+    return _Mode(dim, digits, tuple(d // dim for d in digits),
+                 lambda d: gen_pauli(dim, *divmod(d, dim)), tuple(divmod(d, dim) for d in digits))
+
+
 def _mode(name: str) -> _Mode:
+    """A qubit mode's record: the Bell states, transfer map, sampler and scan serve
+    vbs and plain only; a qudit chain's record is its ``record``, for its dim."""
+    if name == QUDIT:
+        raise ValueError("this route is qubit-only (mode vbs or plain), got mode 'qudit'; "
+                         "enumerate_outcomes tabulates qudit chains")
     if name not in _MODES:
         raise ValueError(f"unknown mode {name!r}")
     return _MODES[name]
@@ -101,15 +142,47 @@ def bell_state(mode: str, i: int) -> StateVector:
 
 
 @dataclass(frozen=True, eq=False)
-class SwapChain(_Chain):
-    """N+1 filtered qubit bonds in a row, measured at the N internal nodes."""
+class SwapChain:
+    """N+1 filtered bonds in a row, measured at the N internal nodes in ``mode``: vbs or
+    plain on qubits, or qudit (Weyl-Bell, complete: the weights sum to D^(2N)) on bonds
+    of the first filter's dim.  Every bond is a FilterOp of that dim, and ``diags``
+    holds their diagonals as one read-only (N+1, dim) array."""
 
     filters: tuple[FilterOp, ...]
     mode: str = VBS
+    dim = property(lambda self: self.diags.shape[1])
+    n_nodes = property(lambda self: len(self.filters) - 1, doc="Measured nodes: bonds minus one.")
+    # the mode as data; a qudit chain's is made for its dim on first read
+    record = property(lambda self: _weyl_mode(self.dim) if self.mode == QUDIT
+                      else _MODES[self.mode])
 
     def __post_init__(self):
-        self._store(2)
-        _mode(self.mode)
+        filts = tuple(self.filters)
+        if not filts:
+            raise ValueError("a chain needs at least one bond")
+        first = filts[0]
+        dim = first.dim if self.mode == QUDIT and isinstance(first, FilterOp) else 2
+        # one filter repeated: checked by identity, FilterOp's own __eq__, with no hashing
+        if first is filts[-1] and isinstance(first, FilterOp) and (first,) * len(filts) == filts:
+            slots = (first,)
+        else:
+            try:  # each filter once: a repeated one is rescaled and checked once
+                slots = dict.fromkeys(filts)
+            except TypeError:  # an unhashable bond, which is no FilterOp
+                slots = filts
+        if any(not isinstance(f, FilterOp) or f.dim != dim for f in slots):
+            raise ValueError(f"all chain filters must be FilterOps of dim {dim}")
+        diags = _rows(slots)
+        if len(slots) == 1 < len(filts):  # one filter repeated: its row for every bond
+            diags = np.repeat(diags, len(filts), axis=0)
+        elif len(slots) < len(filts):  # some repeated: each bond's row from the distinct rows
+            index = dict(zip(slots, range(len(slots))))
+            diags = diags[[index[f] for f in filts]]
+        diags.flags.writeable = False
+        object.__setattr__(self, "filters", filts)
+        object.__setattr__(self, "diags", diags)
+        if self.mode != QUDIT:
+            _mode(self.mode)
 
 
 # kept for bench/spans.py, whose counters read len(report.records) on traced runs
@@ -145,7 +218,7 @@ class TradeoffReport:
     class_prob: np.ndarray
     class_trace: np.ndarray
     squares: np.ndarray
-    chain: _Chain
+    chain: SwapChain
     mode: _Mode
     digits = cached_property(lambda self: digit_table(
         len(self.mode.digits), self.chain.n_nodes, self.mode.digits.start))
@@ -226,16 +299,17 @@ def check_budget(base: int, n: int, hint: str = "") -> None:
                        _ROW_BYTES, "enumeration", ENUMERATION_BUDGET, hint)
 
 
-def check_table_budget(mode: str, n_nodes: int) -> None:
-    """enumerate_outcomes's budget check, from the mode and node count alone."""
-    check_budget(len(_mode(mode).digits), n_nodes,
-                 "; use sample_outcomes or p_sum_transfer instead")
+def check_table_budget(mode: str, n_nodes: int, dim: int = 2) -> None:
+    """enumerate_outcomes's budget check, from the mode, node count and dim alone: D² rows
+    a node in qudit mode, which the table-free routes named in the error do not serve."""
+    hint = "" if mode == QUDIT else "; use sample_outcomes or p_sum_transfer instead"
+    check_budget(dim * dim if mode == QUDIT else len(_mode(mode).digits), n_nodes, hint)
 
 
 # kept for bench/spans.py, which wraps it: no caller in the package
 def chain_operator(chain: SwapChain, indices) -> np.ndarray:
-    """Ordered operator for one outcome: [σ3·]T_N σ_{i_N} ··· σ_{i_1} T_0."""
-    mode = _MODES[chain.mode]
+    """Ordered operator for one outcome: [σ3·]T_N U_{i_N} ··· U_{i_1} T_0."""
+    mode = chain.record
     idx = [int(i) for i in indices]
     for i in idx:
         if i not in mode.digits:
@@ -268,9 +342,9 @@ def _root(x: int, dim: int) -> tuple[int, int]:
     return r, b
 
 
-def bond_concurrences(chain: _Chain, squares: np.ndarray | None = None) -> list[float]:
+def bond_concurrences(chain: SwapChain, squares: np.ndarray | None = None) -> list[float]:
     """Per-bond entanglement C_j = D·|det T_j|^(2/D) / Tr(T_j T_j†) of every bond of a
-    qubit or qudit chain (2|αβ| for qubits; 0 for a singular filter): D·G / Σ|λ|² of
+    chain in any mode (2|αβ| for qubits; 0 for a singular filter): D·G / Σ|λ|² of
     each bond alone, G its _root of Π|λ|², rounded once; ``squares``, if given, are
     _squares' ints of the chain's diagonals."""
     squares = (_squares(chain.diags)[0] if squares is None else squares).tolist()
@@ -278,7 +352,7 @@ def bond_concurrences(chain: _Chain, squares: np.ndarray | None = None) -> list[
             for row, (r, b) in zip(squares, (_root(math.prod(row), len(row)) for row in squares))]
 
 
-def _operators(chain: _Chain, node_ops, end=None) -> np.ndarray:
+def _operators(chain: SwapChain, node_ops, end=None) -> np.ndarray:
     """[end·]T_N U_N ··· U_1 T_0 for every choice of each U_k from the stack
     ``node_ops[k - 1]``, in digit-table order (node 1 least significant)."""
     if len(node_ops) != chain.n_nodes:
@@ -323,7 +397,7 @@ def _shape(mode: _Mode, n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, counts
 
 
-def _table(chain: _Chain, mode: _Mode) -> TradeoffReport:
+def _table(chain: SwapChain, mode: _Mode) -> TradeoffReport:
     """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
 
     The chain's |λ|² are squared once, and Tr(M M†) is reduced once per class string
@@ -358,15 +432,16 @@ def _concurrences(report: TradeoffReport) -> tuple[np.ndarray, list[float], floa
 
 
 def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
-    """Exact table of every Bell outcome of the chain.
+    """Exact table of every Bell outcome of the chain, in any mode.
 
-    Records are ordered by the little-endian base-3 (vbs) or base-4 (plain)
-    outcome integer.  prob = weight / P_sum, so probabilities always sum to
-    one; the report constant Π_j C_j / P_sum equals prob × concurrence on
-    every non-zero-weight record, and max_residual is the worst deviation.
+    Records are ordered by the little-endian base-3 (vbs), base-4 (plain) or
+    base-D² (qudit, per-node digit m·D + n) outcome integer.  prob = weight / P_sum,
+    so probabilities always sum to one; the report constant Π_j C_j / P_sum equals
+    prob × concurrence on every non-zero-weight record, and max_residual is the worst
+    deviation.  The budget is checked before a qudit chain's mode record is made.
     """
-    check_table_budget(chain.mode, chain.n_nodes)
-    return _table(chain, _MODES[chain.mode])
+    check_table_budget(chain.mode, chain.n_nodes, chain.dim)
+    return _table(chain, chain.record)
 
 
 def _transfer(mode: _Mode, squares: np.ndarray) -> tuple[float, float, float]:
@@ -397,7 +472,7 @@ def p_sum_transfer(chain: SwapChain) -> float:
     ρ = T_0 T_0† and taking Tr/2); inf once P_sum leaves the float range —
     use log_p_sum_transfer there.
     """
-    p, r, shift = _transfer(_MODES[chain.mode], np.abs(chain.diags) ** 2)
+    p, r, shift = _transfer(_mode(chain.mode), np.abs(chain.diags) ** 2)
     if shift == 0.0:
         return 0.5 * (p + r)
     try:
@@ -408,7 +483,7 @@ def p_sum_transfer(chain: SwapChain) -> float:
 
 def log_p_sum_transfer(chain: SwapChain) -> float:
     """log P_sum, safe for chains far beyond float range."""
-    p, r, shift = _transfer(_MODES[chain.mode], np.abs(chain.diags) ** 2)
+    p, r, shift = _transfer(_mode(chain.mode), np.abs(chain.diags) ** 2)
     return shift + math.log(0.5 * (p + r))
 
 
@@ -420,11 +495,12 @@ def _transfer_concurrences(mods: np.ndarray) -> list[float]:
 
 def tradeoff_constant(chain: SwapChain) -> float:
     """Π_j C_j / P_sum — the outcome-independent value of prob × concurrence."""
+    mode = _mode(chain.mode)
     mods = np.abs(chain.diags)  # once: m·m has the bits of the other routes' m**2
     cs = _transfer_concurrences(mods)
     if any(c == 0.0 for c in cs):
         return 0.0
-    p, r, shift = _transfer(_MODES[chain.mode], mods * mods)
+    p, r, shift = _transfer(mode, mods * mods)
     if shift == 0.0:
         return math.prod(cs) / (0.5 * (p + r))
     log_val = math.fsum(math.log(c) for c in cs) - shift - math.log(0.5 * (p + r))
@@ -507,11 +583,11 @@ def _draw(chain: SwapChain, n_samples: int, seed: int) -> np.ndarray:
     transposed view of a node-major buffer), by sequential sampling: suffix transfer
     vectors are precomputed right to left, then each node's digit is drawn from its
     conditional given the prefix.  Fixed seed, the draws of tests/reference.py."""
+    mode = _mode(chain.mode)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = chain.n_nodes
-    mode = _MODES[chain.mode]
     k, s = mode.class_sizes
     mags = (np.abs(chain.diags) ** 2).tolist()
 

@@ -244,7 +244,7 @@ def exact_columns(report, prec: int = 50):
     ``prec``-digit concurrence of each distinct shift string of ``report``'s rows,
     and each row's index into them: (weights, probs, concurrences, index)."""
     dim = report.mode.dim
-    weyl = not hasattr(report.chain, "mode")  # a QuditChain, D = 2 included
+    weyl = report.chain.mode == "qudit"  # D = 2 included
     totals, denominator, index, det_sq = _exact_paths(report.chain,
                                                       digit_shifts(report.digits, dim, weyl))
     p_sum = sum(t * m for t, m in zip(totals, np.bincount(index).tolist()))

@@ -16,7 +16,7 @@ import pytest
 from reference import bond_concurrence
 
 from bondswap.cli import main as cli_main
-from bondswap.filters import PLAIN, VBS, make_filter, random_filter
+from bondswap.filters import PLAIN, QUDIT, VBS, make_filter, random_filter
 from bondswap.qubit import (
     SwapChain,
     bond_concurrences,
@@ -25,7 +25,7 @@ from bondswap.qubit import (
     p_sum_transfer,
     scan_log_constants,
 )
-from bondswap.qudit import QuditChain, enumerate_qudit_outcomes
+from bondswap.qudit import enumerate_qudit_outcomes
 from bondswap.vbs import build_vbs_state, cross_check, measure_internal_sites
 
 
@@ -162,7 +162,7 @@ def test_criterion_5_qudit_tradeoff():
         d = (2, 3, 4, 5)[k % 4]
         n_nodes = int(rng.integers(1, 4))
         filters = tuple(random_filter(rng, dim=d) for _ in range(n_nodes + 1))
-        chain = QuditChain(d, filters)
+        chain = SwapChain(filters, QUDIT)
         report = enumerate_qudit_outcomes(chain)
         cprod = math.prod(bond_concurrence(f) for f in filters)
         for rec in report.records:

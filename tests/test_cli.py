@@ -30,7 +30,6 @@ from bondswap.qubit import (
     sample_outcomes,
     scan_log_constants,
 )
-from bondswap.qudit import QuditChain, enumerate_qudit_outcomes
 from bondswap.vbs import OutcomeComparison, cross_check
 
 
@@ -89,12 +88,8 @@ def reference_document(*argv) -> str:
         payload, filters, _ = cli._run_verify(cfg)
         return render_reference(cfg, filters, payload)
     filters = cli._build_filters(cfg)
-    if cfg["mode"] == "qudit":
-        chain = QuditChain(cfg["dim"], tuple(filters))
-        report = enumerate_qudit_outcomes(chain)
-    else:
-        chain = SwapChain(tuple(filters), cfg["mode"])
-        report = enumerate_outcomes(chain)
+    chain = SwapChain(tuple(filters), cfg["mode"])
+    report = enumerate_outcomes(chain)
     cs = bond_concurrences(chain)  # rounded once; the per-bond reference rounds more often
     assert cs == pytest.approx([bond_concurrence(f) for f in filters], rel=1e-14, abs=0.0)
 
@@ -919,9 +914,9 @@ class TestExitCodes:
     def test_qudit_table_budget_is_checked_before_the_chain_is_built(self, capsys,
                                                                     monkeypatch):
         def no_chain(*args):
-            raise AssertionError("a QuditChain was built before the budget check")
+            raise AssertionError("a qudit SwapChain was built before the budget check")
 
-        monkeypatch.setattr(cli, "QuditChain", no_chain)
+        monkeypatch.setattr(cli, "SwapChain", no_chain)
         code, out, err = run_cli(capsys, "swap", "--mode", "qudit", "--dim", "3",
                                  "--identical", "1,1,1", "--bonds", "2000000")
         assert code == 3

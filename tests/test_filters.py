@@ -15,7 +15,7 @@ import pytest
 from reference import reduced_density
 
 from bondswap import filters
-from bondswap.filters import PLAIN, VBS, FilterOp, make_filter, random_filter
+from bondswap.filters import PLAIN, QUDIT, VBS, FilterOp, make_filter, random_filter
 from bondswap.linalg import state_from_operator
 from bondswap.qubit import (
     SwapChain,
@@ -25,7 +25,7 @@ from bondswap.qubit import (
     check_table_budget,
     scan_log_constants,
 )
-from bondswap.qudit import QuditChain, enumerate_qudit_outcomes
+from bondswap.qudit import enumerate_qudit_outcomes
 from bondswap.vbs import build_vbs_state
 
 
@@ -215,11 +215,11 @@ ONE_CHAIN_CASES = [(name, dim) for name in CORPORA for dim in range(2, 9) if cor
 
 def one_chain_matches(name: str, dim: int) -> bool:
     """Whether the rows of corpus ``name`` at ``dim``, new filters of one chain (a vbs
-    SwapChain for qubits, else a QuditChain), get make_filter_reference's bits: in the
+    SwapChain for qubits, else a qudit one), get make_filter_reference's bits: in the
     chain's diags and in every filter."""
     rows = corpus(name, dim)
     filts = tuple(make_filter(raw) for raw in rows)
-    chain = SwapChain(filts, VBS) if dim == 2 else QuditChain(dim, filts)
+    chain = SwapChain(filts, VBS if dim == 2 else QUDIT)
     want = [make_filter_reference(raw) for raw in rows]
     return (chain.diags.tobytes() == b"".join(w.diag.tobytes() for w in want)
             and all(bit_identical(f, w) for f, w in zip(filts, want)))
@@ -330,7 +330,7 @@ class TestOnePassBits:
         read, never, repeated = (make_filter(raw) for raw in raws)
         assert bit_identical(read, make_filter_reference(raws[0]))
         calls = count_normalized_rows(monkeypatch)
-        chain = QuditChain(3, (repeated, read, repeated, never, repeated))
+        chain = SwapChain((repeated, read, repeated, never, repeated), QUDIT)
         assert calls == [2]
         want = [make_filter_reference(raws[i]).diag for i in (2, 0, 2, 1, 2)]
         assert chain.diags.tobytes() == b"".join(row.tobytes() for row in want)
@@ -435,6 +435,41 @@ class TestDeferredFilter:
         with pytest.raises(ValueError, match="all chain filters must be FilterOps of dim 2"):
             SwapChain(([1, 1], make_filter([1, 1])), VBS)
 
+    @pytest.mark.parametrize("bond", [[1, 1], np.ones(2), "ab"], ids=["list", "array", "str"])
+    def test_foreign_bond_between_one_filter(self, bond):
+        # the first bond is also the last, so the chain checks for one filter repeated
+        # first: by identity, so the foreign bond gets the usual error, not its own
+        f = make_filter([2, 1])
+        with pytest.raises(ValueError, match="^all chain filters must be FilterOps of dim 2$"):
+            SwapChain((f, bond, f), VBS)
+
+    def test_foreign_bond_is_never_compared(self):
+        calls = []
+
+        class Spy:
+            def __eq__(self, other):
+                calls.append(other)
+                return NotImplemented
+
+            __hash__ = object.__hash__
+
+        f = make_filter([2, 1])
+        for bonds in ((f, Spy(), f), (f, f, Spy(), f)):
+            with pytest.raises(ValueError, match="FilterOps of dim 2"):
+                SwapChain(bonds, PLAIN)
+        assert calls == []
+        assert (f == np.ones(2)) is False and f == f and f != make_filter([2, 1])
+
+    def test_one_filter_repeated_is_not_hashed(self):
+        class Unhashed(FilterOp):
+            def __hash__(self):
+                raise AssertionError("a bond was hashed")
+
+        f = make_filter([0.3, 1 - 2j])
+        object.__setattr__(f, "__class__", Unhashed)
+        chain = SwapChain((f,) * 101, VBS)
+        assert chain.diags.shape == (101, 2) and (chain.diags == f.diag).all()
+
 
 def bond_state(f, convention=PLAIN):
     """(I ⊗ M)|Φ+⟩ for the operator M of a chain of one bond and no measured
@@ -442,7 +477,7 @@ def bond_state(f, convention=PLAIN):
     if f.dim == 2:
         m = chain_operator(SwapChain((f,), convention), ())
     else:
-        m = enumerate_qudit_outcomes(QuditChain(f.dim, (f,))).final_ops[0]
+        m = enumerate_qudit_outcomes(SwapChain((f,), QUDIT)).final_ops[0]
     return state_from_operator(m, f.dim)
 
 
@@ -479,7 +514,7 @@ class TestBondState:
 
 def one_bond_concurrence(f) -> float:
     """bond_concurrences of the one-bond chain of ``f``."""
-    return bond_concurrences(QuditChain(f.dim, (f,)))[0]
+    return bond_concurrences(SwapChain((f,), QUDIT))[0]
 
 
 class TestBondConcurrence:
@@ -543,7 +578,6 @@ class TestBondValidation:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: FilterOp(3, np.ones(2)), "need a diagonal of length dim >= 2, got 2"),
-        (lambda: QuditChain(1, (make_filter([1, 1]),)), "dim must be >= 2"),
     ])
     def test_rejects(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -5,12 +5,12 @@ import bondswap
 PUBLIC = [
     "__version__",
     "PLAIN",
+    "QUDIT",
     "VBS",
     "CrossCheckReport",
     "EnumerationBudgetError",
     "FilterOp",
     "OutcomeRecord",
-    "QuditChain",
     "StateVector",
     "SwapChain",
     "TradeoffReport",

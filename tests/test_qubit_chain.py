@@ -38,13 +38,14 @@ from reference import (
 )
 
 from bondswap import qubit
-from bondswap.filters import PLAIN, VBS, make_filter, random_filter
+from bondswap.filters import PLAIN, QUDIT, VBS, make_filter, random_filter
 from bondswap.linalg import EnumerationBudgetError, state_from_operator
 from bondswap.qubit import (
     _MODES,
     ENUMERATION_BUDGET,
     SwapChain,
     _draw,
+    _weyl_mode,
     bell_state,
     bond_concurrences,
     chain_operator,
@@ -60,7 +61,7 @@ from bondswap.qubit import (
     scan_log_constants,
     tradeoff_constant,
 )
-from bondswap.qudit import QuditChain, _weyl_mode, enumerate_qudit_outcomes
+from bondswap.qudit import enumerate_qudit_outcomes
 
 # local copies so the oracle below shares nothing with the implementation
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -1019,7 +1020,7 @@ class TestBondConcurrencesBits:
         filters[7] = make_filter([0] + [1] * (dim - 1))  # singular: C = 0
         filters[8] = make_filter([1] * dim)  # maximal: C = 1
         filts = tuple(filters)
-        chain = SwapChain(filts, PLAIN) if dim == 2 else QuditChain(dim, filts)
+        chain = SwapChain(filts, PLAIN if dim == 2 else QUDIT)
         exact = []
         for f in filters:
             mags = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in f.diag.tolist()]
@@ -1205,7 +1206,7 @@ class TestClassKernel:
         # exact sum of every row's weight, rounded once
         rng = np.random.default_rng(dim)
         for _ in range(20):
-            chain = QuditChain(dim, tuple(random_filter(rng, dim) for _ in range(n + 1)))
+            chain = SwapChain(tuple(random_filter(rng, dim) for _ in range(n + 1)), QUDIT)
             report = enumerate_qudit_outcomes(chain)
             assert set(np.bincount(report.class_index)) == {dim ** n}
             weights, _, _, index = exact_columns(report)
@@ -1247,9 +1248,9 @@ def report_corpus():
                     diag[rng.integers(dim)] = 0.0
                     filters[rng.integers(n + 1)] = make_filter(diag)
                 filts = tuple(filters)
-                chains.append(SwapChain(filts, mode) if dim == 2 else QuditChain(dim, filts))
+                chains.append(SwapChain(filts, mode if dim == 2 else QUDIT))
     for diag, n_bonds in (([1, 1e-100, 1e-100], 3), ([1, 1e-155, 1e-155], 2)):
-        chains.append(QuditChain(3, (make_filter(diag),) * n_bonds))
+        chains.append(SwapChain((make_filter(diag),) * n_bonds, QUDIT))
     for diag in ([1, 1e-160], [1, 1e-155]):
         chains += [SwapChain((make_filter(diag),) * 3, mode) for mode in (VBS, PLAIN)]
     return chains
@@ -1267,7 +1268,7 @@ def tradeoff_digest(reports) -> str:
 
 
 def table_of(chain):
-    return enumerate_qudit_outcomes(chain) if isinstance(chain, QuditChain) else \
+    return enumerate_qudit_outcomes(chain) if chain.mode == QUDIT else \
         enumerate_outcomes(chain)
 
 
@@ -1287,7 +1288,7 @@ class TestShapeCache:
     @pytest.mark.parametrize("make", [
         lambda rng: SwapChain(tuple(random_filter(rng) for _ in range(4)), VBS),
         lambda rng: SwapChain(tuple(random_filter(rng) for _ in range(4)), PLAIN),
-        lambda rng: QuditChain(3, tuple(random_filter(rng, 3) for _ in range(3))),
+        lambda rng: SwapChain(tuple(random_filter(rng, 3) for _ in range(3)), QUDIT),
     ], ids=["vbs", "plain", "qudit3"])
     def test_reports_of_one_shape_share_a_read_only_index(self, rng, make):
         first, second = table_of(make(rng)), table_of(make(rng))
@@ -1302,7 +1303,7 @@ class TestShapeCache:
         before = enumerate_outcomes(chain)
         # as many other shapes as the cache holds evict it: qudit D = 2..33, one node
         for dim in range(2, 2 + qubit._shape.cache_info().maxsize):
-            enumerate_qudit_outcomes(QuditChain(dim, (make_filter(range(1, dim + 1)),) * 2))
+            enumerate_qudit_outcomes(SwapChain((make_filter(range(1, dim + 1)),) * 2, QUDIT))
         after = enumerate_outcomes(chain)
         assert after.class_index is not before.class_index
         monkeypatch.setattr(qubit, "_SHAPE_ROWS", 0)  # every shape made afresh, not kept

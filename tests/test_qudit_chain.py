@@ -23,27 +23,31 @@ from reference import (
     ulp_errors,
 )
 
-from bondswap import qudit
-from bondswap.filters import PLAIN, VBS, make_filter, random_filter
+from bondswap import qubit
+from bondswap.filters import PLAIN, QUDIT, VBS, make_filter, random_filter
 from bondswap.linalg import EnumerationBudgetError, state_from_operator
 from bondswap.qubit import (
     ENUMERATION_BUDGET,
     SwapChain,
+    _draw,
+    _weyl_mode,
     bell_state,
     bond_concurrences,
+    chain_operator,
     check_budget,
     check_table_budget,
     digit_table,
     enumerate_outcomes,
-    row_index,
-)
-from bondswap.qudit import (
-    QuditChain,
-    _weyl_mode,
-    enumerate_qudit_outcomes,
     gen_pauli,
+    log_p_sum_transfer,
     omega_power,
+    p_sum_transfer,
+    row_index,
+    sample_outcomes,
+    scan_log_constants,
+    tradeoff_constant,
 )
+from bondswap.qudit import enumerate_qudit_outcomes
 
 
 def permutation_sign(perm):
@@ -137,9 +141,9 @@ class TestWeylModeOnDemand:
             raise AssertionError(f"gen_pauli{args} was called")
 
         rng = np.random.default_rng(d)
-        chain = QuditChain(d, tuple(random_filter(rng, d) for _ in range(3)))
+        chain = SwapChain(tuple(random_filter(rng, d) for _ in range(3)), QUDIT)
         _weyl_mode.cache_clear()
-        monkeypatch.setattr(qudit, "gen_pauli", refuse)
+        monkeypatch.setattr(qubit, "gen_pauli", refuse)
         try:
             report = enumerate_qudit_outcomes(chain)
             assert len(report.concurrence) == d ** 4
@@ -178,12 +182,12 @@ class TestQuditBells:
 class TestQuditChainOperator:
     def test_zero_nodes_is_the_bare_filter(self):
         f = make_filter([1, 1, 1])
-        chain = QuditChain(3, (f,))
+        chain = SwapChain((f,), QUDIT)
         assert np.allclose(enumerate_qudit_outcomes(chain).final_ops, [f.matrix])
 
     def test_determinant_factorizes(self, rng):
         filters = tuple(random_filter(rng, dim=3) for _ in range(3))
-        chain = QuditChain(3, filters)
+        chain = SwapChain(filters, QUDIT)
         ops = enumerate_qudit_outcomes(chain).final_ops
         want = math.prod(abs(np.linalg.det(f.matrix)) for f in filters)
         assert np.allclose(abs(np.linalg.det(ops)), want, rtol=1e-10, atol=0)
@@ -192,7 +196,7 @@ class TestQuditChainOperator:
 class TestEnumerateQuditOutcomes:
     def test_maximal_qutrit_single_swap(self):
         f = make_filter([1, 1, 1])
-        report = enumerate_qudit_outcomes(QuditChain(3, (f, f)))
+        report = enumerate_qudit_outcomes(SwapChain((f, f), QUDIT))
         assert len(report.records) == 9
         assert report.p_sum == pytest.approx(9.0, rel=1e-12)
         for rec in report.records:
@@ -205,7 +209,7 @@ class TestEnumerateQuditOutcomes:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_probabilities_sum_to_one(self, rng, d):
         filters = tuple(random_filter(rng, dim=d) for _ in range(3))
-        report = enumerate_qudit_outcomes(QuditChain(d, filters))
+        report = enumerate_qudit_outcomes(SwapChain(filters, QUDIT))
         assert sum(r.prob for r in report.records) == pytest.approx(1.0, abs=1e-12)
         assert report.p_sum == pytest.approx(float(d) ** 4, rel=1e-9)
 
@@ -214,7 +218,7 @@ class TestEnumerateQuditOutcomes:
         # prob * C^e the same number divided by the weight sum
         for d in (2, 3, 4):
             filters = tuple(random_filter(rng, dim=d) for _ in range(3))
-            chain = QuditChain(d, filters)
+            chain = SwapChain(filters, QUDIT)
             cprod = math.prod(bond_concurrence(f) for f in filters)
             report = enumerate_qudit_outcomes(chain)
             for rec in report.records:
@@ -237,7 +241,7 @@ class TestEnumerateQuditOutcomes:
                     diag[k % 2] *= 10.0 ** -rng.uniform(0, 150)
                 filters.append(make_filter(diag))
             plain = enumerate_outcomes(SwapChain(tuple(filters), PLAIN))
-            qudit = enumerate_qudit_outcomes(QuditChain(2, tuple(filters)))
+            qudit = enumerate_qudit_outcomes(SwapChain(tuple(filters), QUDIT))
             rows = row_index(np.array([0, 2, 1, 3], np.uint8)[plain.digits], 4)
             for name in ("weight", "prob", "concurrence"):
                 want, got = getattr(plain, name), getattr(qudit, name)[rows]
@@ -252,7 +256,7 @@ class TestEnumerateQuditOutcomes:
         g = make_filter([1, 0, 0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = enumerate_qudit_outcomes(QuditChain(3, (g, g)))
+            report = enumerate_qudit_outcomes(SwapChain((g, g), QUDIT))
             records = report.records  # the concurrence stage runs on this first read
         for rec in records:
             (m, _n), = rec.indices
@@ -270,7 +274,7 @@ class TestEnumerateQuditOutcomes:
 
     def test_budget_guard(self):
         f = make_filter([1] * 5)
-        chain = QuditChain(5, (f,) * 7)  # 25**6 outcomes
+        chain = SwapChain((f,) * 7, QUDIT)  # 25**6 outcomes
         assert 25**6 > ENUMERATION_BUDGET
         with pytest.raises(EnumerationBudgetError):
             enumerate_qudit_outcomes(chain)
@@ -280,8 +284,8 @@ class TestEnumerateQuditOutcomes:
         # to N = 10, 6, 5, 4, 4, 3, 3: exactly the tables two budgets admitted
         largest = {VBS: 13, PLAIN: 10, 2: 10, 3: 6, 4: 5, 5: 4, 6: 4, 7: 3, 8: 3}
         for mode, n in largest.items():
-            check = (functools.partial(check_budget, mode ** 2) if isinstance(mode, int)
-                     else functools.partial(check_table_budget, mode))
+            check = (functools.partial(check_table_budget, QUDIT, dim=mode)
+                     if isinstance(mode, int) else functools.partial(check_table_budget, mode))
             check(n)
             with pytest.raises(EnumerationBudgetError, match=f"\\^{n + 1} = "):
                 check(n + 1)
@@ -295,7 +299,7 @@ class TestEnumerateQuditOutcomes:
         # row counter and np.divmod's outputs to 30 B/row, and every row's 5×5
         # operator to 608 B/row
         rng = np.random.default_rng(4)
-        chain = QuditChain(5, tuple(random_filter(rng, 5) for _ in range(5)))
+        chain = SwapChain(tuple(random_filter(rng, 5) for _ in range(5)), QUDIT)
         tracemalloc.start()
         try:
             report = enumerate_qudit_outcomes(chain)
@@ -331,7 +335,7 @@ class TestStateVectorOracle:
     def test_two_swap_qutrit_chain(self, rng):
         d = 3
         filters = tuple(random_filter(rng, dim=d) for _ in range(3))
-        chain = QuditChain(d, filters)
+        chain = SwapChain(filters, QUDIT)
         report = enumerate_qudit_outcomes(chain)
         by_idx = {rec.indices: rec for rec in report.records}
         checked = 0
@@ -361,18 +365,70 @@ class TestStateVectorOracle:
         assert checked == 81
 
 
+class TestOneChainType:
+    """A qudit chain is a SwapChain in mode QUDIT.  The table and chain_operator read
+    its own mode; the table-free routes serve qubits only and refuse it by name."""
+
+    @pytest.mark.parametrize("route", [
+        p_sum_transfer, log_p_sum_transfer, tradeoff_constant,
+        lambda chain: sample_outcomes(chain, 10), lambda chain: _draw(chain, 10, 0),
+    ], ids=["p_sum_transfer", "log_p_sum_transfer", "tradeoff_constant", "sample_outcomes",
+            "_draw"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_table_free_routes_are_qubit_only(self, route, dim, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the concurrences were computed first")
+
+        monkeypatch.setattr(qubit, "_transfer_concurrences", refuse)
+        f = make_filter(range(1, dim + 1))
+        with pytest.raises(ValueError, match=r"qubit-only \(mode vbs or plain\)"):
+            route(SwapChain((f, f, f), QUDIT))
+
+    def test_scan_and_bell_states_are_qubit_only(self):
+        with pytest.raises(ValueError, match="qubit-only"):
+            scan_log_constants(make_filter([2, 1]), 3, QUDIT)
+        with pytest.raises(ValueError, match="qubit-only"):
+            bell_state(QUDIT, 1)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_chain_operator_reads_the_chains_mode(self, dim):
+        rng = np.random.default_rng(dim)
+        chain = SwapChain(tuple(random_filter(rng, dim) for _ in range(3)), QUDIT)
+        report = enumerate_outcomes(chain)
+        assert report.mode is chain.record is _weyl_mode(dim)
+        for op, digits in zip(report.final_ops, report.digits.tolist()):
+            assert np.array_equal(op, chain_operator(chain, digits))
+        with pytest.raises(ValueError, match="invalid for mode 'qudit'"):
+            chain_operator(chain, (dim * dim, 0))
+
+    def test_one_entry_point(self):
+        # enumerate_qudit_outcomes stays a function of its own and gives the same table
+        rng = np.random.default_rng(6)
+        chain = SwapChain(tuple(random_filter(rng, 4) for _ in range(3)), QUDIT)
+        assert enumerate_qudit_outcomes is not enumerate_outcomes
+        one, other = enumerate_qudit_outcomes(chain), enumerate_outcomes(chain)
+        assert one.p_sum == other.p_sum and one.constant == other.constant
+        assert np.array_equal(one.prob, other.prob)
+
+
 class TestQuditChainValidation:
     def test_needs_a_bond(self):
-        with pytest.raises(ValueError):
-            QuditChain(3, ())
+        with pytest.raises(ValueError, match="at least one bond"):
+            SwapChain((), QUDIT)
 
     def test_dimension_must_match_filters(self):
-        with pytest.raises(ValueError):
-            QuditChain(3, (make_filter([1, 1]), make_filter([1, 1])))
+        # a qudit chain's dim is its first filter's, D = 2 included; vbs and plain take qubits
+        assert SwapChain((make_filter([1, 1]), make_filter([1, 1])), QUDIT).dim == 2
+        assert SwapChain((make_filter([1, 1, 1]),) * 2, QUDIT).dim == 3
+        for mode in (VBS, PLAIN):
+            with pytest.raises(ValueError, match="all chain filters must be FilterOps of dim 2"):
+                SwapChain((make_filter([1, 1, 1]),) * 2, mode)
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            QuditChain(3, (make_filter([1, 1, 1]), make_filter([1, 1])))
+        with pytest.raises(ValueError, match="all chain filters must be FilterOps of dim 3"):
+            SwapChain((make_filter([1, 1, 1]), make_filter([1, 1])), QUDIT)
+        with pytest.raises(ValueError, match="all chain filters must be FilterOps of dim 2"):
+            SwapChain((make_filter([1, 1]), make_filter([1, 1, 1])), QUDIT)
 
 
 # (mode, N) cells of at most 10^4 rows, a qudit mode named by its D
@@ -400,7 +456,7 @@ def ulp_error_table() -> dict:
         clock_free = []
         for chain_filters in (filters[k :: EXACT_CHAINS] for k in range(EXACT_CHAINS)):
             report = (enumerate_outcomes(SwapChain(chain_filters, mode)) if d == 2
-                      else enumerate_qudit_outcomes(QuditChain(d, chain_filters)))
+                      else enumerate_qudit_outcomes(SwapChain(chain_filters, QUDIT)))
             *exact, index = exact_columns(report)
             full = full_route_columns(report)
             for (name, (kernel, by_row)), want, row_route in zip(cell.items(), exact, full):
@@ -434,7 +490,7 @@ class TestExactReference:
         rng = np.random.default_rng(dim)
         for n in (1, 2):
             report = enumerate_qudit_outcomes(
-                QuditChain(dim, tuple(random_filter(rng, dim) for _ in range(n + 1))))
+                SwapChain(tuple(random_filter(rng, dim) for _ in range(n + 1)), QUDIT))
             clock_free = np.all(report.digits % dim == 0, axis=1)
             *exact, index = exact_columns(report)
             full = full_route_columns(report)
@@ -470,13 +526,13 @@ class TestExactReference:
         # λ1(j + 1), so the weight is the mean of |λ0(j)|²·|λ1(j + 1)|² over j
         f0, f1 = make_filter([1, 2j, 3]), make_filter([0.5, 1, -2])
         a, b = ([Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in f.diag] for f in (f0, f1))
-        weights, index, det_sq = exact_monomial_table(QuditChain(3, (f0, f1)),
+        weights, index, det_sq = exact_monomial_table(SwapChain((f0, f1), QUDIT),
                                                       np.array([[1], [0], [1]]))
         assert weights == [(a[0] * b[0] + a[1] * b[1] + a[2] * b[2]) / 3,
                            (a[0] * b[1] + a[1] * b[2] + a[2] * b[0]) / 3]
         assert index.tolist() == [1, 0, 1]
         assert det_sq == math.prod(a) * math.prod(b)
-        report = enumerate_qudit_outcomes(QuditChain(3, (f0, f1)))
+        report = enumerate_qudit_outcomes(SwapChain((f0, f1), QUDIT))
         assert report.weight[0] == pytest.approx(float(weights[0]), rel=1e-15)
         assert report.weight[3] == pytest.approx(float(weights[1]), rel=1e-15)
 
@@ -498,20 +554,31 @@ class TestConcurrenceBelowTheNormalRange:
         f = make_filter([1.0] + [t] * (dim - 1))
         mags = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in f.diag.tolist()]
         want = self.exact([sum(mags) / dim], math.prod(mags), dim)
-        got = bond_concurrences(QuditChain(dim, (f, f)))
+        got = bond_concurrences(SwapChain((f, f), QUDIT))
         assert np.max(ulp_errors(got, want, np.zeros(2, dtype=int))) <= ROUNDED_ONCE
 
-    def test_bond_of_many_entries(self):
-        # the product of 2048 squares and its 2048th root, in integers
+    def test_bond_of_many_entries(self, monkeypatch):
+        # the product of 2048 squares and its 2048th root, in integers; the chain and its
+        # bond concurrences never make the mode of its 2048² outcomes, and the table is
+        # refused before it would
+        def refuse(dim):
+            raise AssertionError(f"_weyl_mode({dim}) ran")
+
+        monkeypatch.setattr(qubit, "_weyl_mode", refuse)
         f = make_filter([1.0] * 2048)
-        assert bond_concurrences(QuditChain(2048, (f, f))) == [1.0, 1.0]
+        chain = SwapChain((f, f), QUDIT)
+        assert chain.dim == 2048 and chain.n_nodes == 1
+        assert bond_concurrences(chain) == [1.0, 1.0]
+        for table in (enumerate_outcomes, enumerate_qudit_outcomes):
+            with pytest.raises(EnumerationBudgetError, match=r"^4194304\^1 = "):
+                table(chain)
 
     @pytest.mark.parametrize("dim, t", [(3, 1e-100), (5, 1e-60), (8, 1e-30)])
     def test_classes(self, dim, t):
         f = make_filter([1.0] + [t] * (dim - 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = enumerate_qudit_outcomes(QuditChain(dim, (f, f)))
+            report = enumerate_qudit_outcomes(SwapChain((f, f), QUDIT))
             conc = report.concurrence  # the concurrence stage runs on this first read
         weights, index, det_sq = exact_monomial_table(report.chain,
                                                       digit_shifts(report.digits, dim))
@@ -525,7 +592,7 @@ class TestConcurrenceBelowTheNormalRange:
         # weight about 9e-400 (0.0 in floats) have a concurrence of exactly 1.0.
         # Only the class whose true value is 3e-400, and the constant, read 0.0
         f = make_filter([1.0, 1e-100, 1e-100])
-        report = enumerate_qudit_outcomes(QuditChain(3, (f, f, f)))
+        report = enumerate_qudit_outcomes(SwapChain((f, f, f), QUDIT))
         weights, index, det_sq = exact_monomial_table(report.chain,
                                                       digit_shifts(report.digits, 3))
         errors = ulp_errors(report.concurrence, self.exact(weights, det_sq, 3), index)
@@ -543,7 +610,7 @@ class TestConcurrenceBelowTheNormalRange:
         # floats, and its concurrence lost the rest: 7·10¹⁰ ulps at 1e-160, 11.75
         # at 1e-155 (qubits) and 14.35 at the qudit 1e-155 (2.0/3 taken as 2/3)
         filters = (make_filter(diag),) * n_bonds
-        report = (enumerate_qudit_outcomes(QuditChain(mode, filters)) if mode == 3
+        report = (enumerate_qudit_outcomes(SwapChain(filters, QUDIT)) if mode == 3
                   else enumerate_outcomes(SwapChain(filters, mode)))
         dim = report.mode.dim
         weights, index, det_sq = exact_monomial_table(report.chain,
