@@ -111,8 +111,9 @@ _RESCALING = threading.Lock()  # a filter's first rescaling is check-then-act on
 
 
 def _rows(filters) -> np.ndarray:
-    """The diagonals of distinct filters of one dim, stacked: the deferred ones' entries in
-    one call, rescaled in one pass; each keeps its row (a view of the stack) and scale."""
+    """The diagonals of filters of one dim, stacked in their order: the deferred ones' entries
+    in one call, rescaled in one pass, a filter at several places with a row at each and the
+    same bits (_normalize rounds each row alone); each keeps its row (a view) and scale."""
     with _RESCALING:
         pending = [state for f in filters if "_raw" in (state := f.__dict__)]
         if pending:
@@ -120,7 +121,7 @@ def _rows(filters) -> np.ndarray:
             diags, scales = _normalize(entries.reshape(len(pending), -1))
             for state, row, scale in zip(pending, diags, scales):
                 state["diag"], state["scale"] = row, scale
-                del state["_raw"]
+                state.pop("_raw", None)
             if len(pending) == len(filters):
                 return diags
     return np.array([f.__dict__["diag"] for f in filters])

@@ -160,29 +160,21 @@ class SwapChain:
         filts = tuple(self.filters)
         if not filts:
             raise ValueError("a chain needs at least one bond")
+        if self.mode != QUDIT:  # before any filter is rescaled
+            _mode(self.mode)
         first = filts[0]
         dim = first.dim if self.mode == QUDIT and isinstance(first, FilterOp) else 2
         # one filter repeated: checked by identity, FilterOp's own __eq__, with no hashing
-        if first is filts[-1] and isinstance(first, FilterOp) and (first,) * len(filts) == filts:
-            slots = (first,)
-        else:
-            try:  # each filter once: a repeated one is rescaled and checked once
-                slots = dict.fromkeys(filts)
-            except TypeError:  # an unhashable bond, which is no FilterOp
-                slots = filts
-        if any(not isinstance(f, FilterOp) or f.dim != dim for f in slots):
+        one = first is filts[-1] and isinstance(first, FilterOp) and (first,) * len(filts) == filts
+        bonds = filts[:1] if one else filts
+        if any(not isinstance(f, FilterOp) or f.dim != dim for f in bonds):
             raise ValueError(f"all chain filters must be FilterOps of dim {dim}")
-        diags = _rows(slots)
-        if len(slots) == 1 < len(filts):  # one filter repeated: its row for every bond
+        diags = _rows(bonds)
+        if len(bonds) < len(filts):  # one filter repeated: its row for every bond
             diags = np.repeat(diags, len(filts), axis=0)
-        elif len(slots) < len(filts):  # some repeated: each bond's row from the distinct rows
-            index = dict(zip(slots, range(len(slots))))
-            diags = diags[[index[f] for f in filts]]
         diags.flags.writeable = False
         object.__setattr__(self, "filters", filts)
         object.__setattr__(self, "diags", diags)
-        if self.mode != QUDIT:
-            _mode(self.mode)
 
 
 # kept for bench/spans.py, whose counters read len(report.records) on traced runs
@@ -272,7 +264,8 @@ def _approx(log10_x: float) -> str:
     if log10_x < 300:
         return f"{10 ** log10_x:.3g}"
     exp = math.floor(log10_x)
-    return f"{10 ** (log10_x - exp):.2f}e+{exp}"
+    mantissa, carry = f"{10 ** (log10_x - exp):.2e}".split("e")  # 9.995 and up: 1.00e+01
+    return f"{mantissa}e+{exp + int(carry)}"
 
 
 def budget_error(count: str, log10_count: float, unit: str, unit_bytes: int, name: str,
@@ -284,26 +277,22 @@ def budget_error(count: str, log10_count: float, unit: str, unit_bytes: int, nam
         f"exceed the {name} budget of {budget} {unit}s{hint}")
 
 
-def check_budget(base: int, n: int, hint: str = "") -> None:
-    """Refuse a base^n-row outcome table above ENUMERATION_BUDGET rows, the one
-    row budget of every mode.
+def check_table_budget(mode: str, n_nodes: int, dim: int = 2) -> None:
+    """Refuse an outcome table above ENUMERATION_BUDGET rows, the one row budget of every
+    mode, from the mode, node count and dim alone: D² rows a node in qudit mode, which the
+    table-free routes named in the error do not serve.
 
     Runs before anything is allocated; the error gives the row count and the
     estimated peak memory of a CLI run that renders the table.
     """
+    base = dim * dim if mode == QUDIT else len(_mode(mode).digits)
     # past its bit length, base^n > 2^n > budget: never build a huge base ** n
-    if n <= ENUMERATION_BUDGET.bit_length() and base ** n <= ENUMERATION_BUDGET:
+    if n_nodes <= ENUMERATION_BUDGET.bit_length() and base ** n_nodes <= ENUMERATION_BUDGET:
         return
-    log10_rows = n * math.log10(base)
-    raise budget_error(f"{base}^{n} = {_approx(log10_rows)} outcome", log10_rows, "row",
-                       _ROW_BYTES, "enumeration", ENUMERATION_BUDGET, hint)
-
-
-def check_table_budget(mode: str, n_nodes: int, dim: int = 2) -> None:
-    """enumerate_outcomes's budget check, from the mode, node count and dim alone: D² rows
-    a node in qudit mode, which the table-free routes named in the error do not serve."""
     hint = "" if mode == QUDIT else "; use sample_outcomes or p_sum_transfer instead"
-    check_budget(dim * dim if mode == QUDIT else len(_mode(mode).digits), n_nodes, hint)
+    log10_rows = n_nodes * math.log10(base)
+    raise budget_error(f"{base}^{n_nodes} = {_approx(log10_rows)} outcome", log10_rows, "row",
+                       _ROW_BYTES, "enumeration", ENUMERATION_BUDGET, hint)
 
 
 # kept for bench/spans.py, which wraps it: no caller in the package
@@ -444,17 +433,17 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     return _table(chain, chain.record)
 
 
-def _transfer(mode: _Mode, squares: np.ndarray) -> tuple[float, float, float]:
-    """(p, r, log_shift) of the transfer map in the diagonal sector after the last bond.
+def _transfer(chain: SwapChain) -> tuple[float, float]:
+    """(P, log_shift), P_sum = P·exp(log_shift), by the transfer map over a qubit chain.
 
-    Diagonal filters keep ρ diagonal under ρ → Σ_i T σ_i ρ σ_i† T†, so only
-    the two diagonal entries (p, r) evolve, from bond 0's (|λ_0|², |λ_1|²), the rows
-    of the (N+1, 2) ``squares``.  The true entries are (p, r)·exp(log_shift); the
-    shift stays 0 until they threaten to leave the float range.
+    Diagonal filters keep ρ diagonal under ρ → Σ_i T σ_i ρ σ_i† T†, so only the two
+    diagonal entries (p, r) evolve, from bond 0's (|λ_0|², |λ_1|²), the rows of
+    np.abs(chain.diags) ** 2, to P = (p + r)/2 after the last bond.  The shift stays 0
+    until they threaten to leave the float range.
     """
-    k, s = map(float, mode.class_sizes)
-    p, r = squares[0].tolist()
-    shift = 0.0
+    k, s = map(float, _mode(chain.mode).class_sizes)
+    squares = np.abs(chain.diags) ** 2
+    (p, r), shift = squares[0].tolist(), 0.0
     for a, b in zip(*squares[1:].T.tolist()):
         p, r = a * (k * p + s * r), b * (s * p + k * r)
         tot = p + r
@@ -462,7 +451,7 @@ def _transfer(mode: _Mode, squares: np.ndarray) -> tuple[float, float, float]:
             p /= tot
             r /= tot
             shift += math.log(tot)
-    return p, r, shift
+    return 0.5 * (p + r), shift
 
 
 def p_sum_transfer(chain: SwapChain) -> float:
@@ -472,19 +461,19 @@ def p_sum_transfer(chain: SwapChain) -> float:
     ρ = T_0 T_0† and taking Tr/2); inf once P_sum leaves the float range —
     use log_p_sum_transfer there.
     """
-    p, r, shift = _transfer(_mode(chain.mode), np.abs(chain.diags) ** 2)
+    p_sum, shift = _transfer(chain)
     if shift == 0.0:
-        return 0.5 * (p + r)
+        return p_sum
     try:
-        return math.exp(shift + math.log(0.5 * (p + r)))
+        return math.exp(shift + math.log(p_sum))
     except OverflowError:
         return math.inf
 
 
 def log_p_sum_transfer(chain: SwapChain) -> float:
     """log P_sum, safe for chains far beyond float range."""
-    p, r, shift = _transfer(_mode(chain.mode), np.abs(chain.diags) ** 2)
-    return shift + math.log(0.5 * (p + r))
+    p_sum, shift = _transfer(chain)
+    return shift + math.log(p_sum)
 
 
 def _transfer_concurrences(mods: np.ndarray) -> list[float]:
@@ -495,16 +484,13 @@ def _transfer_concurrences(mods: np.ndarray) -> list[float]:
 
 def tradeoff_constant(chain: SwapChain) -> float:
     """Π_j C_j / P_sum — the outcome-independent value of prob × concurrence."""
-    mode = _mode(chain.mode)
-    mods = np.abs(chain.diags)  # once: m·m has the bits of the other routes' m**2
-    cs = _transfer_concurrences(mods)
+    p_sum, shift = _transfer(chain)
+    cs = _transfer_concurrences(np.abs(chain.diags))
     if any(c == 0.0 for c in cs):
         return 0.0
-    p, r, shift = _transfer(mode, mods * mods)
     if shift == 0.0:
-        return math.prod(cs) / (0.5 * (p + r))
-    log_val = math.fsum(math.log(c) for c in cs) - shift - math.log(0.5 * (p + r))
-    return math.exp(log_val)
+        return math.prod(cs) / p_sum
+    return math.exp(math.fsum(math.log(c) for c in cs) - shift - math.log(p_sum))
 
 
 def _two_sum(x, y):
@@ -550,8 +536,8 @@ def scan_log_constants(filt: FilterOp, n_max: int, mode: str = VBS) -> np.ndarra
     if not isinstance(filt, FilterOp) or filt.dim != 2:
         raise ValueError("all chain filters must be FilterOps of dim 2")
     k, s = _mode(mode).class_sizes
-    m0, m1 = np.abs(filt.diag).tolist()  # c and (a, b) as tradeoff_constant takes them
-    a, b, c = m0 * m0, m1 * m1, 2.0 * m0 * m1 / (m0 * m0 + m1 * m1)
+    mods = np.abs(filt.diag)[None]  # c and (a, b) as _transfer and tradeoff_constant take them
+    (a, b), c = (mods ** 2)[0].tolist(), _transfer_concurrences(mods)[0]
     if c == 0.0:
         return np.full(n_max, -math.inf)
     with localcontext() as ctx:

@@ -904,6 +904,13 @@ class TestExitCodes:
                        "(about 7.54e+954234 GB at 70 B/row) exceed the enumeration budget "
                        "of 1679616 rows; use sample_outcomes or p_sum_transfer instead\n")
 
+    def test_row_count_mantissa_carries_into_the_exponent(self, capsys):
+        # 3^2251 is 9.9998e+1073: its mantissa rounds to 10.00, which reads 1.00e+1074
+        code, out, err = run_cli(capsys, "swap", "--identical", "2,1", "--bonds", "2252")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("bondswap: budget exceeded: 3^2251 = 1.00e+1074 outcome rows ")
+
     @pytest.mark.parametrize("command", ["swap", "sample"])
     def test_usage_errors_come_before_the_table_budget(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--identical", "2,1,3", "--bonds", "2000000")

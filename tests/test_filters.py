@@ -331,7 +331,7 @@ class TestOnePassBits:
         assert bit_identical(read, make_filter_reference(raws[0]))
         calls = count_normalized_rows(monkeypatch)
         chain = SwapChain((repeated, read, repeated, never, repeated), QUDIT)
-        assert calls == [2]
+        assert calls == [4]  # a row at each place of the repeated filter
         want = [make_filter_reference(raws[i]).diag for i in (2, 0, 2, 1, 2)]
         assert chain.diags.tobytes() == b"".join(row.tobytes() for row in want)
         assert bit_identical(never, make_filter_reference(raws[1]))
@@ -430,6 +430,14 @@ class TestDeferredFilter:
                 assert results == [want] * len(threads)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("repeat", [True, False], ids=["one filter", "mixed"])
+    def test_unknown_mode_is_refused_before_the_rescaling(self, repeat):
+        f = make_filter([2, 1])
+        bonds = (f, f, f) if repeat else (f, make_filter([1, 3j]), f)
+        with pytest.raises(ValueError, match="^unknown mode 'twisted'$"):
+            SwapChain(bonds, "twisted")
+        assert all("_raw" in vars(b) for b in bonds)
 
     def test_chain_refuses_an_unhashable_bond(self):
         with pytest.raises(ValueError, match="all chain filters must be FilterOps of dim 2"):

@@ -49,7 +49,6 @@ from bondswap.qubit import (
     bell_state,
     bond_concurrences,
     chain_operator,
-    check_budget,
     check_table_budget,
     digit_table,
     enumerate_outcomes,
@@ -695,8 +694,7 @@ class TestScanAgainstTransfer:
             # the loop rounds at every step: up to 2.37 ulp measured
             assert ulp_errors(loop, want, index).max() <= 2.5
             assert np.all(np.abs(scan - loop) <= 3 * np.spacing(np.abs(loop)))
-        shifts = [qubit._transfer(_MODES[mode], np.abs(chains[self.NODES.index(n)].diags) ** 2)[2]
-                  for n in (64, 1000)]
+        shifts = [qubit._transfer(chains[self.NODES.index(n)])[1] for n in (64, 1000)]
         assert shifts[0] == 0.0 != shifts[1]
 
 
@@ -923,11 +921,16 @@ class TestPinnedOutputs:
         assert pinned_scan_entries(mode, name) == PINNED_SCANS[mode, name]
 
 
+# rows a node of each mode: base 3 is vbs, 4 plain, 9 and 64 qudit D = 3 and D = 8
+BASE_MODES = {3: (VBS, 2), 4: (PLAIN, 2), 9: (QUDIT, 3), 64: (QUDIT, 8)}
+
+
 def refused(base, n, budget):
+    mode, dim = BASE_MODES[base]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qubit, "ENUMERATION_BUDGET", budget)
         try:
-            check_budget(base, n)
+            check_table_budget(mode, n, dim)
         except EnumerationBudgetError:
             return True
     return False
@@ -940,12 +943,12 @@ class TestCheckBudget:
         assert not refused(3, 13, 3**13)  # exactly the budget: allowed
         monkeypatch.setattr(qubit, "ENUMERATION_BUDGET", 3**13 - 1)
         with pytest.raises(EnumerationBudgetError, match=r"^3\^13 = 1\.59e\+06 outcome rows"):
-            check_budget(3, 13)
+            check_table_budget(VBS, 13)
 
     def test_agrees_with_the_full_row_count(self):
         # past the budget's bit length the check skips base ** n: it must still
         # refuse exactly the tables with base^n > budget
-        for base in (2, 3, 4, 9, 64):
+        for base in BASE_MODES:
             for budget in (1, 2, 3, 63, 64, 65, ENUMERATION_BUDGET):
                 for n in range(budget.bit_length() + 3):
                     assert refused(base, n, budget) == (base**n > budget), (base, budget, n)

@@ -34,7 +34,6 @@ from bondswap.qubit import (
     bell_state,
     bond_concurrences,
     chain_operator,
-    check_budget,
     check_table_budget,
     digit_table,
     enumerate_outcomes,
@@ -266,11 +265,11 @@ class TestEnumerateQuditOutcomes:
         assert report.constant == 0.0 and report.max_residual == 0.0
 
     def test_budget_from_the_dimension_alone(self):
-        check_budget(6 ** 2, 4)  # 36^4 rows: the budget itself
+        check_table_budget(QUDIT, 4, 6)  # 36^4 rows: the budget itself
         with pytest.raises(EnumerationBudgetError, match=r"^36\^5 = "):
-            check_budget(6 ** 2, 5)
+            check_table_budget(QUDIT, 5, 6)
         with pytest.raises(EnumerationBudgetError, match=r"^4\^1000000 = "):
-            check_budget(2 ** 2, 10**6)
+            check_table_budget(QUDIT, 10**6, 2)
 
     def test_budget_guard(self):
         f = make_filter([1] * 5)
