@@ -17,6 +17,7 @@ import sys
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -130,9 +131,9 @@ _DRAW_BUDGET = 10_000_000
 _DRAW_BYTES = 130
 
 
-# Every config key and its --flag (the key with "-" for "_"), in --help order:
-# its default, the checker each value passes unless it and the default are both
-# None (it returns the value parsed), and the argparse keywords of the flag.
+# Every config key and its --flag (the key with "-" for "_"), in --help order: its
+# default, parsed once into _DEFAULTS, the checker each given value passes unless it and
+# the default are both None (it returns the value parsed), and the flag's argparse keywords.
 _Option = namedtuple("_Option", "default check flag")
 _OPTIONS = {
     # D <= 8: each outcome digit m*D+n prints as one of the 64 symbols of _DIGITS
@@ -154,6 +155,7 @@ _OPTIONS = {
     "out": _Option(None, _file_name, {
         "metavar": "FILE", "help": "write output here instead of stdout"}),
 }
+_DEFAULTS = {k: o.check(k, o.default) for k, o in _OPTIONS.items() if o.default is not None}
 
 
 def _resolve_config(args) -> dict:
@@ -173,10 +175,10 @@ def _resolve_config(args) -> dict:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         given.update(file_cfg)
     given.update((key, flag) for key in _OPTIONS if (flag := getattr(args, key)) is not None)
-    cfg = {"command": args.command}
+    cfg = {"command": args.command, **dict.fromkeys(_OPTIONS), **_DEFAULTS}
     for key, opt in _OPTIONS.items():
-        value = given.get(key, opt.default)
-        cfg[key] = value if value is None and opt.default is None else opt.check(key, value)
+        if key in given and not (given[key] is None is opt.default):
+            cfg[key] = opt.check(key, given[key])
     command = _COMMANDS[args.command]
     reads = [key for key in _OPTIONS if key in _SHARED_KEYS + command.keys]
     foreign = [key for key in _OPTIONS if key in given and key not in reads]
@@ -447,6 +449,22 @@ def _json_tokens(col: np.ndarray) -> list[str]:
     return json.dumps(col.tolist())[1:-1].split(", ")
 
 
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: ("false", "true").__getitem__,
+            type(None): lambda _: "null", float: lambda x: repr(x) if x - x == 0 else json.dumps(x)}
+
+
+def _dumps(value, indent: str = "") -> str:
+    """The bytes of json.dumps(value, indent=2), later lines ``indent`` further in; str keys."""
+    scalar = _SCALARS.get(type(value))
+    if scalar or not isinstance(value, (dict, list, tuple)) or not value:  # empty: {} or []
+        return scalar(value) if scalar else json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        kv = (f"{inner}{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items())
+        return "{\n" + ",\n".join(kv) + f"\n{indent}}}"
+    return "[\n" + ",\n".join(inner + _dumps(v, inner) for v in value) + f"\n{indent}]"
+
+
 def _csv_tokens(col: np.ndarray) -> list[str]:
     # str is repr for a float; only an object column may hold None
     return list(map(_csv_cell if col.dtype.kind == "O" else str, col.tolist()))
@@ -485,20 +503,20 @@ def _segments(rows: dict, names, opens, encode, quote: str):
 def _render(fmt: str, command: str, document: dict):
     """The document as text pieces to write as they come: a header, blocks of
     at most _CHUNK_ROWS table rows, a trailer.  The JSON pieces join to the
-    bytes of json.dumps(document, indent=2) + "\n"."""
+    bytes of json.dumps(document, indent=2) + "\n", with no call to json's pure-Python encoder."""
     rows_key = _COMMANDS[command].rows
     rows = document[rows_key]
     if fmt == "json":
         # the document with no rows, split where they go
         gap = f"\n  {json.dumps(rows_key)}: ["
-        head, tail = json.dumps({**document, rows_key: []}, indent=2).split(gap + "]")
+        head, tail = _dumps({**document, rows_key: []}).split(gap + "]")
         yield head + gap + "\n"
         names = list(rows) if isinstance(rows, dict) else []
         # the text before each field of a row, and after its last
         opens = [f"{',' if j else '    {'}\n      {json.dumps(name)}: "
                  for j, name in enumerate(names)]
         close, sep, trailer, encode, quote = "\n    }", ",\n", f"\n  ]{tail}\n", _json_tokens, '"'
-        one_row = lambda row: "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+        one_row = lambda row: "    " + _dumps(row, "    ")
     else:
         names = _COMMANDS[command].columns
         cells = {k: ";".join(map(_csv_cell, v)) if isinstance(v, list) else _csv_cell(v)

@@ -318,12 +318,14 @@ def _squares(diags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _root(x: int, dim: int) -> tuple[int, int]:
-    """(r, b), r = ⌊x^(1/D)·2^b⌋ of at least 120 bits (0 for x = 0), by Newton's method
-    on ints from just above a float estimate: r / y then rounds as x^(1/D)·2^b / y."""
+    """(r, b), r = ⌊x^(1/D)·2^b⌋ of at least 120 bits (0 for x = 0), by math.isqrt for D = 2,
+    else by Newton's method on ints from above a float estimate: r / y rounds as x^(1/D)·2^b / y."""
     if not x:
         return 0, 0
     b = max(0, 121 - x.bit_length() // dim)
     x <<= dim * b
+    if dim == 2:
+        return math.isqrt(x), b
     s = max(0, x.bit_length() // dim - 60)
     r = (int(math.exp(math.log(x) / dim - s * math.log(2)) * (1 + 2 ** -30)) + 2) << s
     while (z := ((dim - 1) * r + x // r ** (dim - 1)) // dim) < r:

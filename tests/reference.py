@@ -311,3 +311,17 @@ def decimal_scan(squares, c: float, sizes, ns, prec: int = 60) -> list[Decimal]:
             done = n
             out.append((n + 1) * log_c - ((v[0] + v[1]) / 2).ln() - shift * ln10)
     return out
+
+
+def newton_root(x: int, dim: int) -> tuple[int, int]:
+    """(r, b), r = ⌊x^(1/D)·2^b⌋ of at least 120 bits (0 for x = 0), by Newton's method on
+    ints from just above a float estimate: the iterates fall to the floor and stop there."""
+    if not x:
+        return 0, 0
+    b = max(0, 121 - x.bit_length() // dim)
+    x <<= dim * b
+    s = max(0, x.bit_length() // dim - 60)
+    r = (int(math.exp(math.log(x) / dim - s * math.log(2)) * (1 + 2 ** -30)) + 2) << s
+    while (z := ((dim - 1) * r + x // r ** (dim - 1)) // dim) < r:
+        r = z
+    return r, b

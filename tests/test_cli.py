@@ -391,6 +391,19 @@ def swap_columns(draw):
     return cli._Index(range(first, first + base), n_nodes), digits, rows, columns
 
 
+# the scalars a document may hold, each beside the values json formats apart: non-ASCII,
+# quotes, backslashes and control characters in strings; ints past 64 bits; ±0.0,
+# subnormals, ±inf and nan, as float and as np.float64
+JSON_SCALARS = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "é€😀", "\u2028"]),
+    st.integers(), st.integers(-10 ** 400, 10 ** 400), st.booleans(), st.none(),
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, math.inf, -math.inf, math.nan]),
+    st.floats().map(np.float64))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4)), max_leaves=16)
+
+
 class _Sink(io.TextIOBase):
     """A text stream that counts the characters written to it and keeps none."""
 
@@ -433,6 +446,14 @@ class TestColumnarRendering:
                     "config_echo": cli._echo(cfg, filters), **head, "outcomes": columns}
         assert "".join(cli._render(fmt, "swap", document)) == render_reference(
             cfg, filters, {**head, "outcomes": rows})
+
+    @given(value=JSON_VALUES, indent=st.sampled_from(["", "    "]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_writer_is_json_dumps(self, value, indent):
+        # the header's and verify rows' writer: the bytes of json.dumps(indent=2), nested
+        # as verify's rows are, whose lines after the first are indented 4 more
+        want = json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        assert cli._dumps(value, indent) == want
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("base", [2, 3, 4, 9, 25, 64])

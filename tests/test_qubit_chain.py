@@ -31,6 +31,7 @@ from reference import (
     digit_table_reference,
     draw_reference,
     exact_columns,
+    newton_root,
     full_route_columns,
     reduced_density,
     ulp_errors,
@@ -1033,6 +1034,16 @@ class TestBondConcurrencesBits:
         errors = ulp_errors(got, exact, np.arange(len(exact)))
         assert np.max(errors) <= ROUNDED_ONCE
 
+
+    def test_square_root_is_newtons(self, rng):
+        # D = 2 roots by math.isqrt: the floor Newton's method reaches, for x of 0..6000
+        # bits, at and beside powers of two and perfect squares, and random in between
+        xs = [0, 1, 2, 3]
+        for bits in range(0, 6001, 15):
+            k = 1 + (int.from_bytes(rng.bytes(bits // 8 + 1), "little") >> (7 - bits % 8))
+            xs += [(1 << bits) - 1, 1 << bits, (1 << bits) + 1, k, k * k - 1, k * k, k * k + 1]
+        for x in xs:
+            assert qubit._root(x, 2) == newton_root(x, 2), x
 
 @st.composite
 def qubit_chains(draw, max_nodes, min_nodes=0, depth=None):
