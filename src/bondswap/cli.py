@@ -389,23 +389,18 @@ def _run_verify(cfg) -> tuple[dict, list[FilterOp], int]:
         chains = [_build_filters(cfg)]
     else:
         chains = _default_verify_suite(cfg["seed"])
-    rows = []
-    all_passed = True
-    for filters in chains:
-        rep = cross_check(filters, tolerance=cfg["tolerance"])
-        all_passed &= rep.passed
-        rows.append({
-            "n_bonds": len(filters),
-            "filters_normalized": _normalized(filters),
-            "worst_weight_dev": rep.worst_weight_dev,
-            "worst_fidelity": rep.worst_fidelity,
-            "passed": rep.passed,
-        })
+    reps = [cross_check(filters, tolerance=cfg["tolerance"]) for filters in chains]
+    # one list per chain in an object column: np.array would nest them into one array
+    columns = {"n_bonds": np.array([len(filters) for filters in chains]),
+               "filters_normalized": np.fromiter(map(_normalized, chains), object, len(chains))}
+    columns.update((key, np.array([getattr(rep, key) for rep in reps]))
+                   for key in ("worst_weight_dev", "worst_fidelity", "passed"))
+    all_passed = bool(columns["passed"].all())
     payload = {
         "tolerance": cfg["tolerance"],
-        "n_chains": len(rows),
-        "chains": rows,
-        "passed": bool(all_passed),
+        "n_chains": len(chains),
+        "chains": columns,
+        "passed": all_passed,
     }
     return payload, chains[0], 0 if all_passed else 1
 
@@ -445,7 +440,10 @@ def _csv_cell(value) -> str:
 
 
 def _json_tokens(col: np.ndarray) -> list[str]:
-    # the C encoder's tokens, as json.dumps(document, indent=2) writes them
+    # the C encoder's tokens, as json.dumps(document, indent=2) writes them; an object
+    # column's values may be nested lists, indented as a row's fields
+    if col.dtype.kind == "O":
+        return [_dumps(value, "      ") for value in col.tolist()]
     return json.dumps(col.tolist())[1:-1].split(", ")
 
 
@@ -466,8 +464,8 @@ def _dumps(value, indent: str = "") -> str:
 
 
 def _csv_tokens(col: np.ndarray) -> list[str]:
-    # str is repr for a float; only an object column may hold None
-    return list(map(_csv_cell if col.dtype.kind == "O" else str, col.tolist()))
+    # str is repr for a float; only an object column may hold None, and a bool prints true
+    return list(map(_csv_cell if col.dtype.kind in "Ob" else str, col.tolist()))
 
 
 def _segments(rows: dict, names, opens, encode, quote: str):
@@ -511,12 +509,11 @@ def _render(fmt: str, command: str, document: dict):
         gap = f"\n  {json.dumps(rows_key)}: ["
         head, tail = _dumps({**document, rows_key: []}).split(gap + "]")
         yield head + gap + "\n"
-        names = list(rows) if isinstance(rows, dict) else []
+        names = list(rows)
         # the text before each field of a row, and after its last
         opens = [f"{',' if j else '    {'}\n      {json.dumps(name)}: "
                  for j, name in enumerate(names)]
         close, sep, trailer, encode, quote = "\n    }", ",\n", f"\n  ]{tail}\n", _json_tokens, '"'
-        one_row = lambda row: "    " + _dumps(row, "    ")
     else:
         names = _COMMANDS[command].columns
         cells = {k: ";".join(map(_csv_cell, v)) if isinstance(v, list) else _csv_cell(v)
@@ -524,21 +521,18 @@ def _render(fmt: str, command: str, document: dict):
         yield "".join(f"# {k}={v}\n" for k, v in cells.items()) + ",".join(names) + "\n"
         opens = [""] + [","] * (len(names) - 1)
         close, sep, trailer, encode, quote = "", "\n", "\n", _csv_tokens, ""
-        one_row = lambda row: ",".join(_csv_cell(row[name]) for name in names)
-    if isinstance(rows, dict):  # columns: name -> numpy array or (values, index)
-        # every row opens after the last one's close; the first of all, after none
-        opens[0] = close + sep + opens[0]
-        columns = _segments(rows, names, opens, encode, quote)
-        for start in range(0, len(rows[names[0]]), _CHUNK_ROWS):
-            # one str.join over every segment's pieces interleaved row by row
-            cols = [c for col in columns for c in col(slice(start, start + _CHUNK_ROWS))]
-            pieces = [close] * (len(cols) * len(cols[0]) + 1)  # the block's close last
-            for j, col in enumerate(cols):
-                pieces[j : -1 : len(cols)] = col
-            pieces[0] = pieces[0][len(close if start else close + sep) :]
-            yield "".join(pieces)
-    else:  # a few rows, whose values may be nested lists
-        yield sep.join(map(one_row, rows))
+    # columns: name -> numpy array or (values, index); every row opens after the
+    # last one's close, the first of all after none
+    opens[0] = close + sep + opens[0]
+    columns = _segments(rows, names, opens, encode, quote)
+    for start in range(0, len(rows[names[0]]), _CHUNK_ROWS):
+        # one str.join over every segment's pieces interleaved row by row
+        cols = [c for col in columns for c in col(slice(start, start + _CHUNK_ROWS))]
+        pieces = [close] * (len(cols) * len(cols[0]) + 1)  # the block's close last
+        for j, col in enumerate(cols):
+            pieces[j : -1 : len(cols)] = col
+        pieces[0] = pieces[0][len(close if start else close + sep) :]
+        yield "".join(pieces)
     yield trailer
 
 

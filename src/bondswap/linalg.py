@@ -58,16 +58,6 @@ class StateVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def _adopt(cls, dims: tuple[int, ...], amplitudes: np.ndarray) -> StateVector:
-        """A state on a tuple of int ``dims`` and a flat complex array of prod(dims)
-        finite entries that its caller made, unchecked; the array becomes read-only."""
-        state = object.__new__(cls)
-        amplitudes.flags.writeable = False
-        object.__setattr__(state, "dims", dims)
-        object.__setattr__(state, "amplitudes", amplitudes)
-        return state
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

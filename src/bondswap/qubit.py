@@ -51,16 +51,16 @@ _ROW_BYTES = 70
 class _Mode:
     """A measurement mode as data: outcome ``digits[j]`` lies in shift class
     ``classes[j]``, applies the node operator ``op(digits[j])`` and is recorded as
-    ``labels[digits[j]]``; ``end`` (σ3 for vbs, else None) multiplies every chain
+    ``label(digits[j])``; ``end`` (σ3 for vbs, else None) multiplies every chain
     operator from the left.  Each node operator is X^c times a diagonal, c its class:
-    products over one string of classes differ only by phases, so they share
-    weight, |det| and concurrence, which _table computes once per class string."""
+    products over one string of classes differ only by phases, so they share weight,
+    |det| and concurrence, which enumerate_outcomes computes once per class string."""
 
     dim: int
     digits: range
     classes: tuple[int, ...]
     op: Callable[[int], np.ndarray]
-    labels: tuple
+    label: Callable[[int], object]
     end: np.ndarray | None = None
     # outcomes per class; qubits' (k, s) give Σ_i σ_i diag(p, r) σ_i = diag(kp + sr, sp + kr)
     class_sizes = cached_property(lambda self: tuple(np.bincount(self.classes).tolist()))
@@ -76,8 +76,8 @@ class _Mode:
 
 _MODES = {
     # σx and σ3, the odd digits, swap |0⟩ and |1⟩: class 1
-    VBS: _Mode(2, range(1, 4), (1, 0, 1), PAULI.__getitem__, tuple(range(4)), PAULI[3]),
-    PLAIN: _Mode(2, range(0, 4), (0, 1, 0, 1), PAULI.__getitem__, tuple(range(4))),
+    VBS: _Mode(2, range(1, 4), (1, 0, 1), PAULI.__getitem__, int, PAULI[3]),
+    PLAIN: _Mode(2, range(0, 4), (0, 1, 0, 1), PAULI.__getitem__, int),
 }
 
 
@@ -109,10 +109,9 @@ def _weyl_mode(dim: int) -> _Mode:
     """The D² Weyl-Bell outcomes of the qudit mode: digit m·D + n applies U_mn = X^m Z^n
     (shift X|j⟩ = |j+1 mod D⟩, clock Z|j⟩ = ω^j|j⟩, ω = exp(2πi/D)), labelled (m, n), in
     shift class m, whose D members share their moduli with X^m.  A table reads the
-    classes alone; U_mn is built only when an operator is read."""
-    digits = range(dim * dim)
-    return _Mode(dim, digits, tuple(d // dim for d in digits),
-                 lambda d: gen_pauli(dim, *divmod(d, dim)), tuple(divmod(d, dim) for d in digits))
+    classes alone, D² references to D ints; U_mn and (m, n) are made only when read."""
+    return _Mode(dim, range(dim * dim), tuple(m for m in range(dim) for _ in range(dim)),
+                 lambda d: gen_pauli(dim, *divmod(d, dim)), lambda d: divmod(d, dim))
 
 
 def _mode(name: str) -> _Mode:
@@ -195,13 +194,14 @@ class TradeoffReport:
 
     Row b belongs to the outcome whose per-node digits are ``digits[b]`` (little-endian,
     node 1 first; the digit the CLI prints), a digit_table made on first read, which no CLI
-    table does, and takes the values of its shift class ``class_index[b]`` (see _table);
+    table does, and takes the values of its shift class ``class_index[b]``;
     ``weight``, ``prob`` and ``concurrence`` gather them on each read.  ``class_trace`` holds
     each class's Tr(M M†) exactly, as _traces gives it, and ``squares`` the chain's
     |λ|² as _squares' ints.  The first read of any concurrence, ``constant`` or
     ``max_residual`` runs _concurrences once, from these two; no operator is formed.
     ``final_ops`` multiplies out every row's own operator on each read, and
-    ``records``, the per-row view, labels a digit with ``mode.labels``.
+    ``records``, the per-row view, labels a digit with ``mode.label``; ``mode`` is the
+    chain's record.
     """
 
     p_sum: float
@@ -211,7 +211,7 @@ class TradeoffReport:
     class_trace: np.ndarray
     squares: np.ndarray
     chain: SwapChain
-    mode: _Mode
+    mode = property(lambda self: self.chain.record)
     digits = cached_property(lambda self: digit_table(
         len(self.mode.digits), self.chain.n_nodes, self.mode.digits.start))
     weight = property(lambda self: self.class_weight[self.class_index])
@@ -230,7 +230,7 @@ class TradeoffReport:
 
     @cached_property  # kept for bench/spans.py, whose counters read len(records)
     def records(self) -> list[OutcomeRecord]:
-        label = self.mode.labels.__getitem__
+        label = self.mode.label
         columns = (self.digits.tolist(), self.weight.tolist(), self.prob.tolist(),
                    self.final_ops, self.concurrence.tolist())
         return [OutcomeRecord(tuple(map(label, row)), *rest) for row, *rest in zip(*columns)]
@@ -388,25 +388,6 @@ def _shape(mode: _Mode, n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, counts
 
 
-def _table(chain: SwapChain, mode: _Mode) -> TradeoffReport:
-    """Every outcome of ``chain`` measured in ``mode``, in digit-table order.
-
-    The chain's |λ|² are squared once, and Tr(M M†) is reduced once per class string
-    by _traces, exactly; the report keeps both for _concurrences.  A row's class
-    index Σ_k class(d_k)·C^k takes the smallest unsigned dtype (_shape).  weight = Tr/D,
-    P_sum = Σ over rows of the weights and prob = weight / P_sum are each the exact
-    value rounded once (Python's int division).
-    """
-    squares, low = _squares(chain.diags)
-    traces, shift = _traces(squares, len(mode.class_sizes)), -2 * int(low.sum())
-    shape = _shape if len(mode.digits) ** chain.n_nodes <= _SHAPE_ROWS else _shape.__wrapped__
-    index, counts = shape(mode, chain.n_nodes)
-    total = sum(t * c for t, c in zip(traces.tolist(), counts.tolist()))
-    weights = (traces / (mode.dim << shift)).astype(float)
-    return TradeoffReport(total / (mode.dim << shift), index, weights,
-                          (traces / total).astype(float), traces, squares, chain, mode)
-
-
 def _concurrences(report: TradeoffReport) -> tuple[np.ndarray, list[float], float, float]:
     """A report's class concurrences, bond concurrences, constant Π_j C_j / P_sum and
     max_residual, the worst |prob × C − constant|.  Every M is monomial, so |det M|^(2/D)
@@ -430,9 +411,23 @@ def enumerate_outcomes(chain: SwapChain) -> TradeoffReport:
     so probabilities always sum to one; the report constant Π_j C_j / P_sum equals
     prob × concurrence on every non-zero-weight record, and max_residual is the worst
     deviation.  The budget is checked before a qudit chain's mode record is made.
+
+    The chain's |λ|² are squared once, and Tr(M M†) is reduced once per class string
+    by _traces, exactly; the report keeps both for _concurrences.  A row's class
+    index Σ_k class(d_k)·C^k takes the smallest unsigned dtype (_shape).  weight = Tr/D,
+    P_sum = Σ over rows of the weights and prob = weight / P_sum are each the exact
+    value rounded once (Python's int division).
     """
     check_table_budget(chain.mode, chain.n_nodes, chain.dim)
-    return _table(chain, chain.record)
+    mode = chain.record
+    squares, low = _squares(chain.diags)
+    traces, shift = _traces(squares, len(mode.class_sizes)), -2 * int(low.sum())
+    shape = _shape if len(mode.digits) ** chain.n_nodes <= _SHAPE_ROWS else _shape.__wrapped__
+    index, counts = shape(mode, chain.n_nodes)
+    total = sum(t * c for t, c in zip(traces.tolist(), counts.tolist()))
+    weights = (traces / (mode.dim << shift)).astype(float)
+    return TradeoffReport(total / (mode.dim << shift), index, weights,
+                          (traces / total).astype(float), traces, squares, chain)
 
 
 def _transfer(chain: SwapChain) -> tuple[float, float]:

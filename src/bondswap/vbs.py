@@ -57,15 +57,15 @@ def build_vbs_state(filters) -> StateVector:
     (λ0|01⟩ − λ1|10⟩)/√2 on qubits (2j, 2j+1); the symmetric projector then
     acts on every internal pair.
     """
-    return _chain_state(filters)[1]
+    chain, psi = _chain_state(filters)
+    return StateVector((2,) * (2 * chain.n_nodes + 2), psi)
 
 
-def _chain_state(filters) -> tuple[SwapChain, StateVector]:
-    """The vbs chain of ``filters`` and its build_vbs_state."""
+def _chain_state(filters) -> tuple[SwapChain, np.ndarray]:
+    """The vbs chain of ``filters`` and the flat amplitudes of its build_vbs_state."""
     filts = tuple(filters)
     _check_oracle_bonds(len(filts))
     chain = SwapChain(filts, VBS)
-    n_internal = chain.n_nodes
     bonds = np.zeros((len(filts), 4), dtype=complex)
     bonds[:, 1:3] = chain.diags / _ROOT2
     np.negative(bonds[:, 2], out=bonds[:, 2])
@@ -74,7 +74,7 @@ def _chain_state(filters) -> tuple[SwapChain, StateVector]:
         psi = np.multiply.outer(psi, bond).ravel()  # np.kron's products, without its overhead
     # the block's imaginary parts are 0: it scales real and imaginary parts alike
     (p11, p12), (p21, p22) = _SYM_BLOCK.real.tolist()
-    for k in range(1, n_internal + 1):
+    for k in range(1, chain.n_nodes + 1):
         pair = psi.view(float).reshape(2 ** (2 * k - 1), 4, -1)
         x1, x2 = pair[:, 1], pair[:, 2]
         pair[:, 1], pair[:, 2] = p11 * x1 + p12 * x2, p21 * x1 + p22 * x2
@@ -82,7 +82,7 @@ def _chain_state(filters) -> tuple[SwapChain, StateVector]:
     if norm == 0.0:
         raise ValueError("chain state vanished (incompatible singular filters)")
     psi /= norm  # finite: no |entry| exceeds the norm by more than rounding
-    return chain, StateVector._adopt((2,) * (2 * n_internal + 2), psi)
+    return chain, psi
 
 
 def _norm(psi: np.ndarray) -> float:
@@ -203,9 +203,9 @@ def cross_check(filters, tolerance: float = 1e-9) -> CrossCheckReport:
     (I ⊗ M)|Φ+⟩, both normalized.  It reads no concurrence, so the table's
     concurrence stage never runs.  Mismatches are reported, never raised.
     """
-    chain, state = _chain_state(filters)  # one chain: its filters are rescaled in one pass
+    chain, psi = _chain_state(filters)  # one chain: its filters are rescaled in one pass
     # _chain_state normalizes: peeled without measure_all_outcomes' checks
-    ends = _peel_pairs(state.amplitudes, (_BELL_BRAS,) * chain.n_nodes)
+    ends = _peel_pairs(psi, (_BELL_BRAS,) * chain.n_nodes)
     weights = _abs_sq(ends).sum(axis=(1, 2))
     report = enumerate_outcomes(chain)
     # amplitude on |j⟩⊗|k⟩ is M[k, j], as in state_from_operator

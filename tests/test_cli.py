@@ -84,8 +84,10 @@ def reference_document(*argv) -> str:
     if cfg["command"] == "scan":
         filters, payload = scan_reference(cfg)
         return render_reference(cfg, filters, payload)
-    if cfg["command"] == "verify":  # its rows are row dicts already
+    if cfg["command"] == "verify":  # its chains as row dicts, one per chain
         payload, filters, _ = cli._run_verify(cfg)
+        columns = {name: col.tolist() for name, col in payload["chains"].items()}
+        payload["chains"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
         return render_reference(cfg, filters, payload)
     filters = cli._build_filters(cfg)
     chain = SwapChain(tuple(filters), cfg["mode"])
@@ -415,8 +417,8 @@ class _Sink(io.TextIOBase):
 
 
 class TestColumnarRendering:
-    """Tables render from columns, and verify's chains from row dicts, to the
-    very bytes of the row-dict path."""
+    """Tables and verify's chains render from columns, to the very bytes of the
+    row-dict path."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", TABLE_CASES, ids=" ".join)
@@ -424,6 +426,16 @@ class TestColumnarRendering:
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0, err
         assert out == reference_document(*argv, "--format", fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failing_verify_matches_row_dict_reference(self, capsys, fmt):
+        # every chain fails at tolerance 0: false cells, exit 1, and the nested
+        # filters_normalized column beside them
+        argv = ("verify", "--seed", "3", "--tolerance", "0", "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, err
+        assert out.count("false") == 7
+        assert out == reference_document(*argv)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @given(table=swap_columns())

@@ -154,6 +154,26 @@ class TestWeylModeOnDemand:
             _weyl_mode.cache_clear()
         assert report.mode.classes == tuple(digit // d for digit in range(d * d))
 
+    def test_mode_record_holds_no_per_digit_objects(self):
+        # the D² classes are references to D ints, and no (m, n) label is kept: a fresh
+        # record at D = 500 holds about 2 MB, where a tuple of 250000 labels took 30
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mode = _weyl_mode.__wrapped__(500)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2 ** 20, held
+        assert len(mode.classes) == 500 ** 2 and len({id(c) for c in mode.classes}) == 500
+        # the records still read each digit m·D + n as its (m, n)
+        d = 3
+        rng = np.random.default_rng(5)
+        chain = SwapChain(tuple(random_filter(rng, d) for _ in range(3)), QUDIT)
+        indices = [rec.indices for rec in enumerate_outcomes(chain).records]
+        assert indices == [((m0, n0), (m1, n1)) for m1, n1, m0, n0 in
+                           itertools.product(range(d), repeat=4)]
+
 
 def qudit_bell(d, m, n):
     """Bell basis state (I ⊗ U_mn)|Φ+⟩."""

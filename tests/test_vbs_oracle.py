@@ -70,8 +70,8 @@ class TestBuildState:
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_built_state_is_a_checked_state_vector(self, rng):
-        # build_vbs_state adopts its own amplitudes unchecked: the state is still
-        # what the checked constructor makes of them
+        # build_vbs_state's state is what the checked constructor makes of a copy of
+        # its amplitudes
         psi = build_vbs_state(tuple(random_filter(rng) for _ in range(4)))
         checked = StateVector(list(psi.dims), psi.amplitudes.copy())
         assert type(psi.dims) is tuple and all(type(d) is int for d in psi.dims)
